@@ -37,7 +37,6 @@ from .instance import (
     InstanceFormatError,
     ZeroColumnError,
     allocation_to_doc,
-    efx_slack,
     generate_instance,
     instance_to_doc,
     is_efx,
@@ -59,7 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise dc.InternalCheckError(f"document holds a non-finite number: {exc}") from exc
     if output:
         Path(output).write_text(text)
     else:
@@ -92,6 +94,9 @@ def _load_matrix(path: str, key: str, inst: Instance) -> np.ndarray:
         raise InstanceFormatError(
             f"{key} matrix has shape {matrix.shape}, expected ({inst.m}, {inst.n})"
         )
+    if not np.all(np.isfinite(matrix)):
+        k, j = np.argwhere(~np.isfinite(matrix))[0]
+        raise InstanceFormatError(f"{key}[{k}][{j}] is not a finite number")
     return matrix
 
 
@@ -112,6 +117,13 @@ def _prefiltered_normalized(inst: Instance) -> tuple[Instance, list[int]]:
             )
         inst = Instance(inst.values[:, keep])
     return normalize(inst), removed
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _parse_lambdas(text: str) -> list[float]:
@@ -185,7 +197,7 @@ def cmd_oracle(args) -> int:
 def cmd_lovasz(args) -> int:
     raw = load_instance(args.instance)
     inst, removed = _prefiltered_normalized(raw)
-    x, objective = lovasz.minimize_relaxation(inst, iters=args.iters, step0=args.step0, seed=args.seed)
+    x, objective = lovasz.minimize_relaxation(inst, iters=args.iters, step0=args.step0)
     rounding = lovasz.threshold_round(x, args.seed)
     rounded_efx = bool(
         rounding.feasible and is_efx(inst, rounding.allocation, DEFAULT_EFX_TOL).ok
@@ -251,7 +263,7 @@ def cmd_extension(args) -> int:
 
 def _dca_runs(inst: Instance, starts: int, seed: int, delta: float, max_iters: int, m_const):
     box = m_const if m_const is not None else extension.default_box_bound(inst)
-    children = np.random.SeedSequence(seed).spawn(max(starts - 1, 0))
+    children = np.random.SeedSequence(seed).spawn(starts - 1)
     runs = []
     for start in range(starts):
         if start == 0:
@@ -421,7 +433,7 @@ def cmd_compare(args) -> int:
         return result.exists, best_envy - 1.0, result.allocations_scanned
 
     def run_lovasz():
-        x, objective = lovasz.minimize_relaxation(inst, iters=500, step0=0.5, seed=args.seed)
+        x, objective = lovasz.minimize_relaxation(inst, iters=500, step0=0.5)
         rounding = lovasz.threshold_round(x, args.seed)
         found = bool(rounding.feasible and is_efx(inst, rounding.allocation, args.tol).ok)
         return found, objective, 500
@@ -544,7 +556,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--delta", type=float, default=dc.DCA_STEP_TOL)
     p.add_argument("--max-iters", type=int, default=dc.DCA_MAX_ITERS)
-    p.add_argument("--starts", type=int, default=1)
+    p.add_argument("--starts", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m-const", type=float, default=None)
     p.add_argument("--output", default=None)
@@ -556,7 +568,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=fixedpoint.DEFAULT_ALPHA)
     p.add_argument("--tol", type=float, default=fixedpoint.RESIDUAL_TOL)
     p.add_argument("--max-iters", type=int, default=fixedpoint.DEFAULT_MAX_ITERS)
-    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--starts", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m-const", type=float, default=None)
     p.add_argument("--output", default=None)

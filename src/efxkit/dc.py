@@ -9,6 +9,9 @@ per item and agent pair for the shifted row maxima, and box bounds that
 keep every iterate inside the region where encoded allocations live.
 Successive LP optima are non-increasing, and any score matrix that reaches
 a nonpositive objective extracts a verified EFX allocation by row argmax.
+The objective and its two terms, ``convex_part`` and ``rowmax_sum``, live
+in the extension module, whose ``_shifted_rowmax`` kernel builds the
+shifted row maxima.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simplex
-from .extension import _pair_shift_max, dc_objective, default_box_bound, encode_allocation
+from .extension import dc_objective, default_box_bound, encode_allocation
 from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
 
 DCA_STEP_TOL = 1e-8
@@ -29,27 +32,6 @@ RECHECK_TOL = 1e-8
 
 class InternalCheckError(RuntimeError):
     """An invariant the solvers rely on failed at run time."""
-
-
-def convex_part(inst: Instance, y: np.ndarray) -> float:
-    """The max-term of the objective: worst over pairs and items of the
-    item's envied-column score plus the other items' shifted row maxima."""
-    y = np.asarray(y, dtype=float)
-    values = inst.values
-    best = -np.inf
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i == j:
-                continue
-            shifted = _pair_shift_max(values, y, i, j)
-            total = shifted.sum()
-            best = max(best, float((y[:, j] + (total - shifted)).max()))
-    return best
-
-
-def rowmax_sum(y: np.ndarray) -> float:
-    """The subtracted convex term: sum of per-item row maxima."""
-    return float(np.asarray(y, dtype=float).max(axis=1).sum())
 
 
 @dataclass(frozen=True)

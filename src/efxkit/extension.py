@@ -9,7 +9,9 @@ score matrices: a difference of two convex max-terms whose infimum is
 nonpositive exactly when an EFX allocation exists.  Integral allocations
 embed as score matrices with zeros at owner coordinates and a large
 negative constant elsewhere, where the objective reproduces the exact EFX
-slack.
+slack.  The objective's max-term and the fixed-point transfer gain are both
+read from one kernel, ``_shifted_rowmax``, which builds every agent pair's
+shifted row maxima at once.
 """
 
 from __future__ import annotations
@@ -118,43 +120,59 @@ def softmax_map(y: np.ndarray, lam: float) -> np.ndarray:
     return x
 
 
-def _pair_shift_max(values: np.ndarray, y: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Per-item row maximum after shifting agent i's value onto column j.
+def _shifted_rowmax(inst: Instance, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-item row maxima after moving a rival's value between columns.
 
-    Column i drops by the item's value for i, column j gains it, and the
-    remaining columns stand; the result is the row max of that shift.
+    Returns the ordered pairs as index arrays ``(i, j)``, grouped by j with
+    i ascending, and a (pairs, m) array whose row p holds each item's row
+    maximum once column i has dropped by the item's value for agent i and
+    column j has gained it.  The bystander maximum over the other columns
+    comes from each row's three largest scores; max is exact, so this
+    equals a rescan of the other columns for every pair.
     """
-    v = values[:, i]
-    shifted = np.maximum(y[:, i] - v, y[:, j] + v)
-    if y.shape[1] > 2:
-        masked = y.copy()
-        masked[:, i] = -np.inf
-        masked[:, j] = -np.inf
-        shifted = np.maximum(shifted, masked.max(axis=1))
-    return shifted
+    y = np.asarray(y, dtype=float)
+    m, n = y.shape
+    j, i = np.divmod(np.arange(n * n), n)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    # Row-major (pairs, m) copies, so per-pair sums reduce along contiguous rows.
+    v = inst.values.T[i]
+    shifted = np.maximum(y.T[i] - v, y.T[j] + v)
+    if n > 2:
+        top = np.argsort(-y, axis=1)[:, :3]
+        top_values = np.take_along_axis(y, top, axis=1)
+        bystander = top_values[:, 2]
+        for rank in (1, 0):
+            free = (top[:, rank] != i[:, None]) & (top[:, rank] != j[:, None])
+            bystander = np.where(free, top_values[:, rank], bystander)
+        shifted = np.maximum(shifted, bystander)
+    return i, j, shifted
+
+
+def convex_part(inst: Instance, y: np.ndarray) -> float:
+    """The max-term of the objective: worst over pairs and items of the
+    item's envied-column score plus the other items' shifted row maxima."""
+    y = np.asarray(y, dtype=float)
+    _, j, shifted = _shifted_rowmax(inst, y)
+    total = shifted.sum(axis=1, keepdims=True)
+    return float((y.T[j] + (total - shifted)).max())
+
+
+def rowmax_sum(y: np.ndarray) -> float:
+    """The subtracted convex term: sum of per-item row maxima."""
+    return float(np.asarray(y, dtype=float).max(axis=1).sum())
 
 
 def dc_objective(inst: Instance, y: np.ndarray) -> float:
     """Piecewise-linear existence objective over score matrices.
 
-    Difference of two convex terms: the worst, over agent pairs and items,
-    of the item's column-j score plus the shifted row maxima of all other
-    items, minus the plain sum of row maxima.  Row-wise constant shifts
-    cancel, and its infimum is <= 0 exactly when an EFX allocation exists.
+    Difference of two convex terms, ``convex_part`` minus ``rowmax_sum``:
+    the worst, over agent pairs and items, of the item's column-j score
+    plus the shifted row maxima of all other items, minus the plain sum of
+    row maxima.  Row-wise constant shifts cancel, and its infimum is <= 0
+    exactly when an EFX allocation exists.
     """
-    y = np.asarray(y, dtype=float)
-    values = inst.values
-    h = y.max(axis=1)
-    best = -np.inf
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i == j:
-                continue
-            shifted = _pair_shift_max(values, y, i, j)
-            total = shifted.sum()
-            candidate = (y[:, j] + (total - shifted)).max()
-            best = max(best, candidate)
-    return float(best - h.sum())
+    return convex_part(inst, y) - rowmax_sum(y)
 
 
 def encode_allocation(inst: Instance, alloc: Allocation, m_const: float | None = None) -> np.ndarray:

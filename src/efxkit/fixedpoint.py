@@ -11,7 +11,9 @@ clamps rows whose maximum sits at zero, and a smooth one that weights the
 clamp by the exponential of the row maximum and maps the box into itself,
 so a fixed point is guaranteed to exist.  Damped Picard iteration hunts
 for one; convergence is not guaranteed and is always reported rather than
-assumed.
+assumed.  The transfer gain is a readout of the shifted row maxima from
+``extension._shifted_rowmax``, the same kernel behind the existence
+objective.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import _pair_shift_max, default_box_bound
+from .extension import _shifted_rowmax, default_box_bound
 from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
 
 RESIDUAL_TOL = 1e-8
@@ -43,16 +45,13 @@ def transfer_gain(inst: Instance, y: np.ndarray) -> np.ndarray:
     value for any scores whatsoever.
     """
     y = np.asarray(y, dtype=float)
-    values = inst.values
-    h = y.max(axis=1)
-    gain = np.full((inst.m, inst.n), -np.inf)
-    for j in range(inst.n):
-        for i in range(inst.n):
-            if i == j:
-                continue
-            delta = _pair_shift_max(values, y, i, j) - h
-            np.maximum(gain[:, j], delta.sum() - delta, out=gain[:, j])
-    return gain
+    _, _, shifted = _shifted_rowmax(inst, y)
+    delta = shifted - y.max(axis=1)
+    gain = delta.sum(axis=1, keepdims=True) - delta
+    # Pairs come grouped by j, so each block of n - 1 rows shares column j.
+    gain = gain.reshape(inst.n, inst.n - 1, inst.m).max(axis=1)
+    # Row-major like y, so later row reductions keep their summation order.
+    return np.ascontiguousarray(gain.T)
 
 
 def constraint_slacks(inst: Instance, y: np.ndarray) -> np.ndarray:

@@ -5,7 +5,10 @@ agent i's value for item k, and every agent values a bundle by the sum of
 its item values.  An allocation assigns each item to exactly one agent.
 The allocation is EFX (envy-free up to any good) when no agent would prefer
 another agent's bundle even after removing that bundle's cheapest item
-from the comparison.
+from the comparison.  Every EFX slack in the package (``efx_slack``,
+``is_efx`` and the oracle's batched scan and monotone objective) is read
+from one kernel, ``_pair_gaps``, which yields the envy gap of each
+ordered agent pair.
 """
 
 from __future__ import annotations
@@ -60,8 +63,12 @@ class Instance:
         if np.any(values < 0):
             k, i = np.argwhere(values < 0)[0]
             raise InstanceFormatError(f"values[{k}][{i}] is negative")
-        if self.normalized:
+        with np.errstate(over="ignore"):
             sums = values.sum(axis=0)
+        if not np.all(np.isfinite(sums)):
+            bad = int(np.flatnonzero(~np.isfinite(sums))[0])
+            raise InstanceFormatError(f"column {bad} sums to {float(sums[bad])}, beyond the float range")
+        if self.normalized:
             if np.any(np.abs(sums - 1.0) > COLUMN_SUM_TOL):
                 bad = int(np.argmax(np.abs(sums - 1.0)))
                 raise InstanceFormatError(
@@ -220,22 +227,32 @@ def _validate_allocation(inst: Instance, alloc: Allocation) -> None:
         raise InstanceFormatError("allocation assigns an item to an agent outside 0..n-1")
 
 
-def _pair_slack(inst: Instance, alloc: Allocation, i: int, j: int) -> float:
-    """Slack of agent i's EFX constraint against agent j's bundle.
+def _pair_gaps(inst: Instance, owners: np.ndarray, monotone: bool = False):
+    """Envy gap of every ordered agent pair for each owner row.
 
-    Positive slack means the constraint is violated: i values j's bundle,
-    even with its cheapest item removed, above i's own bundle.
+    Yields ``(i, j, gaps)`` for i != j in row-major pair order, where
+    ``gaps`` holds, per owner row, agent i's reduced value for agent j's
+    bundle (the masked bundle sum minus the masked bundle minimum, zero
+    for an empty bundle) minus i's own bundle value, or, with
+    ``monotone``, plus the value of everything i does not hold.  Positive
+    gaps in the plain form are EFX violations.  Pairs are yielded one at
+    a time so a scan keeps only (rows, m) arrays alive.
     """
-    column = inst.values[:, i]
-    mask_j = alloc.owner == j
-    # Masked sums keep the float evaluation identical to the vectorized
-    # sweep in the oracle module, which processes many owner vectors at once.
-    mine = np.where(alloc.owner == i, column, 0.0).sum()
-    if not mask_j.any():
-        reduced = 0.0
-    else:
-        reduced = np.where(mask_j, column, 0.0).sum() - column[mask_j].min()
-    return float(reduced - mine)
+    n = inst.n
+    masks = [owners == j for j in range(n)]
+    for i in range(n):
+        column = inst.values[:, i]
+        if monotone:
+            base = np.where(~masks[i], column, 0.0).sum(axis=1)
+        else:
+            base = -np.where(masks[i], column, 0.0).sum(axis=1)
+        for j in range(n):
+            if i == j:
+                continue
+            sums = np.where(masks[j], column, 0.0).sum(axis=1)
+            mins = np.where(masks[j], column, np.inf).min(axis=1)
+            reduced = np.where(np.isinf(mins), 0.0, sums - mins)
+            yield i, j, reduced + base
 
 
 def efx_slack(inst: Instance, alloc: Allocation) -> float:
@@ -244,29 +261,15 @@ def efx_slack(inst: Instance, alloc: Allocation) -> float:
     Nonpositive slack certifies the allocation is EFX; the sign is the
     quantity every solver in this package tries to drive below zero.
     """
-    _validate_allocation(inst, alloc)
-    return max(
-        _pair_slack(inst, alloc, i, j)
-        for i in range(inst.n)
-        for j in range(inst.n)
-        if i != j
-    )
+    return is_efx(inst, alloc).slack
 
 
 def is_efx(inst: Instance, alloc: Allocation, tol: float = DEFAULT_EFX_TOL) -> EfxReport:
     """Check every ordered pair's EFX constraint, allowing ``tol`` slack."""
     _validate_allocation(inst, alloc)
-    violations = []
-    worst = -np.inf
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i == j:
-                continue
-            slack = _pair_slack(inst, alloc, i, j)
-            worst = max(worst, slack)
-            if slack > tol:
-                violations.append((i, j, slack))
-    return EfxReport(ok=not violations, violations=violations, slack=float(worst))
+    gaps = [(i, j, float(gap[0])) for i, j, gap in _pair_gaps(inst, alloc.owner[None, :])]
+    violations = [gap for gap in gaps if gap[2] > tol]
+    return EfxReport(ok=not violations, violations=violations, slack=max(gap[2] for gap in gaps))
 
 
 def generate_instance(m: int, n: int, dist: str, seed: int, kmax: int = 10) -> Instance:

@@ -161,7 +161,6 @@ def minimize_relaxation(
     inst: Instance,
     iters: int = 500,
     step0: float = DEFAULT_STEP0,
-    seed: int | None = None,
     return_trace: bool = False,
 ):
     """Projected subgradient descent on the relaxation objective.
@@ -169,13 +168,10 @@ def minimize_relaxation(
     Starts from the uniform point, steps with step0 / sqrt(t) along the
     subgradient of the worst pair (ties to the lexicographically first
     pair), projects every iterate's rows back onto the simplex, and keeps
-    the best iterate seen.  The loop is deterministic; ``seed`` is accepted
-    so callers can echo it in their output configuration but plays no role
-    in the descent.
+    the best iterate seen.  The loop is deterministic.
     Returns (best point, best value), plus the per-iterate value trace when
     ``return_trace`` is set.
     """
-    del seed
     x = uniform_point(inst)
     best_value, i, j = _argmax_pair(inst, x)
     best_x = x.copy()

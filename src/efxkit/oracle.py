@@ -5,16 +5,20 @@ significant digit) and applies the EFX check to each.  The scan is chunked
 and vectorized over allocations but stays single-threaded, so results and
 witness order are deterministic.  A guard caps the search at 10^7 owner
 vectors; nothing in this package concludes "no EFX allocation exists"
-except this scan, run within the guard.
+except this scan, run within the guard.  Both the EFX slack and the
+monotone envy objective of each chunk are read from ``instance._pair_gaps``,
+the kernel behind ``is_efx``, so the scan and the single-allocation check
+agree bit for bit by construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DEFAULT_EFX_TOL, Allocation, Instance
+from .instance import DEFAULT_EFX_TOL, Allocation, Instance, _pair_gaps
 
 SCAN_GUARD = 10**7
 WITNESS_CAP = 64
@@ -43,27 +47,14 @@ def _decode_owners(codes: np.ndarray, m: int, n: int) -> np.ndarray:
     return owners
 
 
-def batch_efx_slack(inst: Instance, owners: np.ndarray) -> np.ndarray:
-    """Worst EFX slack for each owner row, vectorized over allocations.
+def _worst_gap(inst: Instance, owners: np.ndarray, monotone: bool = False) -> np.ndarray:
+    """Largest pair gap for each owner row."""
+    return functools.reduce(np.maximum, (gap for _, _, gap in _pair_gaps(inst, owners, monotone)))
 
-    Float-for-float identical to ``efx_slack`` on each row: both sides sum
-    masked copies of the same value columns in the same order.
-    """
-    owners = np.asarray(owners, dtype=int)
-    values = inst.values
-    worst = np.full(owners.shape[0], -np.inf)
-    for i in range(inst.n):
-        column = values[:, i]
-        mine = np.where(owners == i, column, 0.0).sum(axis=1)
-        for j in range(inst.n):
-            if i == j:
-                continue
-            mask = owners == j
-            sums = np.where(mask, column, 0.0).sum(axis=1)
-            mins = np.where(mask, column, np.inf).min(axis=1)
-            reduced = np.where(np.isinf(mins), 0.0, sums - mins)
-            np.maximum(worst, reduced - mine, out=worst)
-    return worst
+
+def batch_efx_slack(inst: Instance, owners: np.ndarray) -> np.ndarray:
+    """Worst EFX slack for each owner row, vectorized over allocations."""
+    return _worst_gap(inst, np.asarray(owners, dtype=int))
 
 
 def _scan_size(inst: Instance, guard: int) -> int:
@@ -115,24 +106,12 @@ def min_max_envy(inst: Instance, guard: int = SCAN_GUARD) -> tuple[float, Alloca
     if not inst.normalized:
         raise ValueError("the monotone envy objective requires a normalized instance")
     size = _scan_size(inst, guard)
-    values = inst.values
     best_value = np.inf
     best_owner: np.ndarray | None = None
     for start in range(0, size, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, size))
         owners = _decode_owners(codes, inst.m, inst.n)
-        objective = np.full(owners.shape[0], -np.inf)
-        for i in range(inst.n):
-            column = values[:, i]
-            others = np.where(owners != i, column, 0.0).sum(axis=1)
-            for j in range(inst.n):
-                if i == j:
-                    continue
-                mask = owners == j
-                sums = np.where(mask, column, 0.0).sum(axis=1)
-                mins = np.where(mask, column, np.inf).min(axis=1)
-                reduced = np.where(np.isinf(mins), 0.0, sums - mins)
-                np.maximum(objective, reduced + others, out=objective)
+        objective = _worst_gap(inst, owners, monotone=True)
         pick = int(np.argmin(objective))
         if objective[pick] < best_value:
             best_value = float(objective[pick])

@@ -298,3 +298,46 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert cli.main(["oracle", "--instance", short]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+
+
+def test_extension_eval_rejects_non_finite_scores(tmp_path, capsys):
+    inst = _instance_file(tmp_path, I0_NORM)
+    y = _write_doc(tmp_path / "y.json", {"y": [[0.0, float("nan")], [-5.0, 0.0], [-5.0, 0.0]]})
+    assert cli.main(["extension", "eval", "--instance", inst, "--y", y]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "y[0][1] is not a finite number" in captured.err
+
+
+def test_non_finite_output_exits_three(tmp_path, capsys, monkeypatch):
+    inst = _instance_file(tmp_path, I0_NORM)
+    y = _write_doc(tmp_path / "y.json", {"y": [[0.0, -5.0], [-5.0, 0.0], [-5.0, 0.0]]})
+    monkeypatch.setattr(cli.extension, "dc_objective", lambda inst_, y_: float("nan"))
+    assert cli.main(["extension", "eval", "--instance", inst, "--y", y]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_overflowing_column_sum_is_an_input_error(tmp_path, capsys):
+    inst = _instance_file(tmp_path, [[1.0, 1e308], [1.0, 1e308], [1.0, 1e308]])
+    assert cli.main(["compare", "--instance", inst]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "column 1 sums to inf" in captured.err
+
+
+def test_dca_zero_starts_is_a_usage_error(tmp_path, capsys):
+    inst = _instance_file(tmp_path, I0_NORM)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["dca", "--instance", inst, "--starts", "0"])
+    assert excinfo.value.code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_fixedpoint_zero_starts_is_a_usage_error(tmp_path, capsys):
+    inst = _instance_file(tmp_path, I0_NORM)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["fixedpoint", "--instance", inst, "--starts", "0"])
+    assert excinfo.value.code == 1
+    assert "positive integer" in capsys.readouterr().err

@@ -18,7 +18,8 @@ from efxkit import (
     normalize,
     solve_lp,
 )
-from efxkit.dc import convex_part, greedy_allocation, rowmax_sum
+from efxkit.dc import greedy_allocation
+from efxkit.extension import convex_part, rowmax_sum
 
 
 def _family_counts(model):

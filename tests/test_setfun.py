@@ -8,12 +8,15 @@ import pytest
 from conftest import random_instance
 from efxkit import (
     Allocation,
+    batch_efx_slack,
     bundle_value,
     efx_slack,
     envy_gap,
+    generate_instance,
     is_efx,
     make_instance,
     max_envy_gap,
+    min_max_envy,
     monotone_envy_gap,
     normalize,
     reduced_value,
@@ -103,11 +106,21 @@ def test_reduced_value_empty_set_breaks_submodularity():
     assert f_ab == pytest.approx(4.0)  # max(4, 2): rules out f_a + f_b >= f_ab
 
 
-def test_efx_iff_all_gaps_nonpositive():
+def _small_instances():
     for seed in range(8):
-        inst = random_instance(seed, 4, 3)
-        for owners in itertools.product(range(3), repeat=4):
-            alloc = Allocation(np.array(owners))
+        yield random_instance(seed, 4, 3)
+    for seed in range(4):
+        for kmax in (1, 2):
+            yield generate_instance(4, 3, "integer", seed, kmax=kmax)
+        yield generate_instance(4, 3, "identical", seed)
+
+
+def test_efx_iff_all_gaps_nonpositive():
+    for inst in _small_instances():
+        all_owners = np.array(list(itertools.product(range(3), repeat=4)))
+        batch = batch_efx_slack(inst, all_owners)
+        for row, owners in enumerate(all_owners):
+            alloc = Allocation(owners)
             gaps = [
                 envy_gap(inst, i, j, alloc)
                 for i in range(3)
@@ -116,3 +129,9 @@ def test_efx_iff_all_gaps_nonpositive():
             ]
             assert (max(gaps) <= 0) == bool(is_efx(inst, alloc, tol=0.0))
             assert max(gaps) == pytest.approx(efx_slack(inst, alloc), abs=1e-12)
+            assert max(gaps) == pytest.approx(batch[row], abs=1e-12)
+        norm = normalize(inst)
+        monotone = [max_envy_gap(norm, Allocation(owners)) for owners in all_owners]
+        value, best = min_max_envy(norm)
+        assert value == pytest.approx(min(monotone), abs=1e-12)
+        assert max_envy_gap(norm, best) == pytest.approx(value, abs=1e-12)
