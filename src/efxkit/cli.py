@@ -32,10 +32,8 @@ import numpy as np
 from . import dc, extension, fixedpoint, lovasz, oracle
 from .instance import (
     DEFAULT_EFX_TOL,
-    Allocation,
     Instance,
     InstanceFormatError,
-    ZeroColumnError,
     allocation_to_doc,
     generate_instance,
     instance_to_doc,
@@ -72,8 +70,11 @@ def _document(config: dict, payload: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "config": config, **payload}
 
 
-def _owners_doc(alloc: Allocation) -> list[int]:
-    return [int(a) + 1 for a in alloc.owner]
+def _config(args, **resolved) -> dict:
+    """The fully resolved configuration: every parsed option, with
+    ``resolved`` overriding the values a command works out itself."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "output", "mode")}
+    return {**config, **resolved}
 
 
 def _matrix_doc(x: np.ndarray) -> list[list[float]]:
@@ -140,15 +141,7 @@ def _parse_lambdas(text: str) -> list[float]:
 
 def cmd_gen(args) -> int:
     inst = generate_instance(args.m, args.n, args.dist, args.seed, args.kmax)
-    config = {
-        "command": "gen",
-        "m": args.m,
-        "n": args.n,
-        "dist": args.dist,
-        "seed": args.seed,
-        "kmax": args.kmax,
-    }
-    _emit(_document(config, instance_to_doc(inst)), args.output)
+    _emit(_document(_config(args), instance_to_doc(inst)), args.output)
     return 0
 
 
@@ -156,12 +149,6 @@ def cmd_check(args) -> int:
     inst = load_instance(args.instance)
     alloc = load_allocation(args.allocation, inst)
     report = is_efx(inst, alloc, args.tol)
-    config = {
-        "command": "check",
-        "instance": args.instance,
-        "allocation": args.allocation,
-        "tol": args.tol,
-    }
     payload = {
         "efx": report.ok,
         "slack": report.slack,
@@ -169,7 +156,7 @@ def cmd_check(args) -> int:
             {"envious": i + 1, "envied": j + 1, "slack": s} for i, j, s in report.violations
         ],
     }
-    _emit(_document(config, payload), args.output)
+    _emit(_document(_config(args), payload), args.output)
     return 0
 
 
@@ -177,20 +164,13 @@ def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
     cap = inst.n**inst.m if args.all else args.cap
     result = oracle.enumerate_efx(inst, cap=cap, tol=args.tol)
-    config = {
-        "command": "oracle",
-        "instance": args.instance,
-        "cap": cap,
-        "all": args.all,
-        "tol": args.tol,
-    }
     payload = {
         "exists": result.exists,
         "witness_count": result.witness_count,
         "allocations_scanned": result.allocations_scanned,
-        "witnesses": [_owners_doc(w) for w in result.witnesses],
+        "witnesses": [allocation_to_doc(w)["owner"] for w in result.witnesses],
     }
-    _emit(_document(config, payload), args.output)
+    _emit(_document(_config(args, cap=cap), payload), args.output)
     return 0
 
 
@@ -202,13 +182,6 @@ def cmd_lovasz(args) -> int:
     rounded_efx = bool(
         rounding.feasible and is_efx(inst, rounding.allocation, DEFAULT_EFX_TOL).ok
     )
-    config = {
-        "command": "lovasz",
-        "instance": args.instance,
-        "iters": args.iters,
-        "step0": args.step0,
-        "seed": args.seed,
-    }
     payload = {
         "form": "monotone",
         "threshold": 1.0,
@@ -222,12 +195,12 @@ def cmd_lovasz(args) -> int:
             "multiply_assigned": [k + 1 for k in rounding.multiply_assigned],
             "unassigned": [k + 1 for k in rounding.unassigned],
             "feasible": rounding.feasible,
-            "owner": _owners_doc(rounding.allocation) if rounding.feasible else None,
+            "owner": allocation_to_doc(rounding.allocation)["owner"] if rounding.feasible else None,
             "efx": rounded_efx,
         },
         "verdict": "efx-found" if rounded_efx else "inconclusive",
     }
-    _emit(_document(config, payload), args.output)
+    _emit(_document(_config(args), payload), args.output)
     return 0
 
 
@@ -249,15 +222,8 @@ def cmd_extension(args) -> int:
             raise InstanceFormatError("x rows must be distributions over agents")
         f_value = None
         g_values = [extension.rounding_bound(inst, x, lam) for lam in lams]
-    config = {
-        "command": "extension eval",
-        "instance": args.instance,
-        "y": args.y,
-        "x": args.x,
-        "lambdas": lams,
-    }
     payload = {"f": f_value, "g": g_values, "bound": bound}
-    _emit(_document(config, payload), args.output)
+    _emit(_document(_config(args, command="extension eval", lambdas=lams), payload), args.output)
     return 0
 
 
@@ -280,20 +246,11 @@ def cmd_dca(args) -> int:
     runs = _dca_runs(inst, args.starts, args.seed, args.delta, args.max_iters, args.m_const)
     best_index = min(range(len(runs)), key=lambda i: (not runs[i].efx, runs[i].objective))
     best = runs[best_index]
-    config = {
-        "command": "dca",
-        "instance": args.instance,
-        "delta": args.delta,
-        "max_iters": args.max_iters,
-        "starts": args.starts,
-        "seed": args.seed,
-        "m_const": args.m_const,
-    }
     payload = {
         "objective": best.objective,
         "iterations": best.iterations,
         "status": best.status,
-        "owner": _owners_doc(best.allocation),
+        "owner": allocation_to_doc(best.allocation)["owner"],
         "efx": best.efx,
         "selected_start": best_index,
         "trace": best.trace,
@@ -308,7 +265,7 @@ def cmd_dca(args) -> int:
             for i, run in enumerate(runs)
         ],
     }
-    _emit(_document(config, payload), args.output)
+    _emit(_document(_config(args), payload), args.output)
     return 0
 
 
@@ -334,46 +291,36 @@ def _stuck_rows_doc(rows: list[dict]) -> list[dict]:
     return doc
 
 
-def _fixedpoint_runs(inst: Instance, args) -> list[fixedpoint.FixedPointReport]:
-    box = args.m_const if args.m_const is not None else extension.default_box_bound(inst)
-    children = np.random.SeedSequence(args.seed).spawn(args.starts)
+def _fixedpoint_runs(
+    inst: Instance, map_name: str, starts: int, seed: int, alpha: float, tol: float, max_iters: int, m_const
+) -> list[fixedpoint.FixedPointReport]:
+    box = m_const if m_const is not None else extension.default_box_bound(inst)
+    children = np.random.SeedSequence(seed).spawn(starts)
     runs = []
-    for start in range(args.starts):
+    for start in range(starts):
         rng = np.random.default_rng(children[start])
         y0 = rng.uniform(-box, 0.0, size=(inst.m, inst.n))
         runs.append(
             fixedpoint.picard_iterate(
-                inst,
-                map_name=args.map,
-                y0=y0,
-                alpha=args.alpha,
-                tol=args.tol,
-                max_iters=args.max_iters,
-                m_const=args.m_const,
+                inst, map_name=map_name, y0=y0, alpha=alpha, tol=tol, max_iters=max_iters, m_const=m_const
             )
         )
     return runs
 
 
+def _fixedpoint_rank(run: fixedpoint.FixedPointReport) -> tuple:
+    """Best-start order: EFX extractions first, then converged runs, then
+    the smaller constraint slack."""
+    return (not run.efx, not run.converged, run.constraint_slack)
+
+
 def cmd_fixedpoint(args) -> int:
     inst = load_instance(args.instance)
-    runs = _fixedpoint_runs(inst, args)
-    best_index = min(
-        range(len(runs)),
-        key=lambda i: (not runs[i].efx, not runs[i].converged, runs[i].constraint_slack),
+    runs = _fixedpoint_runs(
+        inst, args.map, args.starts, args.seed, args.alpha, args.tol, args.max_iters, args.m_const
     )
+    best_index = min(range(len(runs)), key=lambda i: _fixedpoint_rank(runs[i]))
     best = runs[best_index]
-    config = {
-        "command": "fixedpoint",
-        "instance": args.instance,
-        "map": args.map,
-        "alpha": args.alpha,
-        "tol": args.tol,
-        "max_iters": args.max_iters,
-        "starts": args.starts,
-        "seed": args.seed,
-        "m_const": args.m_const,
-    }
     payload = {
         "map": args.map,
         "converged": best.converged,
@@ -383,7 +330,7 @@ def cmd_fixedpoint(args) -> int:
         "violations": [
             {"item": k + 1, "agent": j + 1, "slack": s} for k, j, s in best.violations
         ],
-        "owner": _owners_doc(best.allocation),
+        "owner": allocation_to_doc(best.allocation)["owner"],
         "efx": best.efx,
         "stuck_rows": _stuck_rows_doc(best.stuck_rows),
         "selected_start": best_index,
@@ -400,7 +347,7 @@ def cmd_fixedpoint(args) -> int:
             for i, run in enumerate(runs)
         ],
     }
-    _emit(_document(config, payload), args.output)
+    _emit(_document(_config(args), payload), args.output)
     return 0
 
 
@@ -443,11 +390,8 @@ def cmd_compare(args) -> int:
         return result.efx, result.objective, result.iterations
 
     def run_fixedpoint():
-        fp_args = argparse.Namespace(
-            map="Ttilde", alpha=0.5, tol=1e-8, max_iters=1000, starts=8, seed=args.seed, m_const=None
-        )
-        runs = _fixedpoint_runs(inst, fp_args)
-        best = min(runs, key=lambda r: (not r.efx, not r.converged, r.constraint_slack))
+        runs = _fixedpoint_runs(inst, "Ttilde", 8, args.seed, 0.5, 1e-8, 1000, None)
+        best = min(runs, key=_fixedpoint_rank)
         return best.efx, best.constraint_slack, best.iterations
 
     rows = [
@@ -472,13 +416,6 @@ def cmd_compare(args) -> int:
             findings.append({"method": row["method"], "flag": flag})
     rows[0]["flag"] = None
 
-    config = {
-        "command": "compare",
-        "instance": args.instance,
-        "seed": args.seed,
-        "tol": args.tol,
-        "csv": args.csv,
-    }
     payload = {
         "oracle_exists": oracle_exists,
         "removed_agents": removed,
@@ -502,7 +439,7 @@ def cmd_compare(args) -> int:
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)
-    _emit(_document(config, payload), args.output)
+    _emit(_document(_config(args), payload), args.output)
     return 0
 
 
@@ -590,10 +527,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, ZeroColumnError, oracle.OracleGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FileNotFoundError, ValueError) as exc:
+        # Covers InstanceFormatError, ZeroColumnError and OracleGuardError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (dc.InternalCheckError, fixedpoint.SelfMapViolation) as exc:

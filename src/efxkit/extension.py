@@ -11,7 +11,8 @@ embed as score matrices with zeros at owner coordinates and a large
 negative constant elsewhere, where the objective reproduces the exact EFX
 slack.  The objective's max-term and the fixed-point transfer gain are both
 read from one kernel, ``_shifted_rowmax``, which builds every agent pair's
-shifted row maxima at once.
+shifted row maxima at once; ``rounding_bound`` evaluates every pair's
+three-term log-sum-exp factors in one stacked pass.
 """
 
 from __future__ import annotations
@@ -29,24 +30,22 @@ def default_box_bound(inst: Instance) -> float:
 
     Any strict bound above twice the total mass keeps encoded allocations
     faithful; this default is shared by the DC and fixed-point solvers.
+    Raises ``ValueError`` when the radius overflows the float range.
     """
-    return 2.0 * total_mass(inst).total + 1.0
+    with np.errstate(over="ignore"):
+        bound = 2.0 * total_mass(inst).total + 1.0
+    if not np.isfinite(bound):
+        raise ValueError("twice the total mass plus one overflows the float range; rescale the values")
+    return bound
 
 
 def rowwise_round(x: np.ndarray, seed: int) -> Allocation:
     """Sample one owner per item from the item's row distribution."""
-    rng = np.random.default_rng(seed)
-    return Allocation(_rowwise_round_batch(x, rng, 1)[0])
+    return Allocation(rowwise_round_many(x, seed, 1)[0])
 
 
 def rowwise_round_many(x: np.ndarray, seed: int, count: int) -> np.ndarray:
-    """Draw ``count`` independent row-wise roundings as a (count, m) owner array."""
-    rng = np.random.default_rng(seed)
-    return _rowwise_round_batch(x, rng, count)
-
-
-def _rowwise_round_batch(x: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Vectorized row-wise rounding: (count, m) owner rows.
+    """Draw ``count`` independent row-wise roundings as a (count, m) owner array.
 
     Inverse-CDF sampling with u in [0, 1); integral rows always return
     their unit coordinate regardless of the draw.
@@ -54,7 +53,7 @@ def _rowwise_round_batch(x: np.ndarray, rng: np.random.Generator, count: int) ->
     x = np.asarray(x, dtype=float)
     m, n = x.shape
     cdf = np.cumsum(x, axis=1)
-    u = rng.random((count, m))
+    u = np.random.default_rng(seed).random((count, m))
     owners = (u[:, :, None] >= cdf[None, :, :]).sum(axis=2)
     return np.minimum(owners, n - 1)
 
@@ -71,25 +70,21 @@ def rounding_bound(inst: Instance, x: np.ndarray, lam: float) -> float:
     if lam <= 0:
         raise ValueError("temperature must be positive")
     x = np.asarray(x, dtype=float)
-    values = inst.values
-    m, n = x.shape
-    summands = []
+    n = x.shape[1]
+    # Ordered pairs in i-major order, as (pairs, m) rows of item data.
+    i, j = np.divmod(np.arange(n * n), n)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    xt = x.T
+    v = inst.values.T[i]
+    rest = 1.0 - xt[i] - xt[j]
     with np.errstate(divide="ignore"):
-        log_x = np.log(x)
-        for i in range(n):
-            v = values[:, i]
-            for j in range(n):
-                if i == j:
-                    continue
-                rest = 1.0 - x[:, i] - x[:, j]
-                log_rest = np.where(rest > 0.0, np.log(np.maximum(rest, 1e-300)), -np.inf)
-                stacked = np.stack(
-                    [log_rest, log_x[:, i] - lam * v, log_x[:, j] + lam * v]
-                )
-                factor_logs = logsumexp(stacked, axis=0)
-                total = factor_logs.sum()
-                summands.append(log_x[:, j] + (total - factor_logs))
-    return float(logsumexp(np.concatenate(summands)) / lam)
+        log_x = np.log(xt)
+        log_rest = np.where(rest > 0.0, np.log(np.maximum(rest, 1e-300)), -np.inf)
+    stacked = np.stack([log_rest, log_x[i] - lam * v, log_x[j] + lam * v])
+    factor_logs = logsumexp(stacked, axis=0)
+    total = factor_logs.sum(axis=1, keepdims=True)
+    return float(logsumexp(log_x[j] + (total - factor_logs)) / lam)
 
 
 def softmax_map(y: np.ndarray, lam: float) -> np.ndarray:

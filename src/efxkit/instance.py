@@ -102,9 +102,6 @@ class Allocation:
         """Indices of the items held by ``agent``."""
         return np.flatnonzero(self.owner == agent)
 
-    def bundles(self, n: int) -> list[np.ndarray]:
-        return [self.bundle(i) for i in range(n)]
-
 
 @dataclass(frozen=True)
 class TotalMass:

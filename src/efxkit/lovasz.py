@@ -9,6 +9,9 @@ or below certifies an EFX allocation.  The objective is not globally
 convex (the reduced value loses submodularity at the empty set, and the
 midpoint inequality genuinely fails inside the polytope), so the
 minimizer keeps its best iterate rather than trusting descent to settle.
+Every pair's extension, the objective and the descent's worst-pair
+subgradient are read from one kernel, ``_pair_extensions``, which sorts
+each column once and builds all pairs' coefficients from that sort.
 """
 
 from __future__ import annotations
@@ -49,19 +52,42 @@ def lovasz_extension(setfn, x: np.ndarray) -> float:
     return float(total)
 
 
-def _reduced_value_coeffs(sorted_vals: np.ndarray) -> np.ndarray:
-    """Per-rank coefficients of the reduced-value extension after sorting.
+def _pair_extensions(inst: Instance, x: np.ndarray, monotone: bool = False):
+    """Envy-gap extension of every ordered agent pair at x.
 
-    Rank 0 contributes nothing; rank k >= 1 contributes its value plus the
-    drop in the running minimum it causes, clipped at zero.
+    Sorts each column of x once, descending with ties by item index, and
+    builds the reduced-value coefficients of every agent under every
+    column's sort with one running minimum along the sorted item axis:
+    rank 0 contributes nothing, rank k >= 1 its value plus the clipped drop
+    it causes in the running minimum, which is exactly an elementwise max.
+    Returns the column sorts ``order`` (m, n), the coefficients ``coeffs``
+    (n, n, m) with ``coeffs[i, j]`` for agent i under column j's sort, and
+    the (n, n) matrix whose entry (i, j) is the reduced part
+    ``coeffs[i, j] @ x[order[:, j], j]`` minus i's own value or, with
+    ``monotone``, plus the value of every column other than i.  The
+    diagonal is computed like any other entry.
     """
-    coeffs = np.zeros_like(sorted_vals)
-    if sorted_vals.size > 1:
-        prefix_min = np.minimum.accumulate(sorted_vals)[:-1]
-        tail = sorted_vals[1:]
-        # value plus clipped drop simplifies to an exact elementwise max
-        coeffs[1:] = np.maximum(tail, prefix_min)
-    return coeffs
+    x = np.asarray(x, dtype=float)
+    n = inst.n
+    order = np.argsort(-x, axis=0, kind="stable")
+    ranked = inst.values.T[:, order.T]
+    # C-ordered, so each pair's coefficients are one contiguous row.
+    coeffs = np.zeros(ranked.shape)
+    coeffs[:, :, 1:] = np.maximum(
+        ranked[:, :, 1:], np.minimum.accumulate(ranked, axis=2)[:, :, :-1]
+    )
+    # One dot per pair on contiguous operands, as a lone 1-D dot sees them:
+    # BLAS sums strided and contiguous vectors in different orders.
+    sorted_x = np.take_along_axis(x, order, axis=0).T.copy()
+    if monotone:
+        rest = x.sum(axis=1)
+        linear = [inst.values[:, i] @ (rest - x[:, i]) for i in range(n)]
+    else:
+        linear = [-(inst.values[:, i] @ x[:, i]) for i in range(n)]
+    gaps = np.array(
+        [[coeffs[i, j] @ sorted_x[j] + linear[i] for j in range(n)] for i in range(n)]
+    )
+    return order, coeffs, gaps
 
 
 def envy_gap_extension(inst: Instance, i: int, j: int, x: np.ndarray) -> float:
@@ -72,34 +98,37 @@ def envy_gap_extension(inst: Instance, i: int, j: int, x: np.ndarray) -> float:
     term.  Agrees with the generic extension of the underlying set function
     on the full item-agent ground set.
     """
-    order = np.argsort(-x[:, j], kind="stable")
-    coeffs = _reduced_value_coeffs(inst.values[order, i])
-    reduced_part = float(coeffs @ x[order, j])
-    return reduced_part - float(inst.values[:, i] @ x[:, i])
+    return float(_pair_extensions(inst, x)[2][i, j])
 
 
 def monotone_envy_gap_extension(inst: Instance, i: int, j: int, x: np.ndarray) -> float:
     """Extension of the monotone envy gap: reduced part plus the linear
     value of all columns other than i.  Exceeds the raw extension by
     exactly one whenever rows of x sum to one."""
-    order = np.argsort(-x[:, j], kind="stable")
-    coeffs = _reduced_value_coeffs(inst.values[order, i])
-    reduced_part = float(coeffs @ x[order, j])
-    column = inst.values[:, i]
-    others = float(column @ (x.sum(axis=1) - x[:, i]))
-    return reduced_part + others
+    return float(_pair_extensions(inst, x, monotone=True)[2][i, j])
+
+
+def _worst_pair(inst: Instance, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Worst monotone extension over ordered pairs and its subgradient.
+
+    Ties go to the first pair in i-major order.  The subgradient of the
+    worst pair (i, j) is i's values on every column but i, plus the pair's
+    coefficients along the kernel's sort of column j.
+    """
+    order, coeffs, gaps = _pair_extensions(inst, x, monotone=True)
+    np.fill_diagonal(gaps, -np.inf)
+    i, j = divmod(int(np.argmax(gaps)), inst.n)
+    grad = np.tile(inst.values[:, i][:, None], (1, inst.n))
+    grad[:, i] = 0.0
+    grad[order[:, j], j] += coeffs[i, j]
+    return float(gaps[i, j]), grad
 
 
 def relaxation_objective(inst: Instance, x: np.ndarray) -> float:
     """Worst monotone envy-gap extension over ordered agent pairs."""
     if not inst.normalized:
         raise ValueError("the relaxation objective requires a normalized instance")
-    return max(
-        monotone_envy_gap_extension(inst, i, j, x)
-        for i in range(inst.n)
-        for j in range(inst.n)
-        if i != j
-    )
+    return _worst_pair(inst, x)[0]
 
 
 def in_partition_polytope(x: np.ndarray, atol: float = ROW_SUM_TOL) -> bool:
@@ -134,29 +163,6 @@ def project_rows_to_simplex(x: np.ndarray) -> np.ndarray:
     return np.maximum(x - tau[:, None], 0.0)
 
 
-def _argmax_pair(inst: Instance, x: np.ndarray) -> tuple[float, int, int]:
-    best = -np.inf
-    best_pair = (0, 1)
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i == j:
-                continue
-            value = monotone_envy_gap_extension(inst, i, j, x)
-            if value > best:
-                best = value
-                best_pair = (i, j)
-    return best, best_pair[0], best_pair[1]
-
-
-def _subgradient(inst: Instance, x: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Subgradient of the (i, j) monotone extension under the current sort."""
-    grad = np.tile(inst.values[:, i][:, None], (1, inst.n))
-    grad[:, i] = 0.0
-    order = np.argsort(-x[:, j], kind="stable")
-    grad[order, j] += _reduced_value_coeffs(inst.values[order, i])
-    return grad
-
-
 def minimize_relaxation(
     inst: Instance,
     iters: int = 500,
@@ -173,13 +179,12 @@ def minimize_relaxation(
     ``return_trace`` is set.
     """
     x = uniform_point(inst)
-    best_value, i, j = _argmax_pair(inst, x)
+    best_value, grad = _worst_pair(inst, x)
     best_x = x.copy()
     trace = [best_value]
     for t in range(1, iters + 1):
-        grad = _subgradient(inst, x, i, j)
         x = project_rows_to_simplex(x - (step0 / np.sqrt(t)) * grad)
-        value, i, j = _argmax_pair(inst, x)
+        value, grad = _worst_pair(inst, x)
         trace.append(value)
         if value < best_value:
             best_value = value

@@ -341,3 +341,22 @@ def test_fixedpoint_zero_starts_is_a_usage_error(tmp_path, capsys):
         cli.main(["fixedpoint", "--instance", inst, "--starts", "0"])
     assert excinfo.value.code == 1
     assert "positive integer" in capsys.readouterr().err
+
+
+OVERFLOWING_MASS = [[1e308, 1e308], [0.5, 1e307]]
+
+
+def test_fixedpoint_overflowing_box_bound_is_an_input_error(tmp_path, capsys):
+    inst = _instance_file(tmp_path, OVERFLOWING_MASS)
+    assert cli.main(["fixedpoint", "--instance", inst]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows the float range" in captured.err
+
+
+def test_dca_overflowing_box_bound_is_an_input_error(tmp_path, capsys):
+    inst = _instance_file(tmp_path, OVERFLOWING_MASS)
+    assert cli.main(["dca", "--instance", inst]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows the float range" in captured.err

@@ -1,0 +1,66 @@
+"""Lovász envy extensions, the descent and the rounding bound against the
+per-pair reference loops, bit for bit."""
+
+import numpy as np
+import pytest
+
+import reference_lovasz as ref
+from conftest import random_instance, random_polytope_point
+from efxkit import (
+    envy_gap_extension,
+    generate_instance,
+    minimize_relaxation,
+    monotone_envy_gap_extension,
+    normalize,
+    relaxation_objective,
+    rounding_bound,
+)
+
+AGENT_COUNTS = (2, 3, 4, 6)
+LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
+
+
+def _instances(seed: int, n: int):
+    yield normalize(random_instance(seed, 5, n))
+    yield normalize(generate_instance(7, n, "integer", seed, kmax=1))
+    yield normalize(generate_instance(6, n, "integer", seed, kmax=2))
+    yield normalize(generate_instance(4, n, "identical", seed))
+
+
+def _points(inst, rng: np.random.Generator):
+    """An integral point, an interior point and one with zero entries."""
+    m, n = inst.m, inst.n
+    yield np.eye(n)[rng.integers(0, n, size=m)]
+    yield random_polytope_point(rng, m, n)
+    x = random_polytope_point(rng, m, n)
+    x[rng.random((m, n)) < 0.4] = 0.0
+    x[np.arange(m), rng.integers(0, n, size=m)] += 0.5
+    yield x / x.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", AGENT_COUNTS)
+def test_pair_extensions_match_per_pair_reference_exactly(n):
+    rng = np.random.default_rng(n)
+    for seed in range(3):
+        for inst in _instances(seed, n):
+            for x in _points(inst, rng):
+                for i in range(n):
+                    for j in range(n):
+                        assert envy_gap_extension(inst, i, j, x) == ref.envy_gap_extension(inst, i, j, x)
+                        assert monotone_envy_gap_extension(inst, i, j, x) == (
+                            ref.monotone_envy_gap_extension(inst, i, j, x)
+                        )
+                assert relaxation_objective(inst, x) == ref.relaxation_objective(inst, x)
+                for lam in LAMBDAS:
+                    assert rounding_bound(inst, x, lam) == ref.rounding_bound(inst, x, lam)
+
+
+@pytest.mark.parametrize("n", AGENT_COUNTS)
+def test_descent_matches_per_pair_reference_exactly(n):
+    for seed in range(2):
+        for inst in _instances(seed, n):
+            best_x, value, trace = minimize_relaxation(inst, iters=120, return_trace=True)
+            ref_x, ref_value, ref_trace = ref.minimize_relaxation(inst, iters=120)
+            assert best_x.tobytes() == ref_x.tobytes()
+            assert value == ref_value
+            assert trace == ref_trace
