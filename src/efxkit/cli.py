@@ -34,6 +34,7 @@ from .instance import (
     DEFAULT_EFX_TOL,
     Instance,
     InstanceFormatError,
+    _read_document,
     allocation_to_doc,
     generate_instance,
     instance_to_doc,
@@ -41,6 +42,7 @@ from .instance import (
     load_allocation,
     load_instance,
     normalize,
+    total_mass,
 )
 
 SCHEMA_VERSION = 1
@@ -55,26 +57,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _emit(doc: dict, output: str | None) -> None:
+def _emit(args, payload: dict, **resolved) -> None:
+    """Write the schema version, the fully resolved configuration (every
+    parsed option, with ``resolved`` overriding the values a command works
+    out itself) and the payload as one document."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "output", "mode")}
+    doc = {"schema_version": SCHEMA_VERSION, "config": {**config, **resolved}, **payload}
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise dc.InternalCheckError(f"document holds a non-finite number: {exc}") from exc
-    if output:
-        Path(output).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _document(config: dict, payload: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "config": config, **payload}
-
-
-def _config(args, **resolved) -> dict:
-    """The fully resolved configuration: every parsed option, with
-    ``resolved`` overriding the values a command works out itself."""
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "output", "mode")}
-    return {**config, **resolved}
 
 
 def _matrix_doc(x: np.ndarray) -> list[list[float]]:
@@ -82,13 +78,8 @@ def _matrix_doc(x: np.ndarray) -> list[list[float]]:
 
 
 def _load_matrix(path: str, key: str, inst: Instance) -> np.ndarray:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read {key} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{key} file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or key not in doc:
+    doc = _read_document(path, key)
+    if key not in doc:
         raise InstanceFormatError(f"{key} document must be an object with a {key!r} key")
     matrix = np.asarray(doc[key], dtype=float)
     if matrix.shape != (inst.m, inst.n):
@@ -141,7 +132,7 @@ def _parse_lambdas(text: str) -> list[float]:
 
 def cmd_gen(args) -> int:
     inst = generate_instance(args.m, args.n, args.dist, args.seed, args.kmax)
-    _emit(_document(_config(args), instance_to_doc(inst)), args.output)
+    _emit(args, instance_to_doc(inst))
     return 0
 
 
@@ -156,7 +147,7 @@ def cmd_check(args) -> int:
             {"envious": i + 1, "envied": j + 1, "slack": s} for i, j, s in report.violations
         ],
     }
-    _emit(_document(_config(args), payload), args.output)
+    _emit(args, payload)
     return 0
 
 
@@ -170,7 +161,7 @@ def cmd_oracle(args) -> int:
         "allocations_scanned": result.allocations_scanned,
         "witnesses": [allocation_to_doc(w)["owner"] for w in result.witnesses],
     }
-    _emit(_document(_config(args, cap=cap), payload), args.output)
+    _emit(args, payload, cap=cap)
     return 0
 
 
@@ -200,7 +191,7 @@ def cmd_lovasz(args) -> int:
         },
         "verdict": "efx-found" if rounded_efx else "inconclusive",
     }
-    _emit(_document(_config(args), payload), args.output)
+    _emit(args, payload)
     return 0
 
 
@@ -223,27 +214,39 @@ def cmd_extension(args) -> int:
         f_value = None
         g_values = [extension.rounding_bound(inst, x, lam) for lam in lams]
     payload = {"f": f_value, "g": g_values, "bound": bound}
-    _emit(_document(_config(args, command="extension eval", lambdas=lams), payload), args.output)
+    _emit(args, payload, command="extension eval", lambdas=lams)
     return 0
 
 
-def _dca_runs(inst: Instance, starts: int, seed: int, delta: float, max_iters: int, m_const):
-    box = m_const if m_const is not None else extension.default_box_bound(inst)
-    children = np.random.SeedSequence(seed).spawn(starts - 1)
-    runs = []
-    for start in range(starts):
-        if start == 0:
-            y0 = None
-        else:
-            rng = np.random.default_rng(children[start - 1])
-            y0 = rng.uniform(-box, 0.0, size=(inst.m, inst.n))
-        runs.append(dc.dca_solve(inst, y0=y0, delta=delta, max_iters=max_iters, m_const=m_const))
-    return runs
+def _box_bound(inst: Instance, m_const: float | None) -> float:
+    """The solvers' default box radius, or ``m_const`` once it is finite and
+    strictly above twice the total mass, as faithful encodings need."""
+    if m_const is None:
+        return extension.default_box_bound(inst)
+    with np.errstate(over="ignore"):
+        twice_mass = 2.0 * total_mass(inst).total
+    if not twice_mass < m_const < np.inf:
+        raise InstanceFormatError(
+            f"--m-const {m_const!r} must be finite and strictly above twice the total mass ({twice_mass!r})"
+        )
+    return m_const
+
+
+def _random_starts(inst: Instance, seed: int, count: int, box: float) -> list[np.ndarray]:
+    """``count`` seeded uniform score matrices in the box [-box, 0]; start
+    k is drawn from child k of the seed, whatever ``count`` is."""
+    children = np.random.SeedSequence(seed).spawn(count)
+    return [np.random.default_rng(child).uniform(-box, 0.0, size=(inst.m, inst.n)) for child in children]
 
 
 def cmd_dca(args) -> int:
     inst = load_instance(args.instance)
-    runs = _dca_runs(inst, args.starts, args.seed, args.delta, args.max_iters, args.m_const)
+    box = _box_bound(inst, args.m_const)
+    # Start 0 is the greedy encoding, the others are random starts.
+    runs = [
+        dc.dca_solve(inst, y0=y0, delta=args.delta, max_iters=args.max_iters, m_const=box)
+        for y0 in [None, *_random_starts(inst, args.seed, args.starts - 1, box)]
+    ]
     best_index = min(range(len(runs)), key=lambda i: (not runs[i].efx, runs[i].objective))
     best = runs[best_index]
     payload = {
@@ -265,47 +268,30 @@ def cmd_dca(args) -> int:
             for i, run in enumerate(runs)
         ],
     }
-    _emit(_document(_config(args), payload), args.output)
+    _emit(args, payload)
     return 0
 
 
 def _stuck_rows_doc(rows: list[dict]) -> list[dict]:
-    doc = []
-    for row in rows:
-        entries = []
-        for entry in row["entries"]:
-            converted = {"agent": entry["agent"] + 1, "skipped": entry["skipped"]}
-            if not entry["skipped"]:
-                converted["residual"] = entry["residual"]
-            entries.append(converted)
-        doc.append(
-            {
-                "item": row["item"] + 1,
-                "rowmax": row["rowmax"],
-                "rowmax_abs": row["rowmax_abs"],
-                "log_mass_bound": row["log_mass_bound"],
-                "within_log_bound": row["within_log_bound"],
-                "entries": entries,
-            }
-        )
-    return doc
+    """Stuck-row diagnostics renumbered 1-based."""
+    return [
+        {
+            **row,
+            "item": row["item"] + 1,
+            "entries": [{**entry, "agent": entry["agent"] + 1} for entry in row["entries"]],
+        }
+        for row in rows
+    ]
 
 
 def _fixedpoint_runs(
-    inst: Instance, map_name: str, starts: int, seed: int, alpha: float, tol: float, max_iters: int, m_const
+    inst: Instance, starts: int, seed: int, box: float, **options
 ) -> list[fixedpoint.FixedPointReport]:
-    box = m_const if m_const is not None else extension.default_box_bound(inst)
-    children = np.random.SeedSequence(seed).spawn(starts)
-    runs = []
-    for start in range(starts):
-        rng = np.random.default_rng(children[start])
-        y0 = rng.uniform(-box, 0.0, size=(inst.m, inst.n))
-        runs.append(
-            fixedpoint.picard_iterate(
-                inst, map_name=map_name, y0=y0, alpha=alpha, tol=tol, max_iters=max_iters, m_const=m_const
-            )
-        )
-    return runs
+    """One ``picard_iterate`` run with ``options`` from each random start."""
+    return [
+        fixedpoint.picard_iterate(inst, y0=y0, m_const=box, **options)
+        for y0 in _random_starts(inst, seed, starts, box)
+    ]
 
 
 def _fixedpoint_rank(run: fixedpoint.FixedPointReport) -> tuple:
@@ -316,8 +302,9 @@ def _fixedpoint_rank(run: fixedpoint.FixedPointReport) -> tuple:
 
 def cmd_fixedpoint(args) -> int:
     inst = load_instance(args.instance)
+    box = _box_bound(inst, args.m_const)
     runs = _fixedpoint_runs(
-        inst, args.map, args.starts, args.seed, args.alpha, args.tol, args.max_iters, args.m_const
+        inst, args.starts, args.seed, box, map_name=args.map, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters
     )
     best_index = min(range(len(runs)), key=lambda i: _fixedpoint_rank(runs[i]))
     best = runs[best_index]
@@ -347,7 +334,7 @@ def cmd_fixedpoint(args) -> int:
             for i, run in enumerate(runs)
         ],
     }
-    _emit(_document(_config(args), payload), args.output)
+    _emit(args, payload)
     return 0
 
 
@@ -386,11 +373,14 @@ def cmd_compare(args) -> int:
         return found, objective, 500
 
     def run_dca():
-        result = dc.dca_solve(inst)
+        result = dc.dca_solve(inst, efx_tol=args.tol)
         return result.efx, result.objective, result.iterations
 
     def run_fixedpoint():
-        runs = _fixedpoint_runs(inst, "Ttilde", 8, args.seed, 0.5, 1e-8, 1000, None)
+        box = extension.default_box_bound(inst)
+        runs = _fixedpoint_runs(
+            inst, 8, args.seed, box, map_name="Ttilde", alpha=0.5, tol=1e-8, max_iters=1000, efx_tol=args.tol
+        )
         best = min(runs, key=_fixedpoint_rank)
         return best.efx, best.constraint_slack, best.iterations
 
@@ -439,7 +429,7 @@ def cmd_compare(args) -> int:
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)
-    _emit(_document(_config(args), payload), args.output)
+    _emit(args, payload)
     return 0
 
 

@@ -18,7 +18,6 @@ three-term log-sum-exp factors in one stacked pass.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .instance import Allocation, Instance, total_mass
 
@@ -58,6 +57,27 @@ def rowwise_round_many(x: np.ndarray, seed: int, count: int) -> np.ndarray:
     return np.minimum(owners, n - 1)
 
 
+def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
+    """log(sum(exp(a))) over ``axis`` (all axes when None), reduced axes dropped.
+
+    Follows the real-float steps of scipy 1.17's ``logsumexp`` in the same
+    order, so results match it bit for bit: the maxima are split out of the
+    shifted sum, and any non-finite result falls back to the direct formula.
+    """
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max(axis, keepdims=True)
+        at_top = a == top
+        count = at_top.sum(axis, keepdims=True, dtype=float)
+        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + top
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis, keepdims=True)))
+    return np.squeeze(out, axis)
+
+
 def rounding_bound(inst: Instance, x: np.ndarray, lam: float) -> float:
     """Log-sum-exp upper bound on expected worst envy under row-wise rounding.
 
@@ -82,9 +102,9 @@ def rounding_bound(inst: Instance, x: np.ndarray, lam: float) -> float:
         log_x = np.log(xt)
         log_rest = np.where(rest > 0.0, np.log(np.maximum(rest, 1e-300)), -np.inf)
     stacked = np.stack([log_rest, log_x[i] - lam * v, log_x[j] + lam * v])
-    factor_logs = logsumexp(stacked, axis=0)
+    factor_logs = _logsumexp(stacked, axis=0)
     total = factor_logs.sum(axis=1, keepdims=True)
-    return float(logsumexp(log_x[j] + (total - factor_logs)) / lam)
+    return float(_logsumexp(log_x[j] + (total - factor_logs)) / lam)
 
 
 def softmax_map(y: np.ndarray, lam: float) -> np.ndarray:

@@ -240,19 +240,19 @@ def picard_iterate(
             np.clip(y, -m_const, 0.0, out=y)
         iterations += 1
 
-    final = y if converged else best_y
-    slack, violations = verify_constraints(inst, final)
-    allocation = extract_allocation(final)
+    # A converged step is always a strict new best, so best_y is the answer.
+    slack, violations = verify_constraints(inst, best_y)
+    allocation = extract_allocation(best_y)
     report = is_efx(inst, allocation, efx_tol)
     return FixedPointReport(
         map_name=map_name,
         converged=converged,
         iterations=iterations,
-        residual=float(best_residual if not converged else residual),
+        residual=float(best_residual),
         constraint_slack=slack,
         violations=violations,
         allocation=allocation,
         efx=report.ok,
-        stuck_rows=stuck_row_diagnostics(inst, final),
-        y=final,
+        stuck_rows=stuck_row_diagnostics(inst, best_y),
+        y=best_y,
     )

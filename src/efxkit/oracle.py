@@ -57,13 +57,17 @@ def batch_efx_slack(inst: Instance, owners: np.ndarray) -> np.ndarray:
     return _worst_gap(inst, np.asarray(owners, dtype=int))
 
 
-def _scan_size(inst: Instance, guard: int) -> int:
+def _scan(inst: Instance, guard: int, monotone: bool = False):
+    """Every owner vector in scan order, chunk by chunk, as (owner rows,
+    worst pair gap per row); raises before scanning past the guard."""
     size = inst.n**inst.m
     if size > guard:
         raise OracleGuardError(
             f"scan of {inst.n}^{inst.m} = {size} owner vectors exceeds the guard of {guard}"
         )
-    return size
+    for start in range(0, size, _CHUNK):
+        owners = _decode_owners(np.arange(start, min(start + _CHUNK, size)), inst.m, inst.n)
+        yield owners, _worst_gap(inst, owners, monotone)
 
 
 def enumerate_efx(
@@ -77,13 +81,10 @@ def enumerate_efx(
     The witness list is truncated at ``cap`` but ``witness_count`` is always
     the exact number of EFX allocations over the full scan.
     """
-    size = _scan_size(inst, guard)
     witnesses: list[Allocation] = []
     count = 0
-    for start in range(0, size, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, size))
-        owners = _decode_owners(codes, inst.m, inst.n)
-        hits = np.flatnonzero(batch_efx_slack(inst, owners) <= tol)
+    for owners, slack in _scan(inst, guard):
+        hits = np.flatnonzero(slack <= tol)
         count += hits.size
         for row in hits:
             if len(witnesses) >= cap:
@@ -93,7 +94,7 @@ def enumerate_efx(
         exists=count > 0,
         witnesses=witnesses,
         witness_count=count,
-        allocations_scanned=size,
+        allocations_scanned=inst.n**inst.m,
     )
 
 
@@ -105,13 +106,9 @@ def min_max_envy(inst: Instance, guard: int = SCAN_GUARD) -> tuple[float, Alloca
     """
     if not inst.normalized:
         raise ValueError("the monotone envy objective requires a normalized instance")
-    size = _scan_size(inst, guard)
     best_value = np.inf
     best_owner: np.ndarray | None = None
-    for start in range(0, size, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, size))
-        owners = _decode_owners(codes, inst.m, inst.n)
-        objective = _worst_gap(inst, owners, monotone=True)
+    for owners, objective in _scan(inst, guard, monotone=True):
         pick = int(np.argmin(objective))
         if objective[pick] < best_value:
             best_value = float(objective[pick])

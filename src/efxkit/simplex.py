@@ -17,6 +17,8 @@ import numpy as np
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 MAX_PIVOTS = 20000
+# Dantzig pivots allowed per row and column of the model before Bland's rule.
+DANTZIG_PIVOTS_PER_DIM = 2
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ def _pivot_loop(
     basis: np.ndarray,
     enter_cols: int,
     dantzig_budget: int,
-    max_pivots: int,
     pivots: int,
 ) -> tuple[str, int]:
     """Run pivots until optimal; returns (status, total pivot count)."""
@@ -62,24 +63,17 @@ def _pivot_loop(
         row = int(ties[np.argmin(basis[ties])])
         _pivot(tableau, basis, row, col)
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > MAX_PIVOTS:
             return "numeric-failure", pivots
 
 
-def solve_standard(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    dantzig_budget: int | None = None,
-    max_pivots: int = MAX_PIVOTS,
-) -> SimplexResult:
+def solve_standard(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResult:
     """Solve min c @ x subject to a_ub @ x <= b_ub, x >= 0."""
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float).ravel()
     c = np.asarray(c, dtype=float).ravel()
     n_rows, n_vars = a_ub.shape
-    if dantzig_budget is None:
-        dantzig_budget = 2 * (n_rows + n_vars)
+    dantzig_budget = DANTZIG_PIVOTS_PER_DIM * (n_rows + n_vars)
 
     negative = b_ub < 0
     art_rows = np.flatnonzero(negative)
@@ -101,9 +95,7 @@ def solve_standard(
         tableau[-1, n_vars + n_slacks : n_vars + n_slacks + n_art] = 1.0
         for row in art_rows:
             tableau[-1] -= tableau[row]
-        status, pivots = _pivot_loop(
-            tableau, basis, n_vars + n_slacks, dantzig_budget, max_pivots, pivots
-        )
+        status, pivots = _pivot_loop(tableau, basis, n_vars + n_slacks, dantzig_budget, pivots)
         if status != "optimal":
             return SimplexResult("numeric-failure", None, None, pivots)
         if -tableau[-1, -1] > FEAS_TOL:
@@ -125,9 +117,7 @@ def solve_standard(
     for row, col in enumerate(basis):
         if tableau[-1, col] != 0.0:
             tableau[-1] -= tableau[-1, col] * tableau[row]
-    status, pivots = _pivot_loop(
-        tableau, basis, n_vars + n_slacks, dantzig_budget, max_pivots, pivots
-    )
+    status, pivots = _pivot_loop(tableau, basis, n_vars + n_slacks, dantzig_budget, pivots)
     if status != "optimal":
         return SimplexResult(status, None, None, pivots)
 

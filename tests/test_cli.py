@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +365,71 @@ def test_dca_overflowing_box_bound_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "overflows the float range" in captured.err
+
+
+def test_m_const_must_be_finite_and_exceed_twice_the_total_mass(tmp_path, capsys):
+    inst = _instance_file(tmp_path, I0_RAW)  # total mass 12
+    for command in ("dca", "fixedpoint"):
+        for m_const in ("1", "24", "nan", "inf"):
+            assert cli.main([command, "--instance", inst, "--starts", "1", "--m-const", m_const]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--m-const" in captured.err
+        code, doc = _run(capsys, [command, "--instance", inst, "--starts", "1", "--m-const", "24.5"])
+        assert code == 0
+        assert doc["config"]["m_const"] == 24.5
+
+
+def test_m_const_on_overflowing_mass_is_an_input_error_without_warnings(tmp_path, capsys):
+    inst = _instance_file(tmp_path, OVERFLOWING_MASS)
+    for command in ("dca", "fixedpoint"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--instance", inst, "--m-const", "1e300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "twice the total mass (inf)" in captured.err
+
+
+def test_compare_tol_reaches_every_row(tmp_path, capsys):
+    # No allocation has EFX slack at or below -1, so no method may report one.
+    inst = _instance_file(tmp_path, I0_RAW)
+    code, doc = _run(capsys, ["compare", "--instance", inst, "--tol", "-1"])
+    assert code == 0
+    assert doc["config"]["tol"] == -1.0
+    assert [row["found_efx"] for row in doc["rows"]] == [False] * 4
+    assert doc["findings"] == []
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    inst = _instance_file(tmp_path, I0_RAW)
+    alloc = _write_doc(tmp_path / "alloc.json", {"owner": [1, 2, 2]})
+    y = _write_doc(tmp_path / "y.json", {"y": [[0.0, -30.0], [-30.0, 0.0], [-30.0, 0.0]]})
+    x = _write_doc(tmp_path / "x.json", {"x": [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]})
+    out = str(tmp_path / "out.json")
+    argvs = [
+        ["gen", "--m", "3", "--n", "2"],
+        ["check", "--instance", inst, "--allocation", alloc],
+        ["oracle", "--instance", inst],
+        ["lovasz", "--instance", inst, "--iters", "20"],
+        ["extension", "eval", "--instance", inst, "--y", y],
+        ["extension", "eval", "--instance", inst, "--x", x],
+        ["dca", "--instance", inst, "--starts", "2"],
+        ["fixedpoint", "--instance", inst, "--starts", "2"],
+        ["compare", "--instance", inst],
+    ]
+    script = "\n".join(
+        [
+            "import sys",
+            "import efxkit",
+            "from efxkit.cli import main",
+            f"for argv in {argvs!r}:",
+            f"    assert main(argv + ['--output', {out!r}]) == 0, argv",
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+        ]
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
