@@ -242,9 +242,11 @@ def _random_starts(inst: Instance, seed: int, count: int, box: float) -> list[np
 def cmd_dca(args) -> int:
     inst = load_instance(args.instance)
     box = _box_bound(inst, args.m_const)
+    # Every start's LPs share their rows and bounds, so phase 1 runs once.
+    start = dc.lp_start(dc.build_lp(inst, dc.greedy_allocation(inst).owner, box))
     # Start 0 is the greedy encoding, the others are random starts.
     runs = [
-        dc.dca_solve(inst, y0=y0, delta=args.delta, max_iters=args.max_iters, m_const=box)
+        dc.dca_solve(inst, y0=y0, delta=args.delta, max_iters=args.max_iters, m_const=box, start=start)
         for y0 in [None, *_random_starts(inst, args.seed, args.starts - 1, box)]
     ]
     best_index = min(range(len(runs)), key=lambda i: (not runs[i].efx, runs[i].objective))
@@ -463,7 +465,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lovasz", help="relaxation descent plus threshold rounding")
     p.add_argument("--instance", required=True)
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--iters", type=_positive_int, default=500, help="subgradient steps, at least 1")
     p.add_argument("--step0", type=float, default=lovasz.DEFAULT_STEP0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
@@ -482,7 +484,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dca", help="LP-based descent on the existence objective")
     p.add_argument("--instance", required=True)
     p.add_argument("--delta", type=float, default=dc.DCA_STEP_TOL)
-    p.add_argument("--max-iters", type=int, default=dc.DCA_MAX_ITERS)
+    p.add_argument("--max-iters", type=_positive_int, default=dc.DCA_MAX_ITERS, help="LP steps per start, at least 1")
     p.add_argument("--starts", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m-const", type=float, default=None)
@@ -494,7 +496,9 @@ def build_parser() -> _Parser:
     p.add_argument("--map", choices=sorted(fixedpoint.MAPS), default="Ttilde")
     p.add_argument("--alpha", type=float, default=fixedpoint.DEFAULT_ALPHA)
     p.add_argument("--tol", type=float, default=fixedpoint.RESIDUAL_TOL)
-    p.add_argument("--max-iters", type=int, default=fixedpoint.DEFAULT_MAX_ITERS)
+    p.add_argument(
+        "--max-iters", type=_positive_int, default=fixedpoint.DEFAULT_MAX_ITERS, help="Picard steps per start, at least 1"
+    )
     p.add_argument("--starts", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m-const", type=float, default=None)

@@ -7,6 +7,11 @@ one row-max selection per item, and the resulting convex subproblem is a
 small LP: an epigraph variable for the max-term, one auxiliary variable
 per item and agent pair for the shifted row maxima, and box bounds that
 keep every iterate inside the region where encoded allocations live.
+Only the objective depends on the current scores: the LP's feasible
+region depends on the instance and the box alone.  So phase 1 of the
+simplex runs once per instance and box (``lp_start``), every step and
+every start runs phase 2 from that feasible tableau, and a step whose
+selection repeats the previous one reuses its LP solution.
 Successive LP optima are non-increasing, and any score matrix that reaches
 a nonpositive objective extracts a verified EFX allocation by row argmax.
 The objective and its two terms, ``convex_part`` and ``rowmax_sum``, live
@@ -16,7 +21,7 @@ shifted row maxima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +71,18 @@ class LPModel:
     def w_var(self) -> int:
         return self.m * self.n + self.m * len(self.pairs)
 
+    def with_selection(self, selection: np.ndarray) -> LPModel:
+        """The same rows and bounds with the objective of ``selection``: the
+        epigraph variable minus the selected score of every item."""
+        selection = np.asarray(selection, dtype=int)
+        if selection.shape != (self.m,) or selection.min() < 0 or selection.max() >= self.n:
+            raise ValueError("selection must pick one agent per item")
+        objective = np.zeros(self.n_vars)
+        objective[-1] = 1.0
+        for ell in range(self.m):
+            objective[self.y_var(ell, int(selection[ell]))] -= 1.0
+        return replace(self, objective=objective)
+
 
 @dataclass(frozen=True)
 class LPSolution:
@@ -82,13 +99,10 @@ def build_lp(inst: Instance, selection: np.ndarray, m_const: float | None = None
 
     ``selection`` is the per-item agent index at which the subtracted term
     is linearized; the objective is the epigraph variable minus the sum of
-    the selected scores.
+    the selected scores.  The rows and bounds do not depend on it.
     """
     m, n = inst.m, inst.n
     values = inst.values
-    selection = np.asarray(selection, dtype=int)
-    if selection.shape != (m,) or selection.min() < 0 or selection.max() >= n:
-        raise ValueError("selection must pick one agent per item")
     if m_const is None:
         m_const = default_box_bound(inst)
     mass = total_mass(inst).total
@@ -127,15 +141,10 @@ def build_lp(inst: Instance, selection: np.ndarray, m_const: float | None = None
         np.full(n_z, m_const + vmax),
         [(m + 1) * m_const + mass],
     ])
-    objective = np.zeros(n_y + n_z + 1)
-    objective[-1] = 1.0
-    for ell in range(m):
-        objective[model_dims.y_var(ell, int(selection[ell]))] -= 1.0
-
     return LPModel(
         m=m, n=n, pairs=pairs, rows=tuple(rows),
-        lower=lower, upper=upper, objective=objective,
-    )
+        lower=lower, upper=upper, objective=np.zeros(0),
+    ).with_selection(selection)
 
 
 def _dense_rows(model: LPModel) -> tuple[np.ndarray, np.ndarray]:
@@ -148,19 +157,57 @@ def _dense_rows(model: LPModel) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def solve_lp(model: LPModel) -> LPSolution:
-    """Solve the model with the embedded simplex and recheck the vertex.
+@dataclass(frozen=True)
+class LPStart:
+    """Phase 1 of a model's standard form, which any objective can finish.
 
-    Variables are shifted by their lower bounds into standard form, with
-    upper bounds appended as extra rows.  The returned point is verified
-    against every original row and bound rather than trusting the solver
-    status alone.
+    ``a_rows`` and ``b_rows`` are the model's rows made dense, kept for the
+    recheck of every vertex solved from this start.
+    """
+
+    model: LPModel
+    a_rows: np.ndarray
+    b_rows: np.ndarray
+    phase_one: simplex.PhaseOne
+
+
+def lp_start(model: LPModel) -> LPStart:
+    """Shift the model into standard form and run phase 1 of the simplex.
+
+    Variables are shifted by their lower bounds, with upper bounds appended
+    as extra rows.  The objective is not read.
     """
     a_model, b_model = _dense_rows(model)
     span = model.upper - model.lower
     a_std = np.vstack([a_model, np.eye(model.n_vars)])
     b_std = np.concatenate([b_model - a_model @ model.lower, span])
-    result = simplex.solve_standard(model.objective, a_std, b_std)
+    return LPStart(model, a_model, b_model, simplex.phase_one(a_std, b_std))
+
+
+def _same_constraints(a: LPModel, b: LPModel) -> bool:
+    return (
+        (a.m, a.n) == (b.m, b.n)
+        and a.rows == b.rows
+        and np.array_equal(a.lower, b.lower)
+        and np.array_equal(a.upper, b.upper)
+    )
+
+
+def solve_lp(model: LPModel, start: LPStart | None = None) -> LPSolution:
+    """Solve the model with the embedded simplex and recheck the vertex.
+
+    ``start`` is the ``lp_start`` of a model with the same rows and bounds,
+    so that only phase 2 runs here; without one, phase 1 runs first.  The
+    pivot count includes phase 1's, as in one cold solve.  The returned
+    point is verified against every original row and bound rather than
+    trusting the solver status alone.
+    """
+    if start is None:
+        start = lp_start(model)
+    elif not _same_constraints(model, start.model):
+        raise ValueError("the LP start was built for other rows or bounds")
+    a_model, b_model = start.a_rows, start.b_rows
+    result = simplex.phase_two(model.objective, start.phase_one)
     if result.status != "optimal":
         return LPSolution(result.status, None, None, None, None, result.pivots)
     point = result.x + model.lower
@@ -202,15 +249,22 @@ def dca_solve(
     max_iters: int = DCA_MAX_ITERS,
     m_const: float | None = None,
     efx_tol: float = DEFAULT_EFX_TOL,
+    start: LPStart | None = None,
 ) -> DCAResult:
     """Iterated linearize-and-solve descent from a score matrix.
 
     Starts at the encoding of the greedy allocation unless ``y0`` is given,
     linearizes the row-max term through each item's current argmax (ties to
     the smallest agent), solves the LP, and stops once the iterate moves by
-    at most ``delta`` in the max norm.  LP objective values are checked to
-    be non-increasing; the extracted allocation is the row argmax of the
-    final scores and its EFX verdict is checked independently.
+    at most ``delta`` in the max norm.  Every step's LP has the same rows
+    and bounds, so all of them run phase 2 from one phase-1 ``start``:
+    ``lp_start`` of ``build_lp(inst, ..., m_const)``, which callers running
+    several descents on one instance and box can share, and which is built
+    here when not given.  A step whose selection repeats the previous one
+    reuses that step's solution, as solving the same LP again returns the
+    same vertex.  LP objective values are checked to be non-increasing; the
+    extracted allocation is the row argmax of the final scores and its EFX
+    verdict is checked independently.
     """
     if m_const is None:
         m_const = default_box_bound(inst)
@@ -222,15 +276,24 @@ def dca_solve(
             raise ValueError("y0 must be an items-by-agents matrix")
         if y.min() < -m_const or y.max() > 0.0:
             raise ValueError("y0 must lie in the score box")
+    model = build_lp(inst, np.argmax(y, axis=1), m_const)
+    if start is None:
+        start = lp_start(model)
+    elif not _same_constraints(model, start.model):
+        raise ValueError("the LP start was built for another instance or box")
 
     trace: list[dict] = []
     previous_objective = np.inf
     status = "max-iters"
     converged = False
+    solved = None  # (selection, LPSolution) of the last LP solved
     for t in range(max_iters):
         selection = np.argmax(y, axis=1)
-        model = build_lp(inst, selection, m_const)
-        sol = solve_lp(model)
+        if solved is not None and np.array_equal(selection, solved[0]):
+            sol = solved[1]
+        else:
+            sol = solve_lp(start.model.with_selection(selection), start)
+            solved = (selection, sol)
         if sol.status != "optimal":
             status = "lp-failure"
             break

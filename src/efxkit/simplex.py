@@ -2,10 +2,15 @@
 
 Minimizes c @ x subject to A @ x <= b and x >= 0 on a full tableau.
 Rows with negative right-hand sides get phase-one artificial variables.
-Entering columns follow Dantzig's rule for a bounded number of pivots and
-then switch to Bland's rule, which rules out cycling; ratio-test ties
-break toward the smallest basis index.  Meant for hundreds of rows and
-columns, not for sparse or large models.
+Phase 1 never reads c, so ``phase_one(A, b)`` returns a feasible tableau
+that any number of ``phase_two(c, start)`` calls copy and finish; the
+descent in ``dc`` solves every step's LP, whose feasible region depends
+only on the instance and the box, from one phase-1 start.
+``solve_standard`` is the two phases in a row.  Entering columns follow
+Dantzig's rule for a bounded number of pivots and then switch to Bland's
+rule, which rules out cycling; ratio-test ties break toward the smallest
+basis index.  Meant for hundreds of rows and columns, not for sparse or
+large models.
 """
 
 from __future__ import annotations
@@ -67,11 +72,28 @@ def _pivot_loop(
             return "numeric-failure", pivots
 
 
-def solve_standard(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResult:
-    """Solve min c @ x subject to a_ub @ x <= b_ub, x >= 0."""
+@dataclass(frozen=True)
+class PhaseOne:
+    """A feasible tableau for ``(A, b)`` with the artificials driven out.
+
+    ``tableau`` and ``basis`` are read-only; ``phase_two`` works on copies.
+    ``pivots`` is the phase-1 pivot count; on an infeasible or failed
+    phase 1, ``status`` says so and the tableau and basis are None.
+    """
+
+    status: str  # feasible | infeasible | numeric-failure
+    tableau: np.ndarray | None
+    basis: np.ndarray | None
+    n_vars: int
+    n_slacks: int
+    dantzig_budget: int
+    pivots: int
+
+
+def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
+    """Find a feasible basis of a_ub @ x <= b_ub, x >= 0."""
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float).ravel()
-    c = np.asarray(c, dtype=float).ravel()
     n_rows, n_vars = a_ub.shape
     dantzig_budget = DANTZIG_PIVOTS_PER_DIM * (n_rows + n_vars)
 
@@ -97,9 +119,9 @@ def solve_standard(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> Simplex
             tableau[-1] -= tableau[row]
         status, pivots = _pivot_loop(tableau, basis, n_vars + n_slacks, dantzig_budget, pivots)
         if status != "optimal":
-            return SimplexResult("numeric-failure", None, None, pivots)
+            return PhaseOne("numeric-failure", None, None, n_vars, n_slacks, dantzig_budget, pivots)
         if -tableau[-1, -1] > FEAS_TOL:
-            return SimplexResult("infeasible", None, None, pivots)
+            return PhaseOne("infeasible", None, None, n_vars, n_slacks, dantzig_budget, pivots)
         for row in range(n_rows):
             if basis[row] >= n_vars + n_slacks:
                 usable = np.flatnonzero(np.abs(tableau[row, : n_vars + n_slacks]) > PIVOT_TOL)
@@ -110,14 +132,31 @@ def solve_standard(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> Simplex
         tableau = np.vstack([tableau[keep], tableau[-1:]])
         tableau = np.delete(tableau, np.s_[n_vars + n_slacks : n_vars + n_slacks + n_art], axis=1)
         basis = basis[keep]
-        n_rows = keep.size
 
+    tableau.setflags(write=False)
+    basis.setflags(write=False)
+    return PhaseOne("feasible", tableau, basis, n_vars, n_slacks, dantzig_budget, pivots)
+
+
+def phase_two(c: np.ndarray, start: PhaseOne) -> SimplexResult:
+    """Minimize c @ x from a phase-1 start, which is left as it was.
+
+    The pivot count continues from phase 1's, as in one cold solve: the
+    count decides when Dantzig's rule gives way to Bland's, and so which
+    optimal vertex is returned.
+    """
+    if start.status != "feasible":
+        return SimplexResult(start.status, None, None, start.pivots)
+    c = np.asarray(c, dtype=float).ravel()
+    n_vars, n_slacks = start.n_vars, start.n_slacks
+    tableau = start.tableau.copy()
+    basis = start.basis.copy()
     tableau[-1, :] = 0.0
     tableau[-1, :n_vars] = c
     for row, col in enumerate(basis):
         if tableau[-1, col] != 0.0:
             tableau[-1] -= tableau[-1, col] * tableau[row]
-    status, pivots = _pivot_loop(tableau, basis, n_vars + n_slacks, dantzig_budget, pivots)
+    status, pivots = _pivot_loop(tableau, basis, n_vars + n_slacks, start.dantzig_budget, start.pivots)
     if status != "optimal":
         return SimplexResult(status, None, None, pivots)
 
@@ -125,3 +164,8 @@ def solve_standard(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> Simplex
     x[basis] = tableau[:-1, -1]
     x = x[:n_vars]
     return SimplexResult("optimal", x, float(c @ x), pivots)
+
+
+def solve_standard(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResult:
+    """Solve min c @ x subject to a_ub @ x <= b_ub, x >= 0."""
+    return phase_two(c, phase_one(a_ub, b_ub))

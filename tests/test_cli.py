@@ -433,3 +433,30 @@ def test_no_subcommand_loads_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_fixedpoint_nonpositive_max_iters_is_a_usage_error(tmp_path, capsys, count):
+    inst = _instance_file(tmp_path, I0_NORM)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["fixedpoint", "--instance", inst, "--max-iters", count])
+    assert excinfo.value.code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_dca_nonpositive_max_iters_is_a_usage_error(tmp_path, capsys, count):
+    inst = _instance_file(tmp_path, I0_NORM)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["dca", "--instance", inst, "--max-iters", count])
+    assert excinfo.value.code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_lovasz_nonpositive_iters_is_a_usage_error(tmp_path, capsys, count):
+    inst = _instance_file(tmp_path, I0_NORM)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["lovasz", "--instance", inst, "--iters", count])
+    assert excinfo.value.code == 1
+    assert "positive integer" in capsys.readouterr().err

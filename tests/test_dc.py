@@ -15,6 +15,7 @@ from efxkit import (
     dca_solve,
     encode_allocation,
     enumerate_efx,
+    lp_start,
     normalize,
     solve_lp,
 )
@@ -110,8 +111,11 @@ def test_lp_matches_scipy(i0_norm):
     models = [build_lp(i0_norm, selection=sel) for sel in ([0, 0, 0], [1, 0, 1])]
     inst = normalize(random_instance(5, 3, 3))
     models.append(build_lp(inst, selection=[2, 0, 1]))
-    for model in models:
-        sol = solve_lp(model)
+    # The rows and bounds do not depend on the selection, so the second
+    # model is also solved from the first model's phase-1 start.
+    shared = lp_start(models[0])
+    for model, start in [*((model, None) for model in models), (models[1], shared)]:
+        sol = solve_lp(model, start)
         assert sol.status == "optimal"
         a = np.zeros((len(model.rows), model.n_vars))
         b = np.empty(len(model.rows))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from efxkit.simplex import solve_standard
+import reference_dca
+from efxkit.simplex import phase_one, phase_two, solve_standard
 from reference_lp import random_bounded_lp, vertex_minimize
 
 
@@ -90,3 +91,48 @@ def test_solution_satisfies_constraints():
         assert res.status == "optimal"
         assert np.all(np.asarray(a) @ res.x <= np.asarray(b) + 1e-9)
         assert np.all(res.x >= -1e-9)
+
+
+def _same_result(a, b):
+    return (
+        a.status == b.status
+        and a.pivots == b.pivots
+        and a.objective == b.objective
+        and (a.x is None) == (b.x is None)
+        and (a.x is None or a.x.tobytes() == b.x.tobytes())
+    )
+
+
+def test_phase_two_from_one_start_matches_solve_standard():
+    """One phase-1 start finished with many objectives gives what a cold
+    two-phase solve of each gives, pivot count included."""
+    rng = np.random.default_rng(3)
+    # Rows with negative right-hand sides need phase-1 pivots; the point
+    # x_star keeps the region feasible and the cap row keeps it bounded.
+    a = rng.normal(0.0, 1.0, size=(8, 6))
+    x_star = rng.uniform(0.5, 1.5, size=6)
+    b = a @ x_star + rng.uniform(0.0, 0.3, size=8)
+    a = np.vstack([a, np.ones(6)])
+    b = np.concatenate([b, [12.0]])
+    assert np.any(b < 0)
+    cases = [
+        (a, b, rng.normal(0.0, 1.0, size=(12, 6))),
+        # x0 + x1 >= 1 and x1 <= x0 + 1: unbounded for some objectives.
+        ([[-1.0, -1.0], [-1.0, 1.0]], [-1.0, 1.0], [[-1.0, 0.0], [1.0, 1.0], [0.0, -1.0], [1.0, -0.5]]),
+        # x0 + x1 >= 1 and x0 <= -2: infeasible.
+        ([[-1.0, -1.0], [1.0, 0.0]], [-1.0, -2.0], [[1.0, 0.0], [-1.0, 1.0]]),
+    ]
+    statuses = set()
+    for a_ub, b_ub, objectives in cases:
+        start = phase_one(a_ub, b_ub)
+        tableau = None if start.tableau is None else start.tableau.copy()
+        for c in objectives:
+            shared = phase_two(c, start)
+            cold = reference_dca.solve_standard(c, a_ub, b_ub)
+            assert _same_result(shared, cold)
+            assert _same_result(solve_standard(c, a_ub, b_ub), cold)
+            statuses.add(shared.status)
+        if tableau is not None:
+            assert start.tableau.tobytes() == tableau.tobytes()
+    assert {"optimal", "unbounded", "infeasible"} <= statuses
+    assert phase_one(a, b).pivots > 0
