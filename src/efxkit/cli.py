@@ -259,6 +259,7 @@ def cmd_dca(args) -> int:
         "efx": best.efx,
         "selected_start": best_index,
         "trace": best.trace,
+        "lp_phase1_pivots": best.phase1_pivots,
         "starts": [
             {
                 "start": i,
@@ -266,6 +267,7 @@ def cmd_dca(args) -> int:
                 "iterations": run.iterations,
                 "status": run.status,
                 "efx": run.efx,
+                "lp_phase1_pivots": run.phase1_pivots,
             }
             for i, run in enumerate(runs)
         ],

@@ -240,6 +240,7 @@ class DCAResult:
     trace: list = field(default_factory=list)
     allocation: Allocation | None = None
     efx: bool = False
+    phase1_pivots: int = 0  # of the LP start; trace entries count their phase-2 lp_pivots
 
 
 def dca_solve(
@@ -290,10 +291,11 @@ def dca_solve(
     for t in range(max_iters):
         selection = np.argmax(y, axis=1)
         if solved is not None and np.array_equal(selection, solved[0]):
-            sol = solved[1]
+            sol, lp_pivots = solved[1], 0
         else:
             sol = solve_lp(start.model.with_selection(selection), start)
             solved = (selection, sol)
+            lp_pivots = sol.pivots - start.phase_one.pivots
         if sol.status != "optimal":
             status = "lp-failure"
             break
@@ -310,6 +312,7 @@ def dca_solve(
                 "objective": float(sol.objective),
                 "value": dc_objective(inst, y),
                 "step": step,
+                "lp_pivots": lp_pivots,
             }
         )
         if step <= delta:
@@ -329,4 +332,5 @@ def dca_solve(
         trace=trace,
         allocation=allocation,
         efx=report.ok,
+        phase1_pivots=start.phase_one.pivots,
     )

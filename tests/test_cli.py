@@ -460,3 +460,14 @@ def test_lovasz_nonpositive_iters_is_a_usage_error(tmp_path, capsys, count):
         cli.main(["lovasz", "--instance", inst, "--iters", count])
     assert excinfo.value.code == 1
     assert "positive integer" in capsys.readouterr().err
+
+
+def test_dca_reports_lp_pivot_counts(tmp_path, capsys):
+    inst = _instance_file(tmp_path, I0_RAW)
+    code, doc = _run(capsys, ["dca", "--instance", inst, "--starts", "3", "--seed", "11"])
+    assert code == 0
+    # One phase 1 serves every start; each step counts its own phase 2.
+    phase1 = doc["lp_phase1_pivots"]
+    assert phase1 > 0
+    assert [start["lp_phase1_pivots"] for start in doc["starts"]] == [phase1] * 3
+    assert all(isinstance(entry["lp_pivots"], int) and entry["lp_pivots"] >= 0 for entry in doc["trace"])

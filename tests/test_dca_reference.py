@@ -22,13 +22,14 @@ def _instances(seed: int, n: int):
 
 
 def _fingerprint(result):
+    """Every field of a result; the reference's trace has no pivot counts."""
     return (
         result.y.tobytes(),
         result.objective,
         result.iterations,
         result.converged,
         result.status,
-        result.trace,
+        [{k: v for k, v in entry.items() if k != "lp_pivots"} for entry in result.trace],
         result.allocation.owner.tobytes(),
         result.efx,
     )
@@ -48,6 +49,28 @@ def test_dca_matches_per_step_reference_exactly(n):
                 expected = _fingerprint(ref.dca_solve(inst, y0=y0))
                 assert _fingerprint(dca_solve(inst, y0=y0)) == expected
                 assert _fingerprint(dca_solve(inst, y0=y0, m_const=box, start=start)) == expected
+
+
+def test_trace_counts_phase_two_pivots_and_zero_on_a_repeat():
+    repeats = 0
+    for n in sorted(ITEMS):
+        for inst in _instances(0, n):
+            box = default_box_bound(inst)
+            phase1 = _shared_start(inst, box).phase_one.pivots
+            y0 = np.random.default_rng(n).uniform(-box, 0.0, size=(inst.m, n))
+            out = dca_solve(inst, y0=y0)
+            assert out.phase1_pivots == phase1
+            y, previous = y0, None
+            for entry in out.trace:
+                selection = np.argmax(y, axis=1)
+                cold = ref.solve_lp(ref.build_lp(inst, selection, box))
+                if previous is not None and np.array_equal(selection, previous):
+                    repeats += 1
+                    assert entry["lp_pivots"] == 0
+                else:
+                    assert entry["lp_pivots"] == cold.pivots - phase1
+                y, previous = cold.y, selection
+    assert repeats > 0
 
 
 def test_start_for_another_instance_or_box_is_rejected():
