@@ -185,12 +185,7 @@ def lp_start(model: LPModel) -> LPStart:
 
 
 def _same_constraints(a: LPModel, b: LPModel) -> bool:
-    return (
-        (a.m, a.n) == (b.m, b.n)
-        and a.rows == b.rows
-        and np.array_equal(a.lower, b.lower)
-        and np.array_equal(a.upper, b.upper)
-    )
+    return a.rows == b.rows and np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
 
 
 def solve_lp(model: LPModel, start: LPStart | None = None) -> LPSolution:
