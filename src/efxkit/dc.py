@@ -159,11 +159,8 @@ def _dense_rows(model: LPModel) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class LPStart:
-    """Phase 1 of a model's standard form, which any objective can finish.
-
-    ``a_rows`` and ``b_rows`` are the model's rows made dense, kept for the
-    recheck of every vertex solved from this start.
-    """
+    """Phase 1 of a model's standard form, which any objective can finish;
+    ``a_rows`` and ``b_rows`` are the dense rows that rechecks read."""
 
     model: LPModel
     a_rows: np.ndarray
@@ -191,11 +188,10 @@ def _same_constraints(a: LPModel, b: LPModel) -> bool:
 def solve_lp(model: LPModel, start: LPStart | None = None) -> LPSolution:
     """Solve the model with the embedded simplex and recheck the vertex.
 
-    ``start`` is the ``lp_start`` of a model with the same rows and bounds,
-    so that only phase 2 runs here; without one, phase 1 runs first.  The
-    pivot count includes phase 1's, as in one cold solve.  The returned
-    point is verified against every original row and bound rather than
-    trusting the solver status alone.
+    Only phase 2 runs when ``start`` (the ``lp_start`` of a model with the
+    same rows and bounds) is given.  The pivot count includes phase 1's, as
+    in one cold solve.  The returned point is verified against every
+    original row and bound rather than trusting the solver status alone.
     """
     if start is None:
         start = lp_start(model)
@@ -252,15 +248,12 @@ def dca_solve(
     Starts at the encoding of the greedy allocation unless ``y0`` is given,
     linearizes the row-max term through each item's current argmax (ties to
     the smallest agent), solves the LP, and stops once the iterate moves by
-    at most ``delta`` in the max norm.  Every step's LP has the same rows
-    and bounds, so all of them run phase 2 from one phase-1 ``start``:
-    ``lp_start`` of ``build_lp(inst, ..., m_const)``, which callers running
-    several descents on one instance and box can share, and which is built
-    here when not given.  A step whose selection repeats the previous one
-    reuses that step's solution, as solving the same LP again returns the
-    same vertex.  LP objective values are checked to be non-increasing; the
-    extracted allocation is the row argmax of the final scores and its EFX
-    verdict is checked independently.
+    at most ``delta`` in the max norm.  Every step runs phase 2 from one
+    ``start``, the ``lp_start`` of ``build_lp(inst, ..., m_const)``, which
+    descents on one instance and box may share; a repeated selection reuses
+    the previous solution.  LP objective values are checked to be
+    non-increasing; the extracted allocation is the row argmax of the final
+    scores and its EFX verdict is checked independently.
     """
     if m_const is None:
         m_const = default_box_bound(inst)

@@ -74,12 +74,9 @@ def _pivot_loop(
 
 @dataclass(frozen=True)
 class PhaseOne:
-    """A feasible tableau for ``(A, b)`` with the artificials driven out.
-
-    ``tableau`` and ``basis`` are read-only; ``phase_two`` works on copies.
-    ``pivots`` is the phase-1 pivot count; on an infeasible or failed
-    phase 1, ``status`` says so and the tableau and basis are None.
-    """
+    """A read-only feasible tableau and basis for ``(A, b)`` with the
+    artificials driven out, or None for both when ``status`` is not
+    feasible; ``pivots`` counts the phase-1 pivots."""
 
     status: str  # feasible | infeasible | numeric-failure
     tableau: np.ndarray | None
