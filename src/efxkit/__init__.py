@@ -6,7 +6,7 @@ LP-based difference-of-convex descent, and the clamp-map fixed-point
 iterations, plus instance and allocation documents shared by all of them.
 """
 
-from .dc import DCAResult, InternalCheckError, LPModel, LPStart, build_lp, dca_solve, lp_start, solve_lp
+from .dc import DCAResult, DescentLP, InternalCheckError, build_lp, dca_solve, solve_lp
 from .extension import (
     dc_objective,
     default_box_bound,

@@ -118,13 +118,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_lambdas(text: str) -> list[float]:
     try:
         lams = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise InstanceFormatError(f"bad temperature list {text!r}") from exc
-    if not lams or any(l <= 0 for l in lams):
-        raise InstanceFormatError("temperatures must be positive")
+    if not lams or not all(0 < l < np.inf for l in lams):
+        raise InstanceFormatError("temperatures must be positive and finite")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise InstanceFormatError("temperatures must be strictly increasing")
     return lams
@@ -243,10 +257,10 @@ def cmd_dca(args) -> int:
     inst = load_instance(args.instance)
     box = _box_bound(inst, args.m_const)
     # Every start's LPs share their rows and bounds, so phase 1 runs once.
-    start = dc.lp_start(dc.build_lp(inst, dc.greedy_allocation(inst).owner, box))
+    lp = dc.build_lp(inst, box)
     # Start 0 is the greedy encoding, the others are random starts.
     runs = [
-        dc.dca_solve(inst, y0=y0, delta=args.delta, max_iters=args.max_iters, m_const=box, start=start)
+        dc.dca_solve(lp, y0=y0, delta=args.delta, max_iters=args.max_iters)
         for y0 in [None, *_random_starts(inst, args.seed, args.starts - 1, box)]
     ]
     best_index = min(range(len(runs)), key=lambda i: (not runs[i].efx, runs[i].objective))
@@ -377,7 +391,7 @@ def cmd_compare(args) -> int:
         return found, objective, 500
 
     def run_dca():
-        result = dc.dca_solve(inst, efx_tol=args.tol)
+        result = dc.dca_solve(dc.build_lp(inst), efx_tol=args.tol)
         return result.efx, result.objective, result.iterations
 
     def run_fixedpoint():
@@ -395,20 +409,20 @@ def cmd_compare(args) -> int:
         _compare_row("fixedpoint-Ttilde", run_fixedpoint),
     ]
 
-    oracle_exists = rows[0]["found_efx"]
+    # An oracle that could not run (say, past its scan guard) gives no
+    # verdict, so the solver rows are not judged against one.
+    oracle_exists = rows[0]["found_efx"] if rows[0]["error"] is None else None
     findings = []
-    for row in rows[1:]:
-        flag = None
+    for row in rows:
         if row["error"] is not None:
             flag = "method-error"
-        elif oracle_exists and not row["found_efx"]:
-            flag = "stationary-miss"
-        elif not oracle_exists and row["found_efx"]:
-            flag = "disagreement"
+        elif row is rows[0] or oracle_exists is None or row["found_efx"] == oracle_exists:
+            flag = None
+        else:
+            flag = "disagreement" if row["found_efx"] else "stationary-miss"
         row["flag"] = flag
         if flag:
             findings.append({"method": row["method"], "flag": flag})
-    rows[0]["flag"] = None
 
     payload = {
         "oracle_exists": oracle_exists,
@@ -453,22 +467,22 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="verify an allocation document")
     p.add_argument("--instance", required=True)
     p.add_argument("--allocation", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_EFX_TOL)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="exhaustive EFX scan")
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=oracle.WITNESS_CAP)
+    p.add_argument("--cap", type=_nonnegative_int, default=oracle.WITNESS_CAP, help="witnesses to keep; 0 counts only")
     p.add_argument("--all", action="store_true", help="keep every witness instead of capping")
-    p.add_argument("--tol", type=float, default=DEFAULT_EFX_TOL)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("lovasz", help="relaxation descent plus threshold rounding")
     p.add_argument("--instance", required=True)
     p.add_argument("--iters", type=_positive_int, default=500, help="subgradient steps, at least 1")
-    p.add_argument("--step0", type=float, default=lovasz.DEFAULT_STEP0)
+    p.add_argument("--step0", type=_finite_float, default=lovasz.DEFAULT_STEP0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_lovasz)
@@ -485,7 +499,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dca", help="LP-based descent on the existence objective")
     p.add_argument("--instance", required=True)
-    p.add_argument("--delta", type=float, default=dc.DCA_STEP_TOL)
+    p.add_argument("--delta", type=_finite_float, default=dc.DCA_STEP_TOL)
     p.add_argument("--max-iters", type=_positive_int, default=dc.DCA_MAX_ITERS, help="LP steps per start, at least 1")
     p.add_argument("--starts", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -497,7 +511,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--map", choices=sorted(fixedpoint.MAPS), default="Ttilde")
     p.add_argument("--alpha", type=float, default=fixedpoint.DEFAULT_ALPHA)
-    p.add_argument("--tol", type=float, default=fixedpoint.RESIDUAL_TOL)
+    p.add_argument("--tol", type=_finite_float, default=fixedpoint.RESIDUAL_TOL)
     p.add_argument(
         "--max-iters", type=_positive_int, default=fixedpoint.DEFAULT_MAX_ITERS, help="Picard steps per start, at least 1"
     )
@@ -510,7 +524,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="run oracle and solvers side by side")
     p.add_argument("--instance", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_EFX_TOL)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
     p.add_argument("--csv", default=None, help="also write the rows as a CSV table")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_compare)

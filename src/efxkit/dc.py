@@ -8,10 +8,11 @@ small LP: an epigraph variable for the max-term, one auxiliary variable
 per item and agent pair for the shifted row maxima, and box bounds that
 keep every iterate inside the region where encoded allocations live.
 Only the objective depends on the current scores: the LP's feasible
-region depends on the instance and the box alone.  So phase 1 of the
-simplex runs once per instance and box (``lp_start``), every step and
-every start runs phase 2 from that feasible tableau, and a step whose
-selection repeats the previous one reuses its LP solution.
+region depends on the instance and the box alone.  So ``build_lp`` builds
+the dense rows and bounds once per instance and box and runs phase 1 of
+the simplex on them (``DescentLP``), every step of every start runs phase
+2 from that feasible tableau with its own objective (``solve_lp``), and a
+step whose selection repeats the previous one reuses its LP solution.
 Successive LP optima are non-increasing, and any score matrix that reaches
 a nonpositive objective extracts a verified EFX allocation by row argmax.
 The objective and its two terms, ``convex_part`` and ``rowmax_sum``, live
@@ -21,7 +22,7 @@ shifted row maxima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,48 +41,37 @@ class InternalCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LPModel:
-    """Sparse rows of the linearized subproblem plus box bounds.
+class DescentLP:
+    """The rows and box bounds of every descent step's LP on one instance
+    and box radius ``m_const``, with phase 1 of the simplex run on them.
 
     Variables are ordered: m*n scores, then one auxiliary per (item, pair),
-    then the epigraph variable.  Row families: 1 epigraph rows coupling the
-    scores to the max-term, 2 and 3 lower-bounding each auxiliary by the
-    shifted scores of the pair's two agents, 4 by the bystander scores.
+    then the epigraph variable.  Rows, ``a @ x <= b``, come in four
+    families: 1 epigraph rows coupling the scores to the max-term, 2 and 3
+    lower-bounding each auxiliary by the shifted scores of the pair's two
+    agents, 4 by the bystander scores.  ``phase_one`` is worked out from the
+    rows and bounds on construction, ``dataclasses.replace`` included; the
+    arrays are read-only copies, so the two cannot drift apart.  Phase 1
+    shifts every variable by its lower bound into standard form, with the
+    upper bounds as extra rows.
     """
 
-    m: int
-    n: int
-    pairs: tuple
-    rows: tuple  # (((var, coef), ...), rhs, family)
+    inst: Instance
+    m_const: float
+    a: np.ndarray
+    b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    objective: np.ndarray
+    phase_one: simplex.PhaseOne = field(init=False, repr=False)
 
-    @property
-    def n_vars(self) -> int:
-        return self.m * self.n + self.m * len(self.pairs) + 1
-
-    def y_var(self, item: int, agent: int) -> int:
-        return item * self.n + agent
-
-    def z_var(self, item: int, pair: int) -> int:
-        return self.m * self.n + item * len(self.pairs) + pair
-
-    @property
-    def w_var(self) -> int:
-        return self.m * self.n + self.m * len(self.pairs)
-
-    def with_selection(self, selection: np.ndarray) -> LPModel:
-        """The same rows and bounds with the objective of ``selection``: the
-        epigraph variable minus the selected score of every item."""
-        selection = np.asarray(selection, dtype=int)
-        if selection.shape != (self.m,) or selection.min() < 0 or selection.max() >= self.n:
-            raise ValueError("selection must pick one agent per item")
-        objective = np.zeros(self.n_vars)
-        objective[-1] = 1.0
-        for ell in range(self.m):
-            objective[self.y_var(ell, int(selection[ell]))] -= 1.0
-        return replace(self, objective=objective)
+    def __post_init__(self) -> None:
+        for name in ("a", "b", "lower", "upper"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        a_std = np.vstack([self.a, np.eye(self.a.shape[1])])
+        b_std = np.concatenate([self.b - self.a @ self.lower, self.upper - self.lower])
+        object.__setattr__(self, "phase_one", simplex.phase_one(a_std, b_std))
 
 
 @dataclass(frozen=True)
@@ -94,126 +84,80 @@ class LPSolution:
     pivots: int
 
 
-def build_lp(inst: Instance, selection: np.ndarray, m_const: float | None = None) -> LPModel:
-    """Build the LP for one descent step.
+def build_lp(inst: Instance, m_const: float | None = None) -> DescentLP:
+    """Build the descent LP's rows and bounds for box radius ``m_const``
+    (the default box bound when None).
 
-    ``selection`` is the per-item agent index at which the subtracted term
-    is linearized; the objective is the epigraph variable minus the sum of
-    the selected scores.  The rows and bounds do not depend on it.
+    Rows run over family 1 by (pair, item), then over (pair, item) blocks
+    of the other families: the pair's envious agent i (family 2), its
+    envied agent j (family 3), then the bystanders in index order.
     """
     m, n = inst.m, inst.n
-    values = inst.values
     if m_const is None:
         m_const = default_box_bound(inst)
     mass = total_mass(inst).total
-    vmax = float(values.max())
-    pairs = tuple((i, j) for i in range(n) for j in range(n) if i != j)
+    vmax = float(inst.values.max())
+    order = np.array([[i, j, *(r for r in range(n) if r not in (i, j))] for i in range(n) for j in range(n) if i != j])
+    n_pairs = len(order)
+    n_y, n_z = m * n, m * n_pairs
+    n_vars = n_y + n_z + 1
+    # z[p, ell] is the auxiliary of item ell and pair p.
+    z = n_y + np.arange(m) * n_pairs + np.arange(n_pairs)[:, None]
 
-    model_dims = LPModel(
-        m=m, n=n, pairs=pairs, rows=(),
-        lower=np.zeros(0), upper=np.zeros(0), objective=np.zeros(0),
-    )
-    rows = []
-    for p, (i, j) in enumerate(pairs):
-        for k in range(m):
-            coeffs = [(model_dims.y_var(k, j), 1.0)]
-            coeffs += [(model_dims.z_var(ell, p), 1.0) for ell in range(m) if ell != k]
-            coeffs.append((model_dims.w_var, -1.0))
-            rows.append((tuple(coeffs), 0.0, 1))
-    for p, (i, j) in enumerate(pairs):
-        for ell in range(m):
-            z = model_dims.z_var(ell, p)
-            rows.append((((model_dims.y_var(ell, i), 1.0), (z, -1.0)), float(values[ell, i]), 2))
-            rows.append((((model_dims.y_var(ell, j), 1.0), (z, -1.0)), float(-values[ell, i]), 3))
-            for r in range(n):
-                if r != i and r != j:
-                    rows.append((((model_dims.y_var(ell, r), 1.0), (z, -1.0)), 0.0, 4))
+    # Family-1 row (p, k): item k's score for j, the auxiliaries of pair p
+    # for every item but k, minus the epigraph variable.
+    p, k = np.ogrid[:n_pairs, :m]
+    epigraph = np.zeros((n_pairs, m, n_vars))
+    epigraph[p[..., None], k[..., None], z[:, None, :]] = 1.0
+    epigraph[p, k, z] = 0.0
+    epigraph[p, k, k * n + order[:, 1:2]] = 1.0
+    epigraph[..., -1] = -1.0
 
-    n_y = m * n
-    n_z = m * len(pairs)
-    lower = np.concatenate([
-        np.full(n_y, -m_const),
-        np.full(n_z, -m_const - vmax),
-        [-(m + 1) * m_const - mass],
-    ])
-    upper = np.concatenate([
-        np.zeros(n_y),
-        np.full(n_z, m_const + vmax),
-        [(m + 1) * m_const + mass],
-    ])
-    return LPModel(
-        m=m, n=n, pairs=pairs, rows=tuple(rows),
-        lower=lower, upper=upper, objective=np.zeros(0),
-    ).with_selection(selection)
+    p, ell, s = np.ogrid[:n_pairs, :m, :n]
+    shifted = np.zeros((n_pairs, m, n, n_vars))
+    shifted[p, ell, s, ell * n + order[:, None, :]] = 1.0
+    shifted[p, ell, s, z[..., None]] = -1.0
+    rhs = np.zeros((n_pairs, m, n))
+    rhs[..., 0] = inst.values[:, order[:, 0]].T
+    rhs[..., 1] = -rhs[..., 0]
+
+    # The box is symmetric, apart from the scores being nonpositive.
+    upper = np.concatenate([np.full(n_y, m_const), np.full(n_z, m_const + vmax), [(m + 1) * m_const + mass]])
+    lower = -upper
+    upper[:n_y] = 0.0
+    a = np.vstack([epigraph.reshape(-1, n_vars), shifted.reshape(-1, n_vars)])
+    return DescentLP(inst, m_const, a, np.concatenate([np.zeros(n_pairs * m), rhs.ravel()]), lower, upper)
 
 
-def _dense_rows(model: LPModel) -> tuple[np.ndarray, np.ndarray]:
-    a = np.zeros((len(model.rows), model.n_vars))
-    b = np.empty(len(model.rows))
-    for r, (coeffs, rhs, _family) in enumerate(model.rows):
-        for var, coef in coeffs:
-            a[r, var] = coef
-        b[r] = rhs
-    return a, b
+def solve_lp(lp: DescentLP, selection: np.ndarray) -> LPSolution:
+    """Solve one descent step's LP and recheck the vertex.
 
-
-@dataclass(frozen=True)
-class LPStart:
-    """Phase 1 of a model's standard form, which any objective can finish;
-    ``a_rows`` and ``b_rows`` are the dense rows that rechecks read."""
-
-    model: LPModel
-    a_rows: np.ndarray
-    b_rows: np.ndarray
-    phase_one: simplex.PhaseOne
-
-
-def lp_start(model: LPModel) -> LPStart:
-    """Shift the model into standard form and run phase 1 of the simplex.
-
-    Variables are shifted by their lower bounds, with upper bounds appended
-    as extra rows.  The objective is not read.
+    ``selection`` is the per-item agent index at which the subtracted term
+    is linearized; the objective is the epigraph variable minus the sum of
+    the selected scores.  Only phase 2 runs, from ``lp.phase_one``; the
+    pivot count includes phase 1's, as in one cold solve.  The returned
+    point is verified against every row and bound rather than trusting the
+    solver status alone.
     """
-    a_model, b_model = _dense_rows(model)
-    span = model.upper - model.lower
-    a_std = np.vstack([a_model, np.eye(model.n_vars)])
-    b_std = np.concatenate([b_model - a_model @ model.lower, span])
-    return LPStart(model, a_model, b_model, simplex.phase_one(a_std, b_std))
-
-
-def _same_constraints(a: LPModel, b: LPModel) -> bool:
-    return a.rows == b.rows and np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
-
-
-def solve_lp(model: LPModel, start: LPStart | None = None) -> LPSolution:
-    """Solve the model with the embedded simplex and recheck the vertex.
-
-    Only phase 2 runs when ``start`` (the ``lp_start`` of a model with the
-    same rows and bounds) is given.  The pivot count includes phase 1's, as
-    in one cold solve.  The returned point is verified against every
-    original row and bound rather than trusting the solver status alone.
-    """
-    if start is None:
-        start = lp_start(model)
-    elif not _same_constraints(model, start.model):
-        raise ValueError("the LP start was built for other rows or bounds")
-    a_model, b_model = start.a_rows, start.b_rows
-    result = simplex.phase_two(model.objective, start.phase_one)
+    m, n = lp.inst.m, lp.inst.n
+    selection = np.asarray(selection, dtype=int)
+    if selection.shape != (m,) or selection.min() < 0 or selection.max() >= n:
+        raise ValueError("selection must pick one agent per item")
+    objective = np.zeros(lp.a.shape[1])
+    objective[-1] = 1.0
+    objective[np.arange(m) * n + selection] -= 1.0
+    result = simplex.phase_two(objective, lp.phase_one)
     if result.status != "optimal":
         return LPSolution(result.status, None, None, None, None, result.pivots)
-    point = result.x + model.lower
+    point = result.x + lp.lower
     if (
-        np.any(a_model @ point > b_model + RECHECK_TOL)
-        or np.any(point < model.lower - RECHECK_TOL)
-        or np.any(point > model.upper + RECHECK_TOL)
+        np.any(lp.a @ point > lp.b + RECHECK_TOL)
+        or np.any(point < lp.lower - RECHECK_TOL)
+        or np.any(point > lp.upper + RECHECK_TOL)
     ):
         return LPSolution("numeric-failure", None, None, None, None, result.pivots)
-    n_y = model.m * model.n
-    n_z = model.m * len(model.pairs)
-    y = point[:n_y].reshape(model.m, model.n)
-    z = point[n_y : n_y + n_z].reshape(model.m, len(model.pairs))
-    w = float(point[-1])
-    return LPSolution("optimal", y, z, w, float(model.objective @ point), result.pivots)
+    y, z, w = point[: m * n].reshape(m, n), point[m * n : -1].reshape(m, -1), float(point[-1])
+    return LPSolution("optimal", y, z, w, float(objective @ point), result.pivots)
 
 
 def greedy_allocation(inst: Instance) -> Allocation:
@@ -231,32 +175,29 @@ class DCAResult:
     trace: list = field(default_factory=list)
     allocation: Allocation | None = None
     efx: bool = False
-    phase1_pivots: int = 0  # of the LP start; trace entries count their phase-2 lp_pivots
+    phase1_pivots: int = 0  # of the shared phase 1; trace entries count their phase-2 lp_pivots
 
 
 def dca_solve(
-    inst: Instance,
+    lp: DescentLP,
     y0: np.ndarray | None = None,
     delta: float = DCA_STEP_TOL,
     max_iters: int = DCA_MAX_ITERS,
-    m_const: float | None = None,
     efx_tol: float = DEFAULT_EFX_TOL,
-    start: LPStart | None = None,
 ) -> DCAResult:
     """Iterated linearize-and-solve descent from a score matrix.
 
-    Starts at the encoding of the greedy allocation unless ``y0`` is given,
-    linearizes the row-max term through each item's current argmax (ties to
-    the smallest agent), solves the LP, and stops once the iterate moves by
-    at most ``delta`` in the max norm.  Every step runs phase 2 from one
-    ``start``, the ``lp_start`` of ``build_lp(inst, ..., m_const)``, which
-    descents on one instance and box may share; a repeated selection reuses
-    the previous solution.  LP objective values are checked to be
-    non-increasing; the extracted allocation is the row argmax of the final
-    scores and its EFX verdict is checked independently.
+    Works on ``lp.inst`` in the box of ``lp.m_const``.  Starts at the
+    encoding of the greedy allocation unless ``y0`` is given, linearizes the
+    row-max term through each item's current argmax (ties to the smallest
+    agent), solves the LP from ``lp.phase_one``, which descents from many
+    starts may share, and stops once the iterate moves by at most ``delta``
+    in the max norm; a repeated selection reuses the previous solution.  LP
+    objective values are checked to be non-increasing; the extracted
+    allocation is the row argmax of the final scores and its EFX verdict is
+    checked independently.
     """
-    if m_const is None:
-        m_const = default_box_bound(inst)
+    inst, m_const = lp.inst, lp.m_const
     if y0 is None:
         y = encode_allocation(inst, greedy_allocation(inst), m_const)
     else:
@@ -265,11 +206,6 @@ def dca_solve(
             raise ValueError("y0 must be an items-by-agents matrix")
         if y.min() < -m_const or y.max() > 0.0:
             raise ValueError("y0 must lie in the score box")
-    model = build_lp(inst, np.argmax(y, axis=1), m_const)
-    if start is None:
-        start = lp_start(model)
-    elif not _same_constraints(model, start.model):
-        raise ValueError("the LP start was built for another instance or box")
 
     trace: list[dict] = []
     previous_objective = np.inf
@@ -281,9 +217,9 @@ def dca_solve(
         if solved is not None and np.array_equal(selection, solved[0]):
             sol, lp_pivots = solved[1], 0
         else:
-            sol = solve_lp(start.model.with_selection(selection), start)
+            sol = solve_lp(lp, selection)
             solved = (selection, sol)
-            lp_pivots = sol.pivots - start.phase_one.pivots
+            lp_pivots = sol.pivots - lp.phase_one.pivots
         if sol.status != "optimal":
             status = "lp-failure"
             break
@@ -320,5 +256,5 @@ def dca_solve(
         trace=trace,
         allocation=allocation,
         efx=report.ok,
-        phase1_pivots=start.phase_one.pivots,
+        phase1_pivots=lp.phase_one.pivots,
     )

@@ -1,14 +1,18 @@
 """Per-step reference for the difference-of-convex descent.
 
-Each step builds the whole LP for its selection, densifies it, and solves
-it from scratch with the two-phase simplex, phase 1 included.  This is the
-loop ``efxkit.dc.dca_solve`` ran before phase 1 was shared across steps
-and starts and a repeated selection reused its LP, kept verbatim so that
-the shared-start descent can be compared with it byte for byte.  Only the
-pivot kernels ``_pivot`` and ``_pivot_loop`` are imported from the package.
+Each step builds the whole LP for its selection as sparse rows, densifies
+it, and solves it from scratch with the two-phase simplex, phase 1
+included.  This is the loop ``efxkit.dc.dca_solve`` ran before the rows
+were built once as dense arrays, phase 1 was shared across steps and
+starts, and a repeated selection reused its LP, kept verbatim (the sparse
+``LPModel`` included) so that the shared descent and its row builder can
+be compared with it byte for byte.  Only the pivot kernels ``_pivot`` and
+``_pivot_loop`` are imported from the package.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +23,6 @@ from efxkit.dc import (
     RECHECK_TOL,
     DCAResult,
     InternalCheckError,
-    LPModel,
     LPSolution,
     greedy_allocation,
 )
@@ -33,6 +36,39 @@ from efxkit.simplex import (
     _pivot,
     _pivot_loop,
 )
+
+
+@dataclass(frozen=True)
+class LPModel:
+    """Sparse rows of the linearized subproblem plus box bounds.
+
+    Variables are ordered: m*n scores, then one auxiliary per (item, pair),
+    then the epigraph variable.  Row families: 1 epigraph rows coupling the
+    scores to the max-term, 2 and 3 lower-bounding each auxiliary by the
+    shifted scores of the pair's two agents, 4 by the bystander scores.
+    """
+
+    m: int
+    n: int
+    pairs: tuple
+    rows: tuple  # (((var, coef), ...), rhs, family)
+    lower: np.ndarray
+    upper: np.ndarray
+    objective: np.ndarray
+
+    @property
+    def n_vars(self) -> int:
+        return self.m * self.n + self.m * len(self.pairs) + 1
+
+    def y_var(self, item: int, agent: int) -> int:
+        return item * self.n + agent
+
+    def z_var(self, item: int, pair: int) -> int:
+        return self.m * self.n + item * len(self.pairs) + pair
+
+    @property
+    def w_var(self) -> int:
+        return self.m * self.n + self.m * len(self.pairs)
 
 
 def solve_standard(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResult:

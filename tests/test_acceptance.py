@@ -19,6 +19,7 @@ from conftest import random_instance, random_polytope_point
 from efxkit import (
     Allocation,
     batch_efx_slack,
+    build_lp,
     bundle_value,
     clamp_map,
     dc_objective,
@@ -331,7 +332,7 @@ def test_10_descent_monotone_and_sound(capsys):
         inst = normalize(random_instance(seed + 200, m, n))
         rng = np.random.default_rng(seed + 4000)
         y0 = rng.uniform(-default_box_bound(inst), 0.0, size=(m, n))
-        result = dca_solve(inst, y0=y0)
+        result = dca_solve(build_lp(inst), y0=y0)
         objectives = [entry["objective"] for entry in result.trace]
         if any(b > a + 1e-9 for a, b in zip(objectives, objectives[1:])):
             descent_breaks += 1

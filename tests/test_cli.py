@@ -471,3 +471,60 @@ def test_dca_reports_lp_pivot_counts(tmp_path, capsys):
     assert phase1 > 0
     assert [start["lp_phase1_pivots"] for start in doc["starts"]] == [phase1] * 3
     assert all(isinstance(entry["lp_pivots"], int) and entry["lp_pivots"] >= 0 for entry in doc["trace"])
+
+
+def test_compare_gives_no_verdict_when_the_oracle_cannot_run(tmp_path, capsys):
+    # 3^15 owner vectors lie beyond the oracle's scan guard.
+    inst = str(tmp_path / "big.json")
+    assert cli.main(["gen", "--m", "15", "--n", "3", "--seed", "1", "--output", inst]) == 0
+    code, doc = _run(capsys, ["compare", "--instance", inst])
+    assert code == 0
+    assert doc["oracle_exists"] is None
+    assert "exceeds the guard" in doc["rows"][0]["error"]
+    assert doc["rows"][0]["flag"] == "method-error"
+    assert {"method": "oracle", "flag": "method-error"} in doc["findings"]
+    assert all(row["flag"] in (None, "method-error") for row in doc["rows"][1:])
+
+
+NON_FINITE_OPTIONS = [
+    ["check", "--allocation", "ALLOCATION", "--tol", "nan"],
+    ["check", "--allocation", "ALLOCATION", "--tol", "inf"],
+    ["oracle", "--tol", "nan"],
+    ["oracle", "--tol=-inf"],
+    ["compare", "--tol", "nan"],
+    ["fixedpoint", "--tol", "inf"],
+    ["dca", "--delta", "nan"],
+    ["lovasz", "--step0", "nan"],
+    ["lovasz", "--step0", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_OPTIONS, ids=" ".join)
+def test_non_finite_float_option_is_a_usage_error(tmp_path, capsys, argv):
+    inst = _instance_file(tmp_path, I0_NORM)
+    allocation = _write_doc(tmp_path / "allocation.json", {"owner": [1, 2, 2]})
+    argv = [allocation if part == "ALLOCATION" else part for part in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--instance", inst])
+    assert excinfo.value.code == 1
+    assert "finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lambdas", ["nan", "1,inf", "inf"])
+def test_non_finite_temperature_is_an_input_error(tmp_path, capsys, lambdas):
+    inst = _instance_file(tmp_path, I0_NORM)
+    x = _write_doc(tmp_path / "x.json", {"x": [[0.5, 0.5]] * 3})
+    code = cli.main(["extension", "eval", "--instance", inst, "--x", x, "--lambdas", lambdas])
+    assert code == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
+def test_negative_oracle_cap_is_a_usage_error(tmp_path, capsys):
+    inst = _instance_file(tmp_path, I0_NORM)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["oracle", "--instance", inst, "--cap", "-1"])
+    assert excinfo.value.code == 1
+    assert "nonnegative integer" in capsys.readouterr().err
+    code, doc = _run(capsys, ["oracle", "--instance", inst, "--cap", "0"])
+    assert code == 0
+    assert doc["witnesses"] == [] and doc["witness_count"] > 0

@@ -1,13 +1,12 @@
-"""The descent from one shared phase-1 start against the per-step
-reference loop, byte for byte."""
+"""The descent from one shared phase-1 start, and its dense row builder,
+against the per-step reference loop, byte for byte."""
 
 import numpy as np
 import pytest
 
 import reference_dca as ref
 from conftest import random_instance
-from efxkit import build_lp, dca_solve, default_box_bound, generate_instance, lp_start, normalize, solve_lp
-from efxkit.dc import greedy_allocation
+from efxkit import build_lp, dca_solve, default_box_bound, generate_instance, make_instance, normalize
 
 # Items per agent count, small enough for the cold reference to stay quick.
 ITEMS = {2: 5, 3: 4, 4: 3}
@@ -35,20 +34,13 @@ def _fingerprint(result):
     )
 
 
-def _shared_start(inst, box):
-    return lp_start(build_lp(inst, greedy_allocation(inst).owner, box))
-
-
 @pytest.mark.parametrize("n", sorted(ITEMS))
 def test_dca_matches_per_step_reference_exactly(n):
     for seed in range(2):
         for inst in _instances(seed, n):
-            box = default_box_bound(inst)
-            start = _shared_start(inst, box)
-            for y0 in [None, np.random.default_rng(seed).uniform(-box, 0.0, size=(inst.m, n))]:
-                expected = _fingerprint(ref.dca_solve(inst, y0=y0))
-                assert _fingerprint(dca_solve(inst, y0=y0)) == expected
-                assert _fingerprint(dca_solve(inst, y0=y0, m_const=box, start=start)) == expected
+            lp = build_lp(inst)
+            for y0 in [None, np.random.default_rng(seed).uniform(-lp.m_const, 0.0, size=(inst.m, n))]:
+                assert _fingerprint(dca_solve(lp, y0=y0)) == _fingerprint(ref.dca_solve(inst, y0=y0))
 
 
 def test_trace_counts_phase_two_pivots_and_zero_on_a_repeat():
@@ -56,9 +48,10 @@ def test_trace_counts_phase_two_pivots_and_zero_on_a_repeat():
     for n in sorted(ITEMS):
         for inst in _instances(0, n):
             box = default_box_bound(inst)
-            phase1 = _shared_start(inst, box).phase_one.pivots
+            lp = build_lp(inst, box)
+            phase1 = lp.phase_one.pivots
             y0 = np.random.default_rng(n).uniform(-box, 0.0, size=(inst.m, n))
-            out = dca_solve(inst, y0=y0)
+            out = dca_solve(lp, y0=y0)
             assert out.phase1_pivots == phase1
             y, previous = y0, None
             for entry in out.trace:
@@ -73,14 +66,19 @@ def test_trace_counts_phase_two_pivots_and_zero_on_a_repeat():
     assert repeats > 0
 
 
-def test_start_for_another_instance_or_box_is_rejected():
-    inst = normalize(random_instance(0, 4, 2))
-    other = normalize(random_instance(1, 4, 2))
-    box = default_box_bound(inst)
-    with pytest.raises(ValueError, match="another instance or box"):
-        dca_solve(inst, start=_shared_start(other, box))
-    with pytest.raises(ValueError, match="another instance or box"):
-        dca_solve(inst, start=_shared_start(inst, 2 * box))
-    model = build_lp(inst, [0, 1, 0, 1])
-    with pytest.raises(ValueError, match="other rows or bounds"):
-        solve_lp(model, _shared_start(other, box))
+def test_dense_rows_match_the_sparse_reference_builder():
+    zero_value = make_instance([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    negative_zeros = 0
+    for inst in [zero_value, *(inst for n in sorted(ITEMS) for seed in range(2) for inst in _instances(seed, n))]:
+        for box in (default_box_bound(inst), 3.5 * default_box_bound(inst)):
+            lp = build_lp(inst, box)
+            model = ref.build_lp(inst, np.zeros(inst.m, dtype=int), box)
+            a, b = ref._dense_rows(model)
+            assert lp.a.tobytes() == a.tobytes() and lp.a.shape == a.shape
+            assert lp.b.tobytes() == b.tobytes()
+            assert lp.lower.tobytes() == model.lower.tobytes()
+            assert lp.upper.tobytes() == model.upper.tobytes()
+            negative_zeros += int(np.sum((b == 0.0) & np.signbit(b)))
+    # A zero value makes a family-3 right-hand side -0.0, whose sign bit
+    # the byte comparison above checks.
+    assert negative_zeros > 0
