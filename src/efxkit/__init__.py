@@ -51,7 +51,6 @@ from .lovasz import (
     ThresholdRounding,
     envy_gap_extension,
     in_partition_polytope,
-    lovasz_extension,
     minimize_relaxation,
     monotone_envy_gap_extension,
     project_rows_to_simplex,
@@ -60,6 +59,5 @@ from .lovasz import (
     uniform_point,
 )
 from .oracle import OracleGuardError, OracleResult, batch_efx_slack, enumerate_efx, min_max_envy
-from .setfun import bundle_value, envy_gap, max_envy_gap, monotone_envy_gap, reduced_value
 
 __version__ = "0.1.0"

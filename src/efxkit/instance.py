@@ -7,8 +7,10 @@ The allocation is EFX (envy-free up to any good) when no agent would prefer
 another agent's bundle even after removing that bundle's cheapest item
 from the comparison.  Every EFX slack in the package (``efx_slack``,
 ``is_efx`` and the oracle's batched scan and monotone objective) is read
-from one kernel, ``_pair_gaps``, which yields the envy gap of each
-ordered agent pair.
+from one kernel, ``_envy_gaps``, which yields the envy gap of each
+ordered agent pair.  It combines two half tables: the items split at
+``m // 2`` into a prefix and a suffix, bundle sums add across the halves
+and bundle minima take the smaller, so one allocation costs O(n^2).
 """
 
 from __future__ import annotations
@@ -224,32 +226,63 @@ def _validate_allocation(inst: Instance, alloc: Allocation) -> None:
         raise InstanceFormatError("allocation assigns an item to an agent outside 0..n-1")
 
 
-def _pair_gaps(inst: Instance, owners: np.ndarray, monotone: bool = False):
-    """Envy gap of every ordered agent pair for each owner row.
+def _split(m: int) -> int:
+    """Number of prefix items; the split depends on m alone."""
+    return m // 2
 
-    Yields ``(i, j, gaps)`` for i != j in row-major pair order, where
-    ``gaps`` holds, per owner row, agent i's reduced value for agent j's
-    bundle (the masked bundle sum minus the masked bundle minimum, zero
-    for an empty bundle) minus i's own bundle value, or, with
-    ``monotone``, plus the value of everything i does not hold.  Positive
-    gaps in the plain form are EFX violations.  Pairs are yielded one at
-    a time so a scan keeps only (rows, m) arrays alive.
+
+def _half_tables(values: np.ndarray, owners: np.ndarray, monotone: bool = False):
+    """Pair tables of one half of the items for each owner row.
+
+    ``values`` holds the half's item rows and ``owners`` the matching
+    (rows, items) owner columns.  Returns ``(sums, mins, base)``: agent
+    i's sum and minimum over the items agent j holds in this half, shaped
+    (n, n - 1, rows) with j running over the agents other than i in order
+    (minimum ``inf`` where j holds none), and agent i's base term, shaped
+    (n, rows): minus its own holdings or, with ``monotone``, plus what it
+    does not hold.  Items are summed one after another in item order.
     """
-    n = inst.n
-    masks = [owners == j for j in range(n)]
-    for i in range(n):
-        column = inst.values[:, i]
-        if monotone:
-            base = np.where(~masks[i], column, 0.0).sum(axis=1)
-        else:
-            base = -np.where(masks[i], column, 0.0).sum(axis=1)
-        for j in range(n):
-            if i == j:
-                continue
-            sums = np.where(masks[j], column, 0.0).sum(axis=1)
-            mins = np.where(masks[j], column, np.inf).min(axis=1)
-            reduced = np.where(np.isinf(mins), 0.0, sums - mins)
-            yield i, j, reduced + base
+    agents = np.arange(values.shape[1])
+    others = agents[1:] - (agents[1:] <= agents[:, None])
+    items = owners.T[:, None, :]
+    held = items[:, None] == others[None, :, :, None]
+    column = values[:, :, None, None]
+    sums = np.where(held, column, 0.0).sum(axis=0)
+    mins = np.where(held, column, np.inf).min(axis=0, initial=np.inf)
+    own = items == agents[None, :, None]
+    if monotone:
+        base = np.where(own, 0.0, values[:, :, None]).sum(axis=0)
+    else:
+        base = -np.where(own, values[:, :, None], 0.0).sum(axis=0)
+    return sums, mins, base
+
+
+def _halves(inst: Instance, owners: np.ndarray, monotone: bool = False):
+    """Prefix and suffix tables of each owner row."""
+    p = _split(inst.m)
+    return (
+        _half_tables(inst.values[:p], owners[:, :p], monotone),
+        _half_tables(inst.values[p:], owners[:, p:], monotone),
+    )
+
+
+def _envy_gaps(prefix, suffix) -> np.ndarray:
+    """Envy gap of every ordered agent pair, from a prefix and a suffix table.
+
+    The two tables broadcast against each other along their trailing
+    allocation axes.  An allocation's bundle sums are the prefix sums plus
+    the suffix sums and its bundle minima the smaller of the two, so agent
+    i's reduced value for j's bundle is their difference (zero for an
+    empty bundle).  The gap adds i's base term; gaps are shaped
+    (n, n - 1, ...) in row-major pair order, and positive gaps in the
+    plain form are EFX violations.  Every EFX slack and monotone objective
+    in the package is read from here.
+    """
+    gaps = prefix[0] + suffix[0]
+    gaps -= np.minimum(prefix[1], suffix[1])
+    np.maximum(gaps, 0.0, out=gaps)  # reduced values, zero for empty bundles
+    gaps += (prefix[2] + suffix[2])[:, None]
+    return gaps
 
 
 def efx_slack(inst: Instance, alloc: Allocation) -> float:
@@ -264,7 +297,10 @@ def efx_slack(inst: Instance, alloc: Allocation) -> float:
 def is_efx(inst: Instance, alloc: Allocation, tol: float = DEFAULT_EFX_TOL) -> EfxReport:
     """Check every ordered pair's EFX constraint, allowing ``tol`` slack."""
     _validate_allocation(inst, alloc)
-    gaps = [(i, j, float(gap[0])) for i, j, gap in _pair_gaps(inst, alloc.owner[None, :])]
+    pair_gaps = _envy_gaps(*_halves(inst, alloc.owner[None, :]))[:, :, 0]
+    gaps = [
+        (i, j, float(pair_gaps[i, j - (j > i)])) for i in range(inst.n) for j in range(inst.n) if i != j
+    ]
     violations = [gap for gap in gaps if gap[2] > tol]
     return EfxReport(ok=not violations, violations=violations, slack=max(gap[2] for gap in gaps))
 

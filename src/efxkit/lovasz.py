@@ -27,31 +27,6 @@ MONOTONE_THRESHOLD = 1.0
 DEFAULT_STEP0 = 0.5
 
 
-def lovasz_extension(setfn, x: np.ndarray) -> float:
-    """Lovász extension of an arbitrary set function at a point.
-
-    ``setfn`` maps an integer bitmask over ground set {0, .., d-1} to a
-    value with setfn(0) = 0.  Coordinates are visited in decreasing order
-    of x, ties broken by ascending index; prefix-set values are combined
-    with their sorted-coordinate drops, which reproduces setfn exactly at
-    0/1 indicator vectors.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    order = np.argsort(-x, kind="stable")
-    # Abel-summation form: weight each prefix value by the drop between
-    # consecutive sorted coordinates.  At a 0/1 indicator all weights are
-    # exactly 0 except a single 1, so the result is bit-identical to the
-    # set function at that set.
-    total = 0.0
-    mask = 0
-    for rank, idx in enumerate(order):
-        mask |= 1 << int(idx)
-        weight = x[idx] - (x[order[rank + 1]] if rank + 1 < order.size else 0.0)
-        if weight != 0.0:
-            total += weight * setfn(mask)
-    return float(total)
-
-
 def _pair_extensions(inst: Instance, x: np.ndarray, monotone: bool = False):
     """Envy-gap extension of every ordered agent pair at x.
 

@@ -1,16 +1,18 @@
-"""Set functions behind the EFX constraints.
+"""Per-definition reference set functions behind the EFX constraints.
 
 The reduced value of a bundle (its total minus its cheapest item) is the
 quantity an envious agent compares against their own bundle.  The reduced
 value is submodular and lets the whole EFX condition be phrased as a fixed
-number of pairwise envy gaps, one per ordered agent pair.
+number of pairwise envy gaps, one per ordered agent pair.  These loops and
+the generic ``lovasz_extension`` of an arbitrary set function read straight
+off the definitions; the package's kernels are checked against them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .instance import Allocation, Instance
+from efxkit.instance import Allocation, Instance
 
 
 def bundle_value(inst: Instance, agent: int, items) -> float:
@@ -65,3 +67,28 @@ def max_envy_gap(inst: Instance, alloc: Allocation, monotone: bool | None = None
     return max(
         gap(inst, i, j, alloc) for i in range(inst.n) for j in range(inst.n) if i != j
     )
+
+
+def lovasz_extension(setfn, x: np.ndarray) -> float:
+    """Lovász extension of an arbitrary set function at a point.
+
+    ``setfn`` maps an integer bitmask over ground set {0, .., d-1} to a
+    value with setfn(0) = 0.  Coordinates are visited in decreasing order
+    of x, ties broken by ascending index; prefix-set values are combined
+    with their sorted-coordinate drops, which reproduces setfn exactly at
+    0/1 indicator vectors.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    order = np.argsort(-x, kind="stable")
+    # Abel-summation form: weight each prefix value by the drop between
+    # consecutive sorted coordinates.  At a 0/1 indicator all weights are
+    # exactly 0 except a single 1, so the result is bit-identical to the
+    # set function at that set.
+    total = 0.0
+    mask = 0
+    for rank, idx in enumerate(order):
+        mask |= 1 << int(idx)
+        weight = x[idx] - (x[order[rank + 1]] if rank + 1 < order.size else 0.0)
+        if weight != 0.0:
+            total += weight * setfn(mask)
+    return float(total)

@@ -20,20 +20,16 @@ from efxkit import (
     Allocation,
     batch_efx_slack,
     build_lp,
-    bundle_value,
     clamp_map,
     dc_objective,
     dca_solve,
     default_box_bound,
     encode_allocation,
     enumerate_efx,
-    envy_gap,
     envy_gap_extension,
     is_efx,
-    lovasz_extension,
     normalize,
     picard_iterate,
-    reduced_value,
     relaxation_objective,
     rounding_bound,
     rowwise_round_many,
@@ -44,6 +40,7 @@ from efxkit import (
 from efxkit.instance import efx_slack
 from efxkit.simplex import solve_standard
 from reference_lp import random_bounded_lp, vertex_minimize
+from reference_setfun import bundle_value, envy_gap, lovasz_extension, reduced_value
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 

@@ -121,6 +121,19 @@ def test_oracle_cap_limits_witness_list(tmp_path, capsys):
     assert doc["witnesses"] == [[1, 1, 2]]
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_single_item_oracle_and_check(tmp_path, capsys, n):
+    inst = _instance_file(tmp_path, [[1.0 + agent for agent in range(n)]])
+    code, doc = _run(capsys, ["oracle", "--instance", inst])
+    assert code == 0
+    assert (doc["exists"], doc["witness_count"], doc["allocations_scanned"]) == (True, n, n)
+    assert doc["witnesses"] == [[agent] for agent in range(1, n + 1)]
+    alloc = _write_doc(tmp_path / "alloc.json", {"owner": [n]})
+    code, doc = _run(capsys, ["check", "--instance", inst, "--allocation", alloc])
+    assert code == 0
+    assert doc["efx"] is True and doc["slack"] == 0.0 and doc["violations"] == []
+
+
 def test_lovasz_descends_and_rounds(tmp_path, capsys):
     inst = _instance_file(tmp_path, I0_RAW)
     code, doc = _run(capsys, ["lovasz", "--instance", inst, "--iters", "300"])

@@ -7,7 +7,6 @@ from conftest import random_instance, random_polytope_point
 from efxkit import (
     Allocation,
     batch_efx_slack,
-    bundle_value,
     dc_objective,
     default_box_bound,
     efx_slack,
@@ -15,13 +14,13 @@ from efxkit import (
     enumerate_efx,
     make_instance,
     normalize,
-    reduced_value,
     rounding_bound,
     rowwise_round,
     rowwise_round_many,
     softmax_limit_gaps,
     softmax_map,
 )
+from reference_setfun import bundle_value, reduced_value
 
 
 def test_rowwise_round_integral_is_degenerate():

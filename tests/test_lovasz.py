@@ -8,25 +8,27 @@ import pytest
 from conftest import random_instance, random_polytope_point
 from efxkit import (
     Allocation,
-    bundle_value,
     efx_slack,
     enumerate_efx,
-    envy_gap,
     envy_gap_extension,
     in_partition_polytope,
-    lovasz_extension,
     make_instance,
-    max_envy_gap,
     min_max_envy,
     minimize_relaxation,
-    monotone_envy_gap,
     monotone_envy_gap_extension,
     normalize,
     project_rows_to_simplex,
-    reduced_value,
     relaxation_objective,
     threshold_round,
     uniform_point,
+)
+from reference_setfun import (
+    bundle_value,
+    envy_gap,
+    lovasz_extension,
+    max_envy_gap,
+    monotone_envy_gap,
+    reduced_value,
 )
 
 

@@ -13,10 +13,10 @@ from efxkit import (
     efx_slack,
     enumerate_efx,
     make_instance,
-    max_envy_gap,
     min_max_envy,
     normalize,
 )
+from reference_setfun import max_envy_gap
 
 
 def test_reference_instance_scan(i0_raw):

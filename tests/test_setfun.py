@@ -9,18 +9,14 @@ from conftest import random_instance
 from efxkit import (
     Allocation,
     batch_efx_slack,
-    bundle_value,
     efx_slack,
-    envy_gap,
     generate_instance,
     is_efx,
     make_instance,
-    max_envy_gap,
     min_max_envy,
-    monotone_envy_gap,
     normalize,
-    reduced_value,
 )
+from reference_setfun import bundle_value, envy_gap, max_envy_gap, monotone_envy_gap, reduced_value
 
 
 def test_reduced_value_frozen(i0_norm):
