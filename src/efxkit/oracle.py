@@ -3,9 +3,10 @@
 Scans every owner vector in a fixed mixed-radix order (item 0 is the most
 significant digit) and applies the EFX check to each.  The items split at
 ``m // 2`` into a prefix (the most significant digits) and a suffix; the
-pair tables of every suffix row are built once, and each block of prefix
-rows is combined with them by broadcast, O(n^2) per allocation with no
-per-allocation decode.  The scan stays single-threaded and prefix-major,
+pair tables of every suffix row are built once (per block when n is so
+large that they would not fit), and each block of prefix rows is combined
+with them by broadcast, O(n^2) per allocation with no per-allocation
+decode.  The scan stays single-threaded and prefix-major,
 so results and witness order are deterministic.  A guard caps the search
 at 10^7 owner vectors; nothing in this package concludes "no EFX
 allocation exists" except this scan, run within the guard.  Both the EFX
