@@ -58,6 +58,6 @@ from .lovasz import (
     threshold_round,
     uniform_point,
 )
-from .oracle import OracleGuardError, OracleResult, batch_efx_slack, enumerate_efx, min_max_envy
+from .oracle import OracleGuardError, OracleResult, batch_efx_slack, enumerate_efx
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ from .instance import (
     Instance,
     InstanceFormatError,
     _read_document,
+    _read_matrix,
     allocation_to_doc,
     generate_instance,
     instance_to_doc,
@@ -81,15 +82,7 @@ def _load_matrix(path: str, key: str, inst: Instance) -> np.ndarray:
     doc = _read_document(path, key)
     if key not in doc:
         raise InstanceFormatError(f"{key} document must be an object with a {key!r} key")
-    matrix = np.asarray(doc[key], dtype=float)
-    if matrix.shape != (inst.m, inst.n):
-        raise InstanceFormatError(
-            f"{key} matrix has shape {matrix.shape}, expected ({inst.m}, {inst.n})"
-        )
-    if not np.all(np.isfinite(matrix)):
-        k, j = np.argwhere(~np.isfinite(matrix))[0]
-        raise InstanceFormatError(f"{key}[{k}][{j}] is not a finite number")
-    return matrix
+    return _read_matrix(doc[key], inst.m, inst.n, key)
 
 
 def _prefiltered_normalized(inst: Instance) -> tuple[Instance, list[int]]:
@@ -380,9 +373,8 @@ def cmd_compare(args) -> int:
     inst, removed = _prefiltered_normalized(raw)
 
     def run_oracle():
-        result = oracle.enumerate_efx(inst, tol=args.tol)
-        best_envy, _ = oracle.min_max_envy(inst)
-        return result.exists, best_envy - 1.0, result.allocations_scanned
+        result = oracle.enumerate_efx(inst, cap=0, tol=args.tol)
+        return result.exists, result.min_slack, result.allocations_scanned
 
     def run_lovasz():
         x, objective = lovasz.minimize_relaxation(inst, iters=500, step0=0.5)
@@ -537,8 +529,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
-        # Covers InstanceFormatError, ZeroColumnError and OracleGuardError.
+    except (OSError, ValueError) as exc:
+        # Covers InstanceFormatError, ZeroColumnError, OracleGuardError and
+        # output paths that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (dc.InternalCheckError, fixedpoint.SelfMapViolation) as exc:

@@ -6,8 +6,8 @@ its item values.  An allocation assigns each item to exactly one agent.
 The allocation is EFX (envy-free up to any good) when no agent would prefer
 another agent's bundle even after removing that bundle's cheapest item
 from the comparison.  Every EFX slack in the package (``efx_slack``,
-``is_efx`` and the oracle's batched scan and monotone objective) is read
-from one kernel, ``_envy_gaps``, which yields the envy gap of each
+``is_efx`` and the oracle's batched scan and its exact minimum slack) is
+read from one kernel, ``_envy_gaps``, which yields the envy gap of each
 ordered agent pair.  It combines two half tables: the items split at
 ``m // 2`` into a prefix and a suffix, bundle sums add across the halves
 and bundle minima take the smaller, so one allocation costs O(n^2).
@@ -16,6 +16,7 @@ and bundle minima take the smaller, so one allocation costs O(n^2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,18 +144,32 @@ def load_instance(source) -> Instance:
     m, n = doc["m"], doc["n"]
     if not isinstance(m, int) or not isinstance(n, int):
         raise InstanceFormatError("m and n must be integers")
-    rows = doc["values"]
+    return Instance(_read_matrix(doc["values"], m, n, "values"))
+
+
+def _read_matrix(rows, m: int, n: int, key: str) -> np.ndarray:
+    """The (m, n) float matrix a document lists as ``rows`` under ``key``.
+
+    Every entry must be a JSON number, not a bool, that is finite as a
+    float; errors name the first entry that is not.
+    """
     if not isinstance(rows, list) or len(rows) != m:
-        raise InstanceFormatError(f"values has {len(rows) if isinstance(rows, list) else 'no'} rows, expected m={m}")
+        raise InstanceFormatError(f"{key} has {len(rows) if isinstance(rows, list) else 'no'} rows, expected m={m}")
+    matrix = np.empty((m, n))
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
-            raise InstanceFormatError(f"values[{k}] is not a row of n={n} entries")
+            raise InstanceFormatError(f"{key}[{k}] is not a row of n={n} entries")
         for i, entry in enumerate(row):
             if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-                raise InstanceFormatError(f"values[{k}][{i}] is not a number")
-            if entry < 0:
-                raise InstanceFormatError(f"values[{k}][{i}] is negative")
-    return Instance(np.asarray(rows, dtype=float))
+                raise InstanceFormatError(f"{key}[{k}][{i}] is not a number")
+            try:
+                value = float(entry)
+            except OverflowError:
+                raise InstanceFormatError(f"{key}[{k}][{i}] is beyond the float range") from None
+            if not math.isfinite(value):
+                raise InstanceFormatError(f"{key}[{k}][{i}] is not a finite number")
+            matrix[k, i] = value
+    return matrix
 
 
 def instance_to_doc(inst: Instance) -> dict:
@@ -231,7 +246,7 @@ def _split(m: int) -> int:
     return m // 2
 
 
-def _half_tables(values: np.ndarray, owners: np.ndarray, monotone: bool = False):
+def _half_tables(values: np.ndarray, owners: np.ndarray):
     """Pair tables of one half of the items for each owner row.
 
     ``values`` holds the half's item rows and ``owners`` the matching
@@ -239,8 +254,8 @@ def _half_tables(values: np.ndarray, owners: np.ndarray, monotone: bool = False)
     i's sum and minimum over the items agent j holds in this half, shaped
     (n, n - 1, rows) with j running over the agents other than i in order
     (minimum ``inf`` where j holds none), and agent i's base term, shaped
-    (n, rows): minus its own holdings or, with ``monotone``, plus what it
-    does not hold.  Items are summed one after another in item order.
+    (n, rows): minus its own holdings.  Items are summed one after another
+    in item order.
     """
     agents = np.arange(values.shape[1])
     others = agents[1:] - (agents[1:] <= agents[:, None])
@@ -249,21 +264,14 @@ def _half_tables(values: np.ndarray, owners: np.ndarray, monotone: bool = False)
     column = values[:, :, None, None]
     sums = np.where(held, column, 0.0).sum(axis=0)
     mins = np.where(held, column, np.inf).min(axis=0, initial=np.inf)
-    own = items == agents[None, :, None]
-    if monotone:
-        base = np.where(own, 0.0, values[:, :, None]).sum(axis=0)
-    else:
-        base = -np.where(own, values[:, :, None], 0.0).sum(axis=0)
+    base = -np.where(items == agents[None, :, None], values[:, :, None], 0.0).sum(axis=0)
     return sums, mins, base
 
 
-def _halves(inst: Instance, owners: np.ndarray, monotone: bool = False):
+def _halves(inst: Instance, owners: np.ndarray):
     """Prefix and suffix tables of each owner row."""
     p = _split(inst.m)
-    return (
-        _half_tables(inst.values[:p], owners[:, :p], monotone),
-        _half_tables(inst.values[p:], owners[:, p:], monotone),
-    )
+    return _half_tables(inst.values[:p], owners[:, :p]), _half_tables(inst.values[p:], owners[:, p:])
 
 
 def _envy_gaps(prefix, suffix) -> np.ndarray:
@@ -273,10 +281,9 @@ def _envy_gaps(prefix, suffix) -> np.ndarray:
     allocation axes.  An allocation's bundle sums are the prefix sums plus
     the suffix sums and its bundle minima the smaller of the two, so agent
     i's reduced value for j's bundle is their difference (zero for an
-    empty bundle).  The gap adds i's base term; gaps are shaped
-    (n, n - 1, ...) in row-major pair order, and positive gaps in the
-    plain form are EFX violations.  Every EFX slack and monotone objective
-    in the package is read from here.
+    empty bundle).  The gap subtracts i's own bundle value; gaps are
+    shaped (n, n - 1, ...) in row-major pair order, and positive gaps are
+    EFX violations.  Every EFX slack in the package is read from here.
     """
     gaps = prefix[0] + suffix[0]
     gaps -= np.minimum(prefix[1], suffix[1])

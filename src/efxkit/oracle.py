@@ -9,10 +9,12 @@ with them by broadcast, O(n^2) per allocation with no per-allocation
 decode.  The scan stays single-threaded and prefix-major,
 so results and witness order are deterministic.  A guard caps the search
 at 10^7 owner vectors; nothing in this package concludes "no EFX
-allocation exists" except this scan, run within the guard.  Both the EFX
-slack and the monotone envy objective are read from
-``instance._envy_gaps``, the kernel behind ``is_efx``, so the scan and the
-single-allocation check agree bit for bit by construction.
+allocation exists" except this scan, run within the guard.  The EFX
+slack is read from ``instance._envy_gaps``, the kernel behind ``is_efx``,
+so the scan and the single-allocation check agree bit for bit by
+construction.  The smallest worst-pair slack over the scan is the exact
+integral minimum of the existence objective: an EFX allocation exists
+exactly when it is nonpositive.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class OracleResult:
     witnesses: list  # first EFX allocations found, capped
     witness_count: int  # exact total over the whole scan
     allocations_scanned: int
+    min_slack: float  # smallest worst-pair EFX slack over the whole scan
 
 
 def _decode_owners(codes: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -61,7 +64,7 @@ def batch_efx_slack(inst: Instance, owners: np.ndarray) -> np.ndarray:
     return _worst_gap(_envy_gaps(*_halves(inst, np.asarray(owners, dtype=int))))
 
 
-def _scan(inst: Instance, guard: int, monotone: bool = False):
+def _scan(inst: Instance, guard: int):
     """Every owner vector in scan order, block by block, as (prefix owner
     rows, suffix owner rows, worst pair gap of each prefix row with each
     suffix row); raises before scanning past the guard.
@@ -87,14 +90,14 @@ def _scan(inst: Instance, guard: int, monotone: bool = False):
     suffix_owners = _decode_owners(np.arange(suffix_size), m - p, n)
     cached = None
     if suffix_size * pairs <= _TABLE_CAP:
-        cached = _half_tables(suffix_values, suffix_owners, monotone)
+        cached = _half_tables(suffix_values, suffix_owners)
     for start in range(0, n**p, prefix_step):
         owners = _decode_owners(np.arange(start, min(start + prefix_step, n**p)), p, n)
-        prefix = [table[..., None] for table in _half_tables(prefix_values, owners, monotone)]
+        prefix = [table[..., None] for table in _half_tables(prefix_values, owners)]
         for cut in range(0, suffix_size, suffix_step):
             rows = suffix_owners[cut : cut + suffix_step]
             if cached is None:
-                tables = _half_tables(suffix_values, rows, monotone)
+                tables = _half_tables(suffix_values, rows)
             else:
                 tables = [table[..., cut : cut + suffix_step] for table in cached]
             suffix = [table[..., None, :] for table in tables]
@@ -107,14 +110,17 @@ def enumerate_efx(
     tol: float = DEFAULT_EFX_TOL,
     guard: int = SCAN_GUARD,
 ) -> OracleResult:
-    """Scan every allocation; report existence, witnesses, and exact counts.
+    """Scan every allocation; report existence, witnesses, exact counts
+    and the smallest worst-pair slack.
 
     The witness list is truncated at ``cap`` but ``witness_count`` is always
     the exact number of EFX allocations over the full scan.
     """
     witnesses: list[Allocation] = []
     count = 0
+    min_slack = np.inf
     for prefix, suffix, slack in _scan(inst, guard):
+        min_slack = min(min_slack, slack.min())
         a, b = np.nonzero(slack <= tol)
         count += a.size
         keep = max(0, cap - len(witnesses))
@@ -124,23 +130,5 @@ def enumerate_efx(
         witnesses=witnesses,
         witness_count=count,
         allocations_scanned=inst.n**inst.m,
+        min_slack=float(min_slack),
     )
-
-
-def min_max_envy(inst: Instance, guard: int = SCAN_GUARD) -> tuple[float, Allocation]:
-    """Exact minimum of the monotone worst envy gap over all allocations.
-
-    The minimum is at most one exactly when an EFX allocation exists.  Ties
-    go to the earliest owner vector in scan order.
-    """
-    if not inst.normalized:
-        raise ValueError("the monotone envy objective requires a normalized instance")
-    best_value = np.inf
-    best_owner: np.ndarray | None = None
-    for prefix, suffix, objective in _scan(inst, guard, monotone=True):
-        a, b = np.unravel_index(np.argmin(objective), objective.shape)
-        if objective[a, b] < best_value:
-            best_value = float(objective[a, b])
-            best_owner = np.concatenate([prefix[a], suffix[b]])
-    assert best_owner is not None
-    return best_value, Allocation(best_owner)

@@ -5,18 +5,31 @@ masks all m items for its bundle sums and minima, which costs O(n^2 m)
 per allocation but reads straight off the definition.  The split-table
 scan in ``efxkit.oracle`` is checked against these loops: verdicts,
 counts and witness order exactly, slack and objective values to 1e-12.
+``min_max_envy``, the exact minimum of the monotone worst envy gap, is
+kept verbatim from before the package read that minimum off its one
+scan as ``OracleResult.min_slack``; its result type is the package's
+earlier four-field ``OracleResult``.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from efxkit.instance import DEFAULT_EFX_TOL, Allocation, Instance
-from efxkit.oracle import SCAN_GUARD, WITNESS_CAP, OracleGuardError, OracleResult
+from efxkit.oracle import SCAN_GUARD, WITNESS_CAP, OracleGuardError
 
 _CHUNK = 1 << 15
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    exists: bool
+    witnesses: list  # first EFX allocations found, capped
+    witness_count: int  # exact total over the whole scan
+    allocations_scanned: int
 
 
 def _pair_gaps(inst: Instance, owners: np.ndarray, monotone: bool = False):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efxkit import cli, fixedpoint
+from efxkit import cli, fixedpoint, oracle
 from efxkit.fixedpoint import SelfMapViolation
 
 I0_RAW = [[4.0, 1.0], [2.0, 1.0], [2.0, 2.0]]
@@ -273,7 +273,7 @@ def test_compare_runs_all_methods(tmp_path, capsys):
     oracle_row = doc["rows"][0]
     assert oracle_row["found_efx"] is True
     assert oracle_row["iterations"] == 8
-    assert oracle_row["objective"] == pytest.approx(-0.25)  # min-max envy minus one
+    assert oracle_row["objective"] == pytest.approx(-0.25)  # smallest EFX slack over the scan
     for row in doc["rows"]:
         assert row["error"] is None
         assert row["wall_time_s"] >= 0.0
@@ -283,6 +283,22 @@ def test_compare_runs_all_methods(tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     assert [r["method"] for r in rows] == methods
     assert rows[0]["found_efx"] == "True"
+
+
+def test_compare_scans_every_allocation_once(tmp_path, capsys, monkeypatch):
+    # The oracle row reads its verdict and its objective off one scan.
+    inst = _instance_file(tmp_path, I0_RAW)
+    scans = []
+    scan = oracle._scan
+
+    def counted_scan(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_scan", counted_scan)
+    code, doc = _run(capsys, ["compare", "--instance", inst])
+    assert code == 0 and doc["oracle_exists"] is True
+    assert len(scans) == 1
 
 
 def test_compare_is_deterministic_up_to_wall_time(tmp_path):
@@ -325,6 +341,37 @@ def test_extension_eval_rejects_non_finite_scores(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "y[0][1] is not a finite number" in captured.err
+
+
+def test_integer_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text('{"m": 1, "n": 2, "values": [[1, 1' + "0" * 400 + "]]}")
+    assert cli.main(["oracle", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "values[0][1] is beyond the float range" in captured.err
+
+
+@pytest.mark.parametrize("entry", [{"a": 1.0}, "1", True, 10**400], ids=["object", "string", "bool", "huge-int"])
+def test_score_and_point_entries_must_be_finite_numbers(tmp_path, capsys, entry):
+    # Each document would be valid with the number 1 in place of ``entry``.
+    inst = _instance_file(tmp_path, I0_NORM)
+    docs = {"y": [[entry, -5.0], [-5.0, 0.0], [-5.0, 0.0]], "x": [[entry, 0.0], [0.0, 1.0], [0.0, 1.0]]}
+    for key, rows in docs.items():
+        path = _write_doc(tmp_path / f"{key}.json", {key: rows})
+        assert cli.main(["extension", "eval", "--instance", inst, f"--{key}", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {key}[0][0] is" in captured.err
+
+
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys):
+    inst = _instance_file(tmp_path, I0_RAW)
+    assert cli.main(["oracle", "--instance", inst, "--output", str(tmp_path)]) == 2
+    assert cli.main(["compare", "--instance", inst, "--csv", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 2
 
 
 def test_non_finite_output_exits_three(tmp_path, capsys, monkeypatch):

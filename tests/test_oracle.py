@@ -13,7 +13,6 @@ from efxkit import (
     efx_slack,
     enumerate_efx,
     make_instance,
-    min_max_envy,
     normalize,
 )
 from reference_setfun import max_envy_gap
@@ -53,8 +52,6 @@ def test_guard_rejects_oversized_scan():
     inst = random_instance(0, 4, 3)
     with pytest.raises(OracleGuardError):
         enumerate_efx(inst, guard=50)
-    with pytest.raises(OracleGuardError):
-        min_max_envy(normalize(inst), guard=50)
 
 
 def test_batch_slack_matches_scalar_exactly():
@@ -77,23 +74,17 @@ def test_scan_order_is_mixed_radix():
     assert [w.owner.tolist() for w in res.witnesses] == expected
 
 
-def test_min_max_envy_frozen(i0_norm):
-    value, best = min_max_envy(i0_norm)
+def test_min_slack_frozen(i0_norm):
+    # one plus the smallest slack is the smallest monotone worst envy gap
+    value = enumerate_efx(i0_norm).min_slack + 1.0
     assert value == pytest.approx(0.75)
-    assert max_envy_gap(i0_norm, best) == pytest.approx(value)
-    # the split ({item 1}, {items 2, 3}) ties for the same minimum
+    # the split ({item 1}, {items 2, 3}) attains it
     assert max_envy_gap(i0_norm, Allocation(np.array([0, 1, 1]))) == pytest.approx(0.75)
 
 
-def test_min_max_envy_requires_normalized(i0_raw):
-    with pytest.raises(ValueError):
-        min_max_envy(i0_raw)
-
-
-def test_min_max_envy_threshold_matches_existence():
+def test_min_slack_threshold_matches_existence():
     for seed in range(30):
         n = 2 + seed % 2
         m = 2 + seed % 3
-        inst = normalize(random_instance(seed, m, n))
-        value, _ = min_max_envy(inst)
-        assert (value <= 1.0 + 1e-9) == enumerate_efx(inst).exists
+        result = enumerate_efx(normalize(random_instance(seed, m, n)))
+        assert (result.min_slack + 1.0 <= 1.0 + 1e-9) == result.exists

@@ -14,11 +14,10 @@ from efxkit import (
     generate_instance,
     is_efx,
     make_instance,
-    min_max_envy,
     normalize,
 )
 from efxkit import oracle
-from efxkit.instance import _envy_gaps, _halves
+from efxkit.instance import DEFAULT_EFX_TOL
 
 CAPS = (0, 1, 64)
 # Every m in 1..9 and every n in 2..5, up to 6561 owner vectors per scan.
@@ -48,6 +47,7 @@ def _owners(result):
 def test_scan_matches_reference(m, n):
     rng = np.random.default_rng(100 * m + n)
     for kind, inst in _kinds(m, n, seed=10 * m + n):
+        want_min = min(worst.min() for _, worst in ref._scan(inst, oracle.SCAN_GUARD))
         for cap in CAPS:
             got = enumerate_efx(inst, cap=cap)
             want = ref.enumerate_efx(inst, cap=cap)
@@ -55,6 +55,8 @@ def test_scan_matches_reference(m, n):
             assert got.witness_count == want.witness_count, (kind, cap)
             assert got.allocations_scanned == want.allocations_scanned
             assert _owners(got) == _owners(want), (kind, cap)
+            assert (got.min_slack <= DEFAULT_EFX_TOL) == got.exists, (kind, cap)
+            assert got.min_slack == pytest.approx(want_min, rel=0.0, abs=1e-12), (kind, cap)
         owners = rng.integers(0, n, size=(64, m))
         assert np.allclose(batch_efx_slack(inst, owners), ref.batch_efx_slack(inst, owners), rtol=0.0, atol=1e-12)
         for row in owners[:8]:
@@ -66,16 +68,14 @@ def test_scan_matches_reference(m, n):
         if np.any(inst.values.sum(axis=0) == 0.0):
             continue  # the monotone objective needs every column normalized
         norm = normalize(inst)
-        value, best = min_max_envy(norm)
         want_value, _ = ref.min_max_envy(norm)
+        value = enumerate_efx(norm, cap=0).min_slack + 1.0
         assert value == pytest.approx(want_value, rel=0.0, abs=1e-12), kind
-        best_value = ref._worst_gap(norm, best.owner[None, :], monotone=True)[0]
-        assert best_value == pytest.approx(want_value, rel=0.0, abs=1e-12), kind
 
 
-def _scanned(inst, monotone=False):
+def _scanned(inst):
     """(owner row, worst gap) of every allocation, in scan order."""
-    for prefix, suffix, worst in oracle._scan(inst, oracle.SCAN_GUARD, monotone):
+    for prefix, suffix, worst in oracle._scan(inst, oracle.SCAN_GUARD):
         for a, row in enumerate(prefix):
             for b, rest in enumerate(suffix):
                 yield np.concatenate([row, rest]), worst[a, b]
@@ -90,20 +90,13 @@ def _identity_instances():
 
 def test_scan_slack_is_efx_slack_bit_for_bit():
     for inst in _identity_instances():
-        scanned = 0
+        slacks = []
         for owner, worst in _scanned(inst):
-            assert worst == efx_slack(inst, Allocation(owner))
-            scanned += 1
-        assert scanned == inst.n**inst.m
-
-
-def test_min_max_envy_is_its_best_allocations_readout():
-    for inst in _identity_instances():
-        norm = normalize(inst)
-        value, best = min_max_envy(norm)
-        readout = oracle._worst_gap(_envy_gaps(*_halves(norm, best.owner[None, :], monotone=True)))
-        assert value == readout[0]
-        assert value == min(worst for _, worst in _scanned(norm, monotone=True))
+            slacks.append(efx_slack(inst, Allocation(owner)))
+            assert worst == slacks[-1]
+        assert len(slacks) == inst.n**inst.m
+        # the oracle's minimum is the smallest of them, bit for bit
+        assert enumerate_efx(inst, cap=0).min_slack == min(slacks)
 
 
 @pytest.mark.parametrize("block, table_cap", [(1, 0), (7, 0), (7, 1 << 20), (50, 40)])
@@ -112,15 +105,13 @@ def test_block_sizes_leave_results_unchanged(monkeypatch, block, table_cap):
     # rebuilds the suffix tables for every block instead of slicing them.
     instances = [random_instance(3, 5, 3), generate_instance(6, 2, "integer", 4, kmax=1)]
     instances.append(generate_instance(4, 4, "identical", 5))
-    expected = [(enumerate_efx(inst, cap=64), min_max_envy(normalize(inst))) for inst in instances]
+    expected = [enumerate_efx(inst, cap=64) for inst in instances]
     monkeypatch.setattr(oracle, "_BLOCK", block)
     monkeypatch.setattr(oracle, "_TABLE_CAP", table_cap)
-    for inst, (scan, (value, best)) in zip(instances, expected):
+    for inst, scan in zip(instances, expected):
         got = enumerate_efx(inst, cap=64)
         assert (got.witness_count, _owners(got)) == (scan.witness_count, _owners(scan))
-        got_value, got_best = min_max_envy(normalize(inst))
-        assert got_value == value
-        assert got_best.owner.tolist() == best.owner.tolist()
+        assert got.min_slack == scan.min_slack
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -136,7 +127,6 @@ def test_single_item_with_empty_prefix(n):
     result = enumerate_efx(inst)
     assert (result.exists, result.witness_count) == (True, n)
     assert _owners(result) == [[agent] for agent in range(n)]
-    value, best = min_max_envy(normalize(inst))
-    want_value, want_best = ref.min_max_envy(normalize(inst))
-    assert value == pytest.approx(want_value, rel=0.0, abs=1e-12)
-    assert best.owner.tolist() == want_best.owner.tolist()
+    assert result.min_slack == 0.0
+    want_value, _ = ref.min_max_envy(normalize(inst))
+    assert enumerate_efx(normalize(inst)).min_slack + 1.0 == pytest.approx(want_value, rel=0.0, abs=1e-12)
