@@ -99,6 +99,20 @@ def test_scan_slack_is_efx_slack_bit_for_bit():
         assert enumerate_efx(inst, cap=0).min_slack == min(slacks)
 
 
+def test_min_max_envy_is_its_best_allocations_readout():
+    # The reference min_max_envy is the monotone (gap + 1) form of the
+    # oracle's min_slack; both are the readout of an allocation they scan.
+    for inst in _identity_instances():
+        norm = normalize(inst)
+        value, best = ref.min_max_envy(norm)
+        assert value == ref._worst_gap(norm, best.owner[None, :], monotone=True)[0]
+        min_slack = enumerate_efx(norm, cap=0).min_slack
+        assert min_slack + 1.0 == pytest.approx(value, rel=0.0, abs=1e-12)
+        owner, worst = min(_scanned(norm), key=lambda item: item[1])
+        assert min_slack == worst == efx_slack(norm, Allocation(owner))
+        assert efx_slack(norm, best) == pytest.approx(min_slack, rel=0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("block, table_cap", [(1, 0), (7, 0), (7, 1 << 20), (50, 40)])
 def test_block_sizes_leave_results_unchanged(monkeypatch, block, table_cap):
     # Small blocks split the suffix rows into slices; a zero table cap
