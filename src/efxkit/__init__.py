@@ -8,9 +8,10 @@ iterations, plus instance and allocation documents shared by all of them.
 
 from .dc import DCAResult, DescentLP, InternalCheckError, build_lp, dca_solve, solve_lp
 from .extension import (
+    box_radius,
     dc_objective,
-    default_box_bound,
     encode_allocation,
+    extract_allocation,
     rounding_bound,
     rowwise_round,
     rowwise_round_many,
@@ -22,7 +23,6 @@ from .fixedpoint import (
     SelfMapViolation,
     clamp_map,
     constraint_slacks,
-    extract_allocation,
     picard_iterate,
     rowmax_clamp_map,
     smooth_clamp_map,

@@ -43,7 +43,6 @@ from .instance import (
     load_allocation,
     load_instance,
     normalize,
-    total_mass,
 )
 
 SCHEMA_VERSION = 1
@@ -122,6 +121,13 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _damping(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a damping factor in (0, 1], got {text!r}")
     return value
 
 
@@ -225,18 +231,14 @@ def cmd_extension(args) -> int:
     return 0
 
 
-def _box_bound(inst: Instance, m_const: float | None) -> float:
-    """The solvers' default box radius, or ``m_const`` once it is finite and
-    strictly above twice the total mass, as faithful encodings need."""
-    if m_const is None:
-        return extension.default_box_bound(inst)
-    with np.errstate(over="ignore"):
-        twice_mass = 2.0 * total_mass(inst).total
-    if not twice_mass < m_const < np.inf:
-        raise InstanceFormatError(
-            f"--m-const {m_const!r} must be finite and strictly above twice the total mass ({twice_mass!r})"
-        )
-    return m_const
+def _box_radius(inst: Instance, m_const: float | None) -> float:
+    """``extension.box_radius``, naming ``--m-const`` when it is rejected."""
+    try:
+        return extension.box_radius(inst, m_const)
+    except ValueError as exc:
+        if m_const is None:
+            raise
+        raise ValueError(f"--m-const: {exc}") from None
 
 
 def _random_starts(inst: Instance, seed: int, count: int, box: float) -> list[np.ndarray]:
@@ -248,7 +250,7 @@ def _random_starts(inst: Instance, seed: int, count: int, box: float) -> list[np
 
 def cmd_dca(args) -> int:
     inst = load_instance(args.instance)
-    box = _box_bound(inst, args.m_const)
+    box = _box_radius(inst, args.m_const)
     # Every start's LPs share their rows and bounds, so phase 1 runs once.
     lp = dc.build_lp(inst, box)
     # Start 0 is the greedy encoding, the others are random starts.
@@ -313,7 +315,7 @@ def _fixedpoint_rank(run: fixedpoint.FixedPointReport) -> tuple:
 
 def cmd_fixedpoint(args) -> int:
     inst = load_instance(args.instance)
-    box = _box_bound(inst, args.m_const)
+    box = _box_radius(inst, args.m_const)
     runs = _fixedpoint_runs(
         inst, args.starts, args.seed, box, map_name=args.map, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters
     )
@@ -387,7 +389,7 @@ def cmd_compare(args) -> int:
         return result.efx, result.objective, result.iterations
 
     def run_fixedpoint():
-        box = extension.default_box_bound(inst)
+        box = extension.box_radius(inst)
         runs = _fixedpoint_runs(
             inst, 8, args.seed, box, map_name="Ttilde", alpha=0.5, tol=1e-8, max_iters=1000, efx_tol=args.tol
         )
@@ -502,7 +504,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fixedpoint", help="damped Picard iteration of a clamp map")
     p.add_argument("--instance", required=True)
     p.add_argument("--map", choices=sorted(fixedpoint.MAPS), default="Ttilde")
-    p.add_argument("--alpha", type=float, default=fixedpoint.DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=_damping, default=fixedpoint.DEFAULT_ALPHA)
     p.add_argument("--tol", type=_finite_float, default=fixedpoint.RESIDUAL_TOL)
     p.add_argument(
         "--max-iters", type=_positive_int, default=fixedpoint.DEFAULT_MAX_ITERS, help="Picard steps per start, at least 1"

@@ -6,7 +6,8 @@ descent step linearizes the subtracted term at the current scores through
 one row-max selection per item, and the resulting convex subproblem is a
 small LP: an epigraph variable for the max-term, one auxiliary variable
 per item and agent pair for the shifted row maxima, and box bounds that
-keep every iterate inside the region where encoded allocations live.
+keep every iterate inside the score box [-M, 0] where encoded allocations
+live, its radius picked and checked by ``extension.box_radius``.
 Only the objective depends on the current scores: the LP's feasible
 region depends on the instance and the box alone.  So ``build_lp`` builds
 the dense rows and bounds once per instance and box and runs phase 1 of
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simplex
-from .extension import dc_objective, default_box_bound, encode_allocation
+from .extension import _require_box, box_radius, dc_objective, encode_allocation, extract_allocation, greedy_allocation
 from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
 
 DCA_STEP_TOL = 1e-8
@@ -85,17 +86,16 @@ class LPSolution:
 
 
 def build_lp(inst: Instance, m_const: float | None = None) -> DescentLP:
-    """Build the descent LP's rows and bounds for box radius ``m_const``
-    (the default box bound when None).
+    """Build the descent LP's rows and bounds for the box radius
+    ``box_radius(inst, m_const)``.
 
     Rows run over family 1 by (pair, item), then over (pair, item) blocks
     of the other families: the pair's envious agent i (family 2), its
     envied agent j (family 3), then the bystanders in index order.
     """
     m, n = inst.m, inst.n
-    if m_const is None:
-        m_const = default_box_bound(inst)
-    mass = total_mass(inst).total
+    m_const = box_radius(inst, m_const)
+    mass = total_mass(inst)
     vmax = float(inst.values.max())
     order = np.array([[i, j, *(r for r in range(n) if r not in (i, j))] for i in range(n) for j in range(n) if i != j])
     n_pairs = len(order)
@@ -160,11 +160,6 @@ def solve_lp(lp: DescentLP, selection: np.ndarray) -> LPSolution:
     return LPSolution("optimal", y, z, w, float(objective @ point), result.pivots)
 
 
-def greedy_allocation(inst: Instance) -> Allocation:
-    """Give each item to the agent valuing it most, ties to the smaller index."""
-    return Allocation(np.argmax(inst.values, axis=1))
-
-
 @dataclass
 class DCAResult:
     y: np.ndarray
@@ -188,7 +183,8 @@ def dca_solve(
     """Iterated linearize-and-solve descent from a score matrix.
 
     Works on ``lp.inst`` in the box of ``lp.m_const``.  Starts at the
-    encoding of the greedy allocation unless ``y0`` is given, linearizes the
+    encoding of the greedy allocation unless ``y0`` is given, which must be
+    an items-by-agents matrix inside the box; linearizes the
     row-max term through each item's current argmax (ties to the smallest
     agent), solves the LP from ``lp.phase_one``, which descents from many
     starts may share, and stops once the iterate moves by at most ``delta``
@@ -199,13 +195,8 @@ def dca_solve(
     """
     inst, m_const = lp.inst, lp.m_const
     if y0 is None:
-        y = encode_allocation(inst, greedy_allocation(inst), m_const)
-    else:
-        y = np.array(y0, dtype=float)
-        if y.shape != (inst.m, inst.n):
-            raise ValueError("y0 must be an items-by-agents matrix")
-        if y.min() < -m_const or y.max() > 0.0:
-            raise ValueError("y0 must lie in the score box")
+        y0 = encode_allocation(inst, greedy_allocation(inst), m_const)
+    y = np.array(_require_box(inst, y0, m_const))
 
     trace: list[dict] = []
     previous_objective = np.inf
@@ -244,7 +235,7 @@ def dca_solve(
             converged = True
             break
 
-    allocation = Allocation(np.argmax(y, axis=1))
+    allocation = extract_allocation(y)
     report = is_efx(inst, allocation, efx_tol)
     objective = trace[-1]["objective"] if trace else dc_objective(inst, y)
     return DCAResult(

@@ -9,10 +9,12 @@ score matrices: a difference of two convex max-terms whose infimum is
 nonpositive exactly when an EFX allocation exists.  Integral allocations
 embed as score matrices with zeros at owner coordinates and a large
 negative constant elsewhere, where the objective reproduces the exact EFX
-slack.  The objective's max-term and the fixed-point transfer gain are both
-read from one kernel, ``_shifted_rowmax``, which builds every agent pair's
-shifted row maxima at once; ``rounding_bound`` evaluates every pair's
-three-term log-sum-exp factors in one stacked pass.
+slack.  That score box lives here: ``box_radius``, ``_require_box``, and
+the encoding, greedy start and row-argmax extraction.  The objective's
+max-term and the fixed-point transfer gain are both read from one kernel,
+``_shifted_rowmax``, which builds every agent pair's shifted row maxima at
+once; ``rounding_bound`` evaluates every pair's three-term log-sum-exp
+factors in one stacked pass.
 """
 
 from __future__ import annotations
@@ -22,20 +24,6 @@ import numpy as np
 from .instance import Allocation, Instance, total_mass
 
 DEFAULT_LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
-
-
-def default_box_bound(inst: Instance) -> float:
-    """Box radius for score matrices: one more than twice the total mass.
-
-    Any strict bound above twice the total mass keeps encoded allocations
-    faithful; this default is shared by the DC and fixed-point solvers.
-    Raises ``ValueError`` when the radius overflows the float range.
-    """
-    with np.errstate(over="ignore"):
-        bound = 2.0 * total_mass(inst).total + 1.0
-    if not np.isfinite(bound):
-        raise ValueError("twice the total mass plus one overflows the float range; rescale the values")
-    return bound
 
 
 def rowwise_round(x: np.ndarray, seed: int) -> Allocation:
@@ -190,19 +178,56 @@ def dc_objective(inst: Instance, y: np.ndarray) -> float:
     return convex_part(inst, y) - rowmax_sum(y)
 
 
+def box_radius(inst: Instance, m_const: float | None = None) -> float:
+    """Radius M of the score box [-M, 0]^(m x n) of the DC and fixed-point solvers.
+
+    Encodings are faithful only when M is finite and strictly above twice
+    the total mass.  Returns ``m_const`` once it is, one more than twice
+    the mass when it is None, and raises ``ValueError`` otherwise or when
+    that default overflows the float range.
+    """
+    with np.errstate(over="ignore"):
+        twice = 2.0 * total_mass(inst)
+    if m_const is None:
+        m_const = twice + 1.0
+        if not np.isfinite(m_const):
+            raise ValueError("twice the total mass plus one overflows the float range; rescale the values")
+    elif not twice < m_const < np.inf:
+        raise ValueError(f"box radius {m_const!r} must be finite and strictly above twice the total mass ({twice!r})")
+    return m_const
+
+
+def _require_box(inst: Instance, y: np.ndarray, m_const: float | None) -> np.ndarray:
+    """``y`` as a float items-by-agents matrix, in the box [-m_const, 0]
+    unless ``m_const`` is None (a NaN score lies in no box)."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (inst.m, inst.n):
+        raise ValueError(f"scores must be an items-by-agents matrix of shape {(inst.m, inst.n)}, got {y.shape}")
+    if m_const is not None and not (y.max(initial=-np.inf) <= 0.0 and y.min(initial=0.0) >= -m_const):
+        raise ValueError("scores must lie in the box [-M, 0]")
+    return y
+
+
 def encode_allocation(inst: Instance, alloc: Allocation, m_const: float | None = None) -> np.ndarray:
     """Score matrix of an allocation: zero at owner coordinates, -M elsewhere.
 
-    M must strictly exceed twice the total mass so that the objective at
-    the encoding equals the allocation's exact EFX slack.
+    M is ``box_radius(inst, m_const)``, strictly above twice the total mass,
+    so that the objective at the encoding equals the allocation's exact EFX
+    slack.
     """
-    if m_const is None:
-        m_const = default_box_bound(inst)
-    if m_const <= 2.0 * total_mass(inst).total:
-        raise ValueError("box radius must strictly exceed twice the total mass")
-    y = np.full((inst.m, inst.n), -m_const)
+    y = np.full((inst.m, inst.n), -box_radius(inst, m_const))
     y[np.arange(inst.m), alloc.owner] = 0.0
     return y
+
+
+def greedy_allocation(inst: Instance) -> Allocation:
+    """Give each item to the agent valuing it most, ties to the smaller index."""
+    return extract_allocation(inst.values)
+
+
+def extract_allocation(y: np.ndarray) -> Allocation:
+    """Row argmax extraction, ties to the smallest agent index."""
+    return Allocation(np.argmax(np.asarray(y, dtype=float), axis=1))
 
 
 def softmax_limit_gaps(inst: Instance, y: np.ndarray, lams=DEFAULT_LAMBDAS) -> list[float]:

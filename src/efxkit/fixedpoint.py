@@ -6,14 +6,14 @@ its row maximum minus the transfer gain, the worst aggregate rise in other
 rows' maxima caused by shifting a rival agent's per-item value onto the
 coordinate's column.  Clamping scores at that bound gives a map whose
 fixed points are precisely the feasible matrices.  Two variants restrict
-attention to the box of nonpositive scores: a discrete one that only
-clamps rows whose maximum sits at zero, and a smooth one that weights the
-clamp by the exponential of the row maximum and maps the box into itself,
-so a fixed point is guaranteed to exist.  Damped Picard iteration hunts
-for one; convergence is not guaranteed and is always reported rather than
-assumed.  The transfer gain is a readout of the shifted row maxima from
-``extension._shifted_rowmax``, the same kernel behind the existence
-objective.
+attention to the score box [-M, 0] of ``extension.box_radius``: a
+discrete one that only clamps rows whose maximum sits at zero, and a
+smooth one that weights the clamp by the exponential of the row maximum
+and maps the box into itself, so a fixed point is guaranteed to exist.
+Damped Picard iteration hunts for one; convergence is not guaranteed and
+is always reported rather than assumed.  The transfer gain is a readout of
+the shifted row maxima from ``extension._shifted_rowmax``, the same kernel
+behind the existence objective.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import _shifted_rowmax, default_box_bound
+from .extension import _require_box, _shifted_rowmax, box_radius, encode_allocation
+from .extension import extract_allocation, greedy_allocation
 from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
 
 RESIDUAL_TOL = 1e-8
@@ -83,20 +84,12 @@ def clamp_map(inst: Instance, y: np.ndarray) -> np.ndarray:
     return np.minimum(y, h[:, None] - transfer_gain(inst, y))
 
 
-def _require_box(y: np.ndarray, m_const: float) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.max(initial=-np.inf) > 0.0 or y.min(initial=0.0) < -m_const:
-        raise ValueError("scores must lie in the box [-M, 0]")
-    return y
-
-
 def rowmax_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None) -> np.ndarray:
     """Box variant that raises each row's maximum to zero and clamps by the
     negated transfer gain only on rows whose maximum already sits at zero
     (exact test).  Maps the box into itself whenever M covers the mass."""
-    if m_const is None:
-        m_const = default_box_bound(inst)
-    y = _require_box(y, m_const)
+    m_const = box_radius(inst) if m_const is None else m_const
+    y = _require_box(inst, y, m_const)
     h = y.max(axis=1)
     first = y - h[:, None]
     second = np.where((h == 0.0)[:, None], -transfer_gain(inst, y), 0.0)
@@ -110,9 +103,8 @@ def smooth_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None
     exists; an image coordinate outside the box is an invariant failure
     and raises rather than being clamped away.
     """
-    if m_const is None:
-        m_const = default_box_bound(inst)
-    y = _require_box(y, m_const)
+    m_const = box_radius(inst) if m_const is None else m_const
+    y = _require_box(inst, y, m_const)
     h = y.max(axis=1)
     first = y - h[:, None]
     second = -transfer_gain(inst, y) * np.exp(h)[:, None]
@@ -128,11 +120,6 @@ def smooth_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None
 MAPS = {"T": clamp_map, "Tprime": rowmax_clamp_map, "Ttilde": smooth_clamp_map}
 
 
-def extract_allocation(y: np.ndarray) -> Allocation:
-    """Row argmax extraction, ties to the smallest agent index."""
-    return Allocation(np.argmax(np.asarray(y, dtype=float), axis=1))
-
-
 def stuck_row_diagnostics(inst: Instance, y: np.ndarray, tol: float = DIAG_TOL) -> list[dict]:
     """Evidence rows for fixed points whose maxima stay below zero.
 
@@ -140,23 +127,25 @@ def stuck_row_diagnostics(inst: Instance, y: np.ndarray, tol: float = DIAG_TOL) 
     to satisfy a rigid system: exp(-h_k) equal to the negated transfer gain
     over the score, for every agent of that row, with |h_k| capped by
     log(1 + total mass).  Each returned entry records how far row k is
-    from that system; coordinates too close to zero are flagged instead of
-    divided by.
+    from that system.  An entry is flagged ``"skipped"`` instead when its
+    coordinate is too close to zero to divide by, or when its residual is
+    beyond the float range (exp(-h_k) overflows on rows far below zero).
     """
     y = np.asarray(y, dtype=float)
     h = y.max(axis=1)
     gain = transfer_gain(inst, y)
-    mass = total_mass(inst).total
-    log_bound = float(np.log1p(mass))
+    log_bound = float(np.log1p(total_mass(inst)))
     rows = []
     for k in np.flatnonzero(h < -tol):
-        entries = []
-        for j in range(inst.n):
-            if y[k, j] >= -tol:
-                entries.append({"agent": int(j), "skipped": True})
-            else:
-                residual = abs(float(np.exp(-h[k]) + gain[k, j] / y[k, j]))
-                entries.append({"agent": int(j), "skipped": False, "residual": residual})
+        usable = y[k] < -tol
+        with np.errstate(over="ignore"):
+            residuals = np.abs(np.exp(-h[k]) + gain[k] / np.where(usable, y[k], -1.0))
+        entries = [
+            {"agent": j, "skipped": False, "residual": float(residuals[j])}
+            if usable[j] and np.isfinite(residuals[j])
+            else {"agent": j, "skipped": True}
+            for j in range(inst.n)
+        ]
         rows.append(
             {
                 "item": int(k),
@@ -196,35 +185,33 @@ def picard_iterate(
 ) -> FixedPointReport:
     """Damped Picard iteration of one of the clamp maps.
 
-    Stops when the undamped residual (max-norm distance between the point
-    and its image) drops to ``tol``; otherwise reports the best iterate
-    seen.  The constraint slack and the EFX verdict of the row-argmax
-    extraction are always checked independently of convergence, and rows
-    stuck below zero are reported as diagnostics.
+    Works in the box of radius ``box_radius(inst, m_const)``.  Starts at
+    the greedy allocation's encoding unless ``y0`` is given, which must be
+    an items-by-agents matrix, inside the box for the boxed maps.  Stops
+    when the undamped residual (max-norm distance between the point and
+    its image) drops to ``tol``; otherwise reports the best iterate seen.
+    The constraint slack and the EFX verdict of the row-argmax extraction
+    are always checked independently of convergence, and rows stuck below
+    zero are reported as diagnostics.
     """
     if map_name not in MAPS:
         raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAPS)}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("damping factor must be in (0, 1]")
-    if m_const is None:
-        m_const = default_box_bound(inst)
+    m_const = box_radius(inst, m_const)
     if y0 is None:
-        y0 = np.full((inst.m, inst.n), -m_const)
-        y0[np.arange(inst.m), np.argmax(inst.values, axis=1)] = 0.0
-    y = np.array(y0, dtype=float)
+        y0 = encode_allocation(inst, greedy_allocation(inst), m_const)
     boxed = map_name in ("Tprime", "Ttilde")
-    apply_map = (
-        (lambda point: MAPS[map_name](inst, point, m_const))
-        if boxed
-        else (lambda point: MAPS[map_name](inst, point))
-    )
+    # Map T is unboxed: it takes no radius, and only the shape of its start is checked.
+    radius = (m_const,) if boxed else ()
+    y = np.array(_require_box(inst, y0, m_const if boxed else None))
 
     best_residual = np.inf
     best_y = y.copy()
     converged = False
     iterations = 0
     for _ in range(max_iters + 1):
-        image = apply_map(y)
+        image = MAPS[map_name](inst, y, *radius)
         residual = float(np.abs(image - y).max())
         if residual < best_residual:
             best_residual = residual

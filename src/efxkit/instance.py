@@ -107,14 +107,6 @@ class Allocation:
 
 
 @dataclass(frozen=True)
-class TotalMass:
-    """Per-agent value totals and their grand total."""
-
-    per_agent: np.ndarray
-    total: float
-
-
-@dataclass(frozen=True)
 class EfxReport:
     """Outcome of the EFX check with one entry per violated ordered pair."""
 
@@ -133,7 +125,7 @@ def make_instance(values, normalized: bool = False) -> Instance:
 def load_instance(source) -> Instance:
     """Build an Instance from a document.
 
-    ``source`` may be a parsed dict, a path to a JSON file, or a JSON string.
+    ``source`` may be a parsed dict or the path to a JSON file.
     The document must carry exactly the keys ``m``, ``n`` and ``values``,
     with ``values`` a row-major list of m item rows of n entries each.
     """
@@ -142,7 +134,7 @@ def load_instance(source) -> Instance:
         if key not in doc:
             raise InstanceFormatError(f"instance document is missing the {key!r} key")
     m, n = doc["m"], doc["n"]
-    if not isinstance(m, int) or not isinstance(n, int):
+    if any(not isinstance(size, int) or isinstance(size, bool) for size in (m, n)):
         raise InstanceFormatError("m and n must be integers")
     return Instance(_read_matrix(doc["values"], m, n, "values"))
 
@@ -215,9 +207,9 @@ def _read_document(source, kind: str) -> dict:
     raise InstanceFormatError(f"unsupported {kind} source {type(source).__name__}")
 
 
-def total_mass(inst: Instance) -> TotalMass:
-    per_agent = inst.values.sum(axis=0)
-    return TotalMass(per_agent=per_agent, total=float(per_agent.sum()))
+def total_mass(inst: Instance) -> float:
+    """Sum of every agent's total value: the column sums, then their sum."""
+    return float(inst.values.sum(axis=0).sum())
 
 
 def normalize(inst: Instance) -> Instance:

@@ -26,7 +26,7 @@ from efxkit.dc import (
     LPSolution,
     greedy_allocation,
 )
-from efxkit.extension import dc_objective, default_box_bound, encode_allocation
+from efxkit.extension import box_radius, dc_objective, encode_allocation
 from efxkit.instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
 from efxkit.simplex import (
     DANTZIG_PIVOTS_PER_DIM,
@@ -144,8 +144,8 @@ def build_lp(inst: Instance, selection: np.ndarray, m_const: float | None = None
     if selection.shape != (m,) or selection.min() < 0 or selection.max() >= n:
         raise ValueError("selection must pick one agent per item")
     if m_const is None:
-        m_const = default_box_bound(inst)
-    mass = total_mass(inst).total
+        m_const = box_radius(inst)
+    mass = total_mass(inst)
     vmax = float(values.max())
     pairs = tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
@@ -250,7 +250,7 @@ def dca_solve(
     final scores and its EFX verdict is checked independently.
     """
     if m_const is None:
-        m_const = default_box_bound(inst)
+        m_const = box_radius(inst)
     if y0 is None:
         y = encode_allocation(inst, greedy_allocation(inst), m_const)
     else:

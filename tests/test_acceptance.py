@@ -19,11 +19,11 @@ from conftest import random_instance, random_polytope_point
 from efxkit import (
     Allocation,
     batch_efx_slack,
+    box_radius,
     build_lp,
     clamp_map,
     dc_objective,
     dca_solve,
-    default_box_bound,
     encode_allocation,
     enumerate_efx,
     envy_gap_extension,
@@ -278,7 +278,7 @@ def box_sweep():
     for idx, (n, m) in enumerate(shapes):
         inst = normalize(random_instance(idx, m, n))
         mass = float(inst.values.sum())
-        box = default_box_bound(inst)
+        box = box_radius(inst)
         rng = np.random.default_rng(5000 + idx)
         for _ in range(10**4):
             y = rng.uniform(-box, 0.0, size=(m, n))
@@ -328,7 +328,7 @@ def test_10_descent_monotone_and_sound(capsys):
         m = 4 + seed % 3
         inst = normalize(random_instance(seed + 200, m, n))
         rng = np.random.default_rng(seed + 4000)
-        y0 = rng.uniform(-default_box_bound(inst), 0.0, size=(m, n))
+        y0 = rng.uniform(-box_radius(inst), 0.0, size=(m, n))
         result = dca_solve(build_lp(inst), y0=y0)
         objectives = [entry["objective"] for entry in result.trace]
         if any(b > a + 1e-9 for a, b in zip(objectives, objectives[1:])):
@@ -367,7 +367,7 @@ def test_11_converged_fixed_points_meet_constraints(capsys):
             skipped += 1
             continue
         rng = np.random.default_rng(seed + 6000)
-        y0 = rng.uniform(-default_box_bound(inst), 0.0, size=(m, n))
+        y0 = rng.uniform(-box_radius(inst), 0.0, size=(m, n))
         report = picard_iterate(inst, "Ttilde", y0=y0)
         if not report.converged:
             continue

@@ -352,6 +352,16 @@ def test_integer_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
     assert "values[0][1] is beyond the float range" in captured.err
 
 
+@pytest.mark.parametrize("key", ["m", "n"])
+def test_boolean_instance_size_is_an_input_error(tmp_path, capsys, key):
+    doc = {"m": 1, "n": 2, "values": [[1.0, 2.0]], key: True}
+    path = _write_doc(tmp_path / "instance.json", doc)
+    assert cli.main(["oracle", "--instance", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m and n must be integers" in captured.err
+
+
 @pytest.mark.parametrize("entry", [{"a": 1.0}, "1", True, 10**400], ids=["object", "string", "bool", "huge-int"])
 def test_score_and_point_entries_must_be_finite_numbers(tmp_path, capsys, entry):
     # Each document would be valid with the number 1 in place of ``entry``.
@@ -438,6 +448,29 @@ def test_m_const_must_be_finite_and_exceed_twice_the_total_mass(tmp_path, capsys
         code, doc = _run(capsys, [command, "--instance", inst, "--starts", "1", "--m-const", "24.5"])
         assert code == 0
         assert doc["config"]["m_const"] == 24.5
+
+
+@pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "nan", "inf"])
+def test_fixedpoint_alpha_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, alpha):
+    inst = _instance_file(tmp_path, I0_NORM)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["fixedpoint", "--instance", inst, "--alpha", alpha])
+    assert excinfo.value.code == 1
+    assert "damping factor in (0, 1]" in capsys.readouterr().err
+
+
+def test_fixedpoint_T_skips_stuck_entries_whose_residual_overflows(tmp_path, capsys):
+    # Map T is unboxed: the best start's item 2 settles near -747, where
+    # exp(-rowmax) is beyond the float range.
+    inst = _instance_file(tmp_path, [[3, 9, 1], [10, 1, 3], [6, 10, 3], [1, 8, 8], [9, 8, 4], [2, 2, 8]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = _run(capsys, ["fixedpoint", "--instance", inst, "--map", "T", "--starts", "2"])
+    assert code == 0
+    rows = {row["item"]: row for row in doc["stuck_rows"]}
+    assert rows[2]["rowmax"] < -np.log(np.finfo(float).max)
+    assert all(entry == {"agent": j + 1, "skipped": True} for j, entry in enumerate(rows[2]["entries"]))
+    assert not any(entry["skipped"] for entry in rows[1]["entries"])
 
 
 def test_m_const_on_overflowing_mass_is_an_input_error_without_warnings(tmp_path, capsys):

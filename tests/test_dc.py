@@ -183,6 +183,8 @@ def test_dca_rejects_bad_starts(i0_norm):
         dca_solve(build_lp(i0_norm), y0=np.full((3, 2), 1.0))  # above the box
     with pytest.raises(ValueError):
         dca_solve(build_lp(i0_norm), y0=np.full((3, 2), -99.0))  # below the box
+    with pytest.raises(ValueError):
+        dca_solve(build_lp(i0_norm), y0=np.full((3, 2), np.nan))  # in no box
 
 
 def test_internal_check_error_is_runtime_error():

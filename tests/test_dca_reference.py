@@ -6,7 +6,7 @@ import pytest
 
 import reference_dca as ref
 from conftest import random_instance
-from efxkit import build_lp, dca_solve, default_box_bound, generate_instance, make_instance, normalize
+from efxkit import box_radius, build_lp, dca_solve, generate_instance, make_instance, normalize
 
 # Items per agent count, small enough for the cold reference to stay quick.
 ITEMS = {2: 5, 3: 4, 4: 3}
@@ -47,7 +47,7 @@ def test_trace_counts_phase_two_pivots_and_zero_on_a_repeat():
     repeats = 0
     for n in sorted(ITEMS):
         for inst in _instances(0, n):
-            box = default_box_bound(inst)
+            box = box_radius(inst)
             lp = build_lp(inst, box)
             phase1 = lp.phase_one.pivots
             y0 = np.random.default_rng(n).uniform(-box, 0.0, size=(inst.m, n))
@@ -70,7 +70,7 @@ def test_dense_rows_match_the_sparse_reference_builder():
     zero_value = make_instance([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     negative_zeros = 0
     for inst in [zero_value, *(inst for n in sorted(ITEMS) for seed in range(2) for inst in _instances(seed, n))]:
-        for box in (default_box_bound(inst), 3.5 * default_box_bound(inst)):
+        for box in (box_radius(inst), 3.5 * box_radius(inst)):
             lp = build_lp(inst, box)
             model = ref.build_lp(inst, np.zeros(inst.m, dtype=int), box)
             a, b = ref._dense_rows(model)

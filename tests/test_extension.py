@@ -1,5 +1,7 @@
 """Row-wise rounding, the smooth envy bound, and its piecewise-linear limit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,15 @@ from conftest import random_instance, random_polytope_point
 from efxkit import (
     Allocation,
     batch_efx_slack,
+    box_radius,
+    build_lp,
     dc_objective,
-    default_box_bound,
     efx_slack,
     encode_allocation,
     enumerate_efx,
     make_instance,
     normalize,
+    picard_iterate,
     rounding_bound,
     rowwise_round,
     rowwise_round_many,
@@ -130,8 +134,26 @@ def test_encoding_rejects_small_box(i0_raw):
 
 
 def test_default_box_bound(i0_raw, i0_norm):
-    assert default_box_bound(i0_raw) == pytest.approx(25.0)
-    assert default_box_bound(i0_norm) == pytest.approx(5.0)
+    assert box_radius(i0_raw) == pytest.approx(25.0)
+    assert box_radius(i0_norm) == pytest.approx(5.0)
+    assert box_radius(i0_raw, 24.5) == 24.5
+
+
+@pytest.mark.parametrize("m_const", [1.0, np.nan, np.inf])
+def test_every_box_user_rejects_a_bad_radius(i0_raw, m_const):
+    # The total mass is 12, so a radius of 1 makes unfaithful encodings.
+    calls = (
+        lambda: box_radius(i0_raw, m_const),
+        lambda: encode_allocation(i0_raw, Allocation(np.array([0, 1, 1])), m_const),
+        lambda: build_lp(i0_raw, m_const),
+        lambda: picard_iterate(i0_raw, m_const=m_const),
+        lambda: picard_iterate(i0_raw, "T", m_const=m_const),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="box radius"):
+                call()
 
 
 def test_softmax_of_encoding_is_near_integral(i0_norm):

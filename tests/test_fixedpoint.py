@@ -10,10 +10,10 @@ from efxkit import (
     Allocation,
     SelfMapViolation,
     batch_efx_slack,
+    box_radius,
     clamp_map,
     constraint_slacks,
     dc_objective,
-    default_box_bound,
     encode_allocation,
     extract_allocation,
     make_instance,
@@ -53,7 +53,7 @@ def test_transfer_gain_bounded_by_total_mass():
     for seed in range(8):
         inst = random_instance(seed, 5, 3)
         mass = float(inst.values.sum())
-        box = default_box_bound(inst)
+        box = box_radius(inst)
         rng = np.random.default_rng(seed + 40)
         points = [rng.uniform(-box, 0, size=(5, 3)) for _ in range(1200)]
         points.append(np.zeros((5, 3)))
@@ -155,7 +155,7 @@ def test_zero_values_reach_fixed_point_fast():
 def test_smooth_map_self_map_random():
     for seed in range(6):
         inst = random_instance(seed, 4, 3)
-        box = default_box_bound(inst)
+        box = box_radius(inst)
         rng = np.random.default_rng(seed + 7)
         for _ in range(200):
             y = rng.uniform(-box, 0, size=(4, 3))
@@ -174,6 +174,26 @@ def test_maps_reject_points_outside_box(i0_norm):
         rowmax_clamp_map(i0_norm, np.full((3, 2), 0.25), 5.0)
     with pytest.raises(ValueError):
         smooth_clamp_map(i0_norm, np.full((3, 2), -99.0), 5.0)
+    with pytest.raises(ValueError):
+        smooth_clamp_map(i0_norm, np.full((3, 2), np.nan), 5.0)
+
+
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+def test_picard_rejects_a_start_of_the_wrong_shape(map_name):
+    # A one-row start would broadcast across the four items.
+    inst = random_instance(0, 4, 3)
+    for shape in ((1, 3), (4, 1), (3, 4)):
+        with pytest.raises(ValueError, match="items-by-agents"):
+            picard_iterate(inst, map_name, y0=np.full(shape, -1.0))
+
+
+def test_picard_checks_only_the_shape_of_a_start_for_map_T():
+    # Map T is unboxed, so a start above the box is a valid point for it.
+    inst = random_instance(0, 4, 3)
+    y0 = np.ones((4, 3))
+    assert picard_iterate(inst, "T", y0=y0, max_iters=2).iterations <= 2
+    with pytest.raises(ValueError, match="box"):
+        picard_iterate(inst, "Ttilde", y0=y0, max_iters=2)
 
 
 def test_extraction_round_trip():
@@ -193,7 +213,7 @@ def test_finite_difference_slopes_bounded():
     rng = np.random.default_rng(23)
     for seed in range(5):
         inst = random_instance(seed, 4, 3)
-        box = default_box_bound(inst)
+        box = box_radius(inst)
         bound = 2 * inst.m + float(inst.values.sum())
         for _ in range(100):
             y = rng.uniform(-box, 0, size=(4, 3))
@@ -257,7 +277,7 @@ def test_picard_is_deterministic(i0_norm):
 def test_picard_iteration_cap_is_graceful():
     inst = normalize(random_instance(2, 5, 3))
     rng = np.random.default_rng(31)
-    y0 = rng.uniform(-default_box_bound(inst), 0, size=(5, 3))
+    y0 = rng.uniform(-box_radius(inst), 0, size=(5, 3))
     report = picard_iterate(inst, "Ttilde", y0=y0, max_iters=1)
     assert report.iterations <= 1
     assert np.isfinite(report.residual)
@@ -288,7 +308,7 @@ def test_converged_runs_harness(capsys):
     for seed in range(50):
         inst = normalize(random_instance(seed, 5, 3))
         rng = np.random.default_rng(seed + 9000)
-        y0 = rng.uniform(-default_box_bound(inst), 0.0, size=(5, 3))
+        y0 = rng.uniform(-box_radius(inst), 0.0, size=(5, 3))
         report = picard_iterate(inst, "Ttilde", y0=y0)
         if report.converged:
             converged += 1
