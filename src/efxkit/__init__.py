@@ -24,6 +24,7 @@ from .fixedpoint import (
     clamp_map,
     constraint_slacks,
     picard_iterate,
+    picard_iterate_many,
     rowmax_clamp_map,
     smooth_clamp_map,
     stuck_row_diagnostics,

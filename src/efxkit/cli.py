@@ -300,11 +300,8 @@ def _stuck_rows_doc(rows: list[dict]) -> list[dict]:
 def _fixedpoint_runs(
     inst: Instance, starts: int, seed: int, box: float, **options
 ) -> list[fixedpoint.FixedPointReport]:
-    """One ``picard_iterate`` run with ``options`` from each random start."""
-    return [
-        fixedpoint.picard_iterate(inst, y0=y0, m_const=box, **options)
-        for y0 in _random_starts(inst, seed, starts, box)
-    ]
+    """Picard runs with ``options`` from every random start, stepped as one stack."""
+    return fixedpoint.picard_iterate_many(inst, _random_starts(inst, seed, starts, box), m_const=box, **options)
 
 
 def _fixedpoint_rank(run: fixedpoint.FixedPointReport) -> tuple:

@@ -19,6 +19,8 @@ factors in one stacked pass.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .instance import Allocation, Instance, total_mass
@@ -127,29 +129,44 @@ def _shifted_rowmax(inst: Instance, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Per-item row maxima after moving a rival's value between columns.
 
     Returns the ordered pairs as index arrays ``(i, j)``, grouped by j with
-    i ascending, and a (pairs, m) array whose row p holds each item's row
-    maximum once column i has dropped by the item's value for agent i and
-    column j has gained it.  The bystander maximum over the other columns
-    comes from each row's three largest scores; max is exact, so this
-    equals a rescan of the other columns for every pair.
+    i ascending, and a (..., pairs, m) array, for scores of shape
+    (..., m, n), whose row p holds each item's row maximum once column i
+    has dropped by the item's value for agent i and column j has gained
+    it.  The bystander maximum over the other columns comes from each
+    row's three largest scores; max is exact, so this equals a rescan of
+    the other columns for every pair.  Every matrix of a stack gets the
+    same arithmetic as on its own.
     """
     y = np.asarray(y, dtype=float)
-    m, n = y.shape
+    m, n = y.shape[-2:]
+    i, j = _ordered_pairs(n)
+    # Row-major (..., pairs, m) copies, so per-pair sums reduce along contiguous rows.
+    yt = np.swapaxes(y, -1, -2)
+    v = inst.values.T[i]
+    shifted = np.maximum(yt.take(i, axis=-2) - v, yt.take(j, axis=-2) + v)
+    if n > 2:
+        rows = y.reshape(-1, n)
+        top = np.argsort(-rows, axis=1)[:, :3]
+        top_values = rows[np.arange(len(rows))[:, None], top]
+        top = top.reshape(*y.shape[:-2], 1, m, 3)
+        top_values = top_values.reshape(top.shape)
+        bystander = top_values[..., 2]
+        for rank in (1, 0):
+            free = (top[..., rank] != i[:, None]) & (top[..., rank] != j[:, None])
+            bystander = np.where(free, top_values[..., rank], bystander)
+        shifted = np.maximum(shifted, bystander)
+    return i, j, shifted
+
+
+@functools.cache
+def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n(n - 1) ordered agent pairs as read-only index arrays ``(i, j)``,
+    grouped by j with i ascending."""
     j, i = np.divmod(np.arange(n * n), n)
     keep = i != j
     i, j = i[keep], j[keep]
-    # Row-major (pairs, m) copies, so per-pair sums reduce along contiguous rows.
-    v = inst.values.T[i]
-    shifted = np.maximum(y.T[i] - v, y.T[j] + v)
-    if n > 2:
-        top = np.argsort(-y, axis=1)[:, :3]
-        top_values = np.take_along_axis(y, top, axis=1)
-        bystander = top_values[:, 2]
-        for rank in (1, 0):
-            free = (top[:, rank] != i[:, None]) & (top[:, rank] != j[:, None])
-            bystander = np.where(free, top_values[:, rank], bystander)
-        shifted = np.maximum(shifted, bystander)
-    return i, j, shifted
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def convex_part(inst: Instance, y: np.ndarray) -> float:
@@ -197,11 +214,12 @@ def box_radius(inst: Instance, m_const: float | None = None) -> float:
     return m_const
 
 
-def _require_box(inst: Instance, y: np.ndarray, m_const: float | None) -> np.ndarray:
-    """``y`` as a float items-by-agents matrix, in the box [-m_const, 0]
-    unless ``m_const`` is None (a NaN score lies in no box)."""
+def _require_box(inst: Instance, y: np.ndarray, m_const: float | None, stacked: bool = False) -> np.ndarray:
+    """``y`` as a float items-by-agents matrix, or a (..., m, n) stack of
+    them when ``stacked``, in the box [-m_const, 0] unless ``m_const`` is
+    None (a NaN score lies in no box)."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (inst.m, inst.n):
+    if (y.shape[-2:] if stacked else y.shape) != (inst.m, inst.n):
         raise ValueError(f"scores must be an items-by-agents matrix of shape {(inst.m, inst.n)}, got {y.shape}")
     if m_const is not None and not (y.max(initial=-np.inf) <= 0.0 and y.min(initial=0.0) >= -m_const):
         raise ValueError("scores must lie in the box [-M, 0]")

@@ -10,14 +10,18 @@ attention to the score box [-M, 0] of ``extension.box_radius``: a
 discrete one that only clamps rows whose maximum sits at zero, and a
 smooth one that weights the clamp by the exponential of the row maximum
 and maps the box into itself, so a fixed point is guaranteed to exist.
-Damped Picard iteration hunts for one; convergence is not guaranteed and
-is always reported rather than assumed.  The transfer gain is a readout of
-the shifted row maxima from ``extension._shifted_rowmax``, the same kernel
-behind the existence objective.
+Damped Picard iteration hunts for one from many starts, which advance as
+one stack: the maps and the transfer gain take a leading stack axis and
+treat its matrices apart, so each start's run is the one it would have
+alone.  Convergence is not guaranteed and is always reported rather than
+assumed.  The transfer gain is a readout of the shifted row maxima from
+``extension._shifted_rowmax``, the same kernel behind the existence
+objective.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +38,16 @@ DIAG_TOL = 1e-9
 
 
 class SelfMapViolation(RuntimeError):
-    """The smooth clamp map produced a point outside its box."""
+    """The smooth clamp map produced a point outside its box.
+
+    ``index`` is the flat position, among the leading axes of a stacked
+    call, of the first escaping matrix; None when the call was not stacked
+    or the escape belongs to no single matrix.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 def transfer_gain(inst: Instance, y: np.ndarray) -> np.ndarray:
@@ -43,16 +56,17 @@ def transfer_gain(inst: Instance, y: np.ndarray) -> np.ndarray:
     Entry (k, j) maximizes, over rival agents i, the total change of row
     maxima across items other than k when each item's value for i is moved
     from column i onto column j.  Bounded by the total mass in absolute
-    value for any scores whatsoever.
+    value for any scores whatsoever.  A (..., m, n) stack of score
+    matrices gives the stack of their gains.
     """
     y = np.asarray(y, dtype=float)
     _, _, shifted = _shifted_rowmax(inst, y)
-    delta = shifted - y.max(axis=1)
-    gain = delta.sum(axis=1, keepdims=True) - delta
+    delta = shifted - y.max(axis=-1)[..., None, :]
+    gain = delta.sum(axis=-1, keepdims=True) - delta
     # Pairs come grouped by j, so each block of n - 1 rows shares column j.
-    gain = gain.reshape(inst.n, inst.n - 1, inst.m).max(axis=1)
+    gain = gain.reshape(*y.shape[:-2], inst.n, inst.n - 1, inst.m).max(axis=-2)
     # Row-major like y, so later row reductions keep their summation order.
-    return np.ascontiguousarray(gain.T)
+    return np.ascontiguousarray(np.swapaxes(gain, -1, -2))
 
 
 def constraint_slacks(inst: Instance, y: np.ndarray) -> np.ndarray:
@@ -78,10 +92,11 @@ def clamp_map(inst: Instance, y: np.ndarray) -> np.ndarray:
 
     Fixed points are exactly the matrices with nonpositive clamp slack
     everywhere; the image can dip below any box by at most the total mass.
+    Like the two box variants, it maps a (..., m, n) stack matrix by matrix.
     """
     y = np.asarray(y, dtype=float)
-    h = y.max(axis=1)
-    return np.minimum(y, h[:, None] - transfer_gain(inst, y))
+    h = y.max(axis=-1)
+    return np.minimum(y, h[..., None] - transfer_gain(inst, y))
 
 
 def rowmax_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None) -> np.ndarray:
@@ -89,10 +104,10 @@ def rowmax_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None
     negated transfer gain only on rows whose maximum already sits at zero
     (exact test).  Maps the box into itself whenever M covers the mass."""
     m_const = box_radius(inst) if m_const is None else m_const
-    y = _require_box(inst, y, m_const)
-    h = y.max(axis=1)
-    first = y - h[:, None]
-    second = np.where((h == 0.0)[:, None], -transfer_gain(inst, y), 0.0)
+    y = _require_box(inst, y, m_const, stacked=True)
+    h = y.max(axis=-1)
+    first = y - h[..., None]
+    second = np.where((h == 0.0)[..., None], -transfer_gain(inst, y), 0.0)
     return np.minimum(first, second)
 
 
@@ -101,18 +116,23 @@ def smooth_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None
 
     Continuous on the box and mapping it into itself, so a fixed point
     exists; an image coordinate outside the box is an invariant failure
-    and raises rather than being clamped away.
+    and raises rather than being clamped away.  On a stack the first
+    escaping matrix raises, and the exception's ``index`` names it.
     """
     m_const = box_radius(inst) if m_const is None else m_const
-    y = _require_box(inst, y, m_const)
-    h = y.max(axis=1)
-    first = y - h[:, None]
-    second = -transfer_gain(inst, y) * np.exp(h)[:, None]
+    y = _require_box(inst, y, m_const, stacked=True)
+    h = y.max(axis=-1)
+    first = y - h[..., None]
+    second = -transfer_gain(inst, y) * np.exp(h)[..., None]
     image = np.minimum(first, second)
     if image.max(initial=-np.inf) > 0.0 or image.min(initial=0.0) < -m_const:
-        k, j = np.unravel_index(int(np.argmin(image)), image.shape)
+        flat = image.reshape(-1, inst.m, inst.n)
+        escaped = (flat.max(axis=(1, 2)) > 0.0) | (flat.min(axis=(1, 2)) < -m_const)
+        index = int(np.argmax(escaped))
+        k, j = np.unravel_index(int(np.argmin(flat[index])), flat[index].shape)
         raise SelfMapViolation(
-            f"image coordinate ({k}, {j}) = {image[k, j]!r} left the box [-{m_const}, 0]"
+            f"image coordinate ({k}, {j}) = {flat[index][k, j]!r} left the box [-{m_const}, 0]",
+            index if image.ndim > 2 else None,
         )
     return image
 
@@ -183,63 +203,113 @@ def picard_iterate(
     m_const: float | None = None,
     efx_tol: float = DEFAULT_EFX_TOL,
 ) -> FixedPointReport:
-    """Damped Picard iteration of one of the clamp maps.
+    """Damped Picard iteration of one of the clamp maps from one start;
+    see ``picard_iterate_many``."""
+    return picard_iterate_many(inst, [y0], map_name, alpha, tol, max_iters, m_const, efx_tol)[0]
 
-    Works in the box of radius ``box_radius(inst, m_const)``.  Starts at
-    the greedy allocation's encoding unless ``y0`` is given, which must be
-    an items-by-agents matrix, inside the box for the boxed maps.  Stops
-    when the undamped residual (max-norm distance between the point and
-    its image) drops to ``tol``; otherwise reports the best iterate seen.
+
+def picard_iterate_many(
+    inst: Instance,
+    y0s: Iterable[np.ndarray | None],
+    map_name: str = "Ttilde",
+    alpha: float = DEFAULT_ALPHA,
+    tol: float = RESIDUAL_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    m_const: float | None = None,
+    efx_tol: float = DEFAULT_EFX_TOL,
+) -> list[FixedPointReport]:
+    """Damped Picard iteration of one of the clamp maps from every start.
+
+    Works in the box of radius ``box_radius(inst, m_const)``.  Each start
+    is an items-by-agents matrix, inside the box for the boxed maps, or
+    None for the greedy allocation's encoding.  The starts advance as one
+    stack: each step maps every live start at once, and a start leaves the
+    stack when its undamped residual (max-norm distance between the point
+    and its image) drops to ``tol`` or when it reaches ``max_iters``.  Each
+    start reports its best iterate; every kernel treats the matrices of a
+    stack apart, so a report equals that of a run from its start alone.
     The constraint slack and the EFX verdict of the row-argmax extraction
     are always checked independently of convergence, and rows stuck below
-    zero are reported as diagnostics.
+    zero are reported as diagnostics.  If the map escapes its box on some
+    start, the escape of the lowest such start is raised at the end.
     """
     if map_name not in MAPS:
         raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAPS)}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("damping factor must be in (0, 1]")
     m_const = box_radius(inst, m_const)
-    if y0 is None:
-        y0 = encode_allocation(inst, greedy_allocation(inst), m_const)
     boxed = map_name in ("Tprime", "Ttilde")
     # Map T is unboxed: it takes no radius, and only the shape of its start is checked.
     radius = (m_const,) if boxed else ()
-    y = np.array(_require_box(inst, y0, m_const if boxed else None))
+    starts = [encode_allocation(inst, greedy_allocation(inst), m_const) if y0 is None else y0 for y0 in y0s]
+    if not starts:
+        return []
+    y = np.array([_require_box(inst, y0, m_const if boxed else None) for y0 in starts])
 
-    best_residual = np.inf
+    best_residual = np.full(len(y), np.inf)
     best_y = y.copy()
-    converged = False
-    iterations = 0
-    for _ in range(max_iters + 1):
-        image = MAPS[map_name](inst, y, *radius)
-        residual = float(np.abs(image - y).max())
-        if residual < best_residual:
-            best_residual = residual
-            best_y = y.copy()
-        if residual <= tol:
-            converged = True
+    converged = np.zeros(len(y), dtype=bool)
+    iterations = np.zeros(len(y), dtype=int)
+    # The live stack: start numbers, with each one's best residual and iterate so far.
+    live, live_residual, live_y = np.arange(len(y)), best_residual.copy(), best_y.copy()
+    escape = None
+    for step in range(max_iters + 1):
+        image = None
+        while image is None and live.size:
+            try:
+                image = MAPS[map_name](inst, y, *radius)
+            except SelfMapViolation as exc:
+                # The lowest escaping start's escape is raised, so the starts
+                # from this one on cannot change the outcome and leave the
+                # stack.  An escape that names no matrix is charged to the first.
+                escape = exc
+                cut = exc.index or 0
+                live, live_residual, live_y, y = live[:cut], live_residual[:cut], live_y[:cut], y[:cut]
+        if image is None:
             break
-        if iterations >= max_iters:
-            break
+        residual = np.abs(image - y).max(axis=(1, 2))
+        better = residual < live_residual
+        # Iterates are never written in place, so the best ones are shared, not copied.
+        if better.all():
+            live_residual, live_y = residual, y
+        elif better.any():
+            live_residual = np.where(better, residual, live_residual)
+            live_y = np.where(better[:, None, None], y, live_y)
+        done = residual <= tol
+        if step >= max_iters or done.any():
+            stop = done | (step >= max_iters)
+            leaving = live[stop]
+            best_residual[leaving], best_y[leaving] = live_residual[stop], live_y[stop]
+            converged[leaving], iterations[leaving] = done[stop], step
+            keep = ~stop
+            live, live_residual, live_y = live[keep], live_residual[keep], live_y[keep]
+            y, image = y[keep], image[keep]
+            if not live.size:
+                break
         y = y + alpha * (image - y)
         if boxed:
             # Damped combinations can leave the box by a rounding ulp.
             np.clip(y, -m_const, 0.0, out=y)
-        iterations += 1
+    if escape is not None:
+        raise escape
 
-    # A converged step is always a strict new best, so best_y is the answer.
-    slack, violations = verify_constraints(inst, best_y)
-    allocation = extract_allocation(best_y)
-    report = is_efx(inst, allocation, efx_tol)
-    return FixedPointReport(
-        map_name=map_name,
-        converged=converged,
-        iterations=iterations,
-        residual=float(best_residual),
-        constraint_slack=slack,
-        violations=violations,
-        allocation=allocation,
-        efx=report.ok,
-        stuck_rows=stuck_row_diagnostics(inst, best_y),
-        y=best_y,
-    )
+    reports = []
+    for s, y_best in enumerate(best_y):
+        # A converged step is always a strict new best, so best_y is the answer.
+        slack, violations = verify_constraints(inst, y_best)
+        allocation = extract_allocation(y_best)
+        reports.append(
+            FixedPointReport(
+                map_name=map_name,
+                converged=bool(converged[s]),
+                iterations=int(iterations[s]),
+                residual=float(best_residual[s]),
+                constraint_slack=slack,
+                violations=violations,
+                allocation=allocation,
+                efx=is_efx(inst, allocation, efx_tol).ok,
+                stuck_rows=stuck_row_diagnostics(inst, y_best),
+                y=y_best,
+            )
+        )
+    return reports

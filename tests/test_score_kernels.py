@@ -1,12 +1,24 @@
-"""Score-matrix kernels against the per-pair reference loops, bit for bit."""
+"""Score-matrix kernels against the per-pair reference loops, and stacked
+calls against one call per matrix, bit for bit."""
 
 import numpy as np
 import pytest
 
 import reference_shift as ref
 from conftest import random_instance
-from efxkit import Allocation, dc_objective, encode_allocation, generate_instance, transfer_gain
-from efxkit.extension import convex_part
+from efxkit import (
+    Allocation,
+    SelfMapViolation,
+    box_radius,
+    clamp_map,
+    dc_objective,
+    encode_allocation,
+    generate_instance,
+    rowmax_clamp_map,
+    smooth_clamp_map,
+    transfer_gain,
+)
+from efxkit.extension import _shifted_rowmax, convex_part
 
 AGENT_COUNTS = (2, 3, 4, 6)
 
@@ -45,3 +57,53 @@ def test_score_kernels_match_per_pair_reference_exactly(n):
                 assert gain.tobytes() == expected.tobytes()
                 assert convex_part(inst, y) == ref.convex_part(inst, y)
                 assert dc_objective(inst, y) == ref.dc_objective(inst, y)
+
+
+@pytest.mark.parametrize("n", AGENT_COUNTS)
+def test_stacked_kernels_match_one_call_per_matrix(n):
+    # n = 2 has no bystander column; the tied scores of _score_matrices
+    # exercise the top-three ranks for n >= 3.
+    rng = np.random.default_rng(n + 100)
+    for seed in range(4):
+        for inst in _instances(seed, n):
+            box = box_radius(inst) + 4.0
+            stack = np.array([*_score_matrices(inst, rng), *_score_matrices(inst, rng)])
+            kernels = [
+                lambda y: _shifted_rowmax(inst, y)[2],
+                lambda y: transfer_gain(inst, y),
+                lambda y: clamp_map(inst, y),
+                lambda y: rowmax_clamp_map(inst, y, box),
+                lambda y: smooth_clamp_map(inst, y, box),
+            ]
+            for kernel in kernels:
+                expected = np.array([kernel(y) for y in stack])
+                assert kernel(stack).tobytes() == expected.tobytes()
+                # Any number of leading axes maps matrix by matrix.
+                nested = kernel(stack.reshape(2, -1, inst.m, n))
+                assert nested.tobytes() == expected.tobytes()
+                assert nested.shape == (2, len(stack) // 2, *expected.shape[1:])
+            i, j, _ = _shifted_rowmax(inst, stack)
+            i2, j2, _ = _shifted_rowmax(inst, stack[0])
+            assert i.tolist() == i2.tolist() and j.tolist() == j2.tolist()
+
+
+def test_stacked_smooth_map_raises_the_first_escape_of_the_stack():
+    # A radius below the total mass lets some images escape the box.
+    inst = generate_instance(4, 3, "uniform01", 5)
+    radius = 1.8
+    rng = np.random.default_rng(17)
+    points = rng.uniform(-radius, 0.0, size=(40, 4, 3))
+    messages = []
+    for y in points:
+        try:
+            smooth_clamp_map(inst, y, radius)
+            messages.append(None)
+        except SelfMapViolation as exc:
+            assert exc.index is None
+            messages.append(str(exc))
+    first = next(k for k, message in enumerate(messages) if message)
+    assert first > 0 and len(messages) - messages.count(None) > 1
+    with pytest.raises(SelfMapViolation) as caught:
+        smooth_clamp_map(inst, points, radius)
+    assert caught.value.index == first
+    assert str(caught.value) == messages[first]
