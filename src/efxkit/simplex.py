@@ -1,16 +1,19 @@
 """Dense two-phase simplex for the small LPs built in this package.
 
-Minimizes c @ x subject to A @ x <= b and x >= 0 on a full tableau.
-Rows with negative right-hand sides get phase-one artificial variables.
+Minimizes c @ x subject to A @ x <= b and x >= 0 on a compact tableau, as in
+the dictionary form: it stores the nonbasic columns and the right-hand side,
+and ``nonbasic`` names each column's variable as ``basis`` names each row's.
+Variables are the structural ones, one slack per row, then a phase-1
+artificial per row with a negative right-hand side, which never enters.
 Phase 1 never reads c, so ``phase_one(A, b)`` returns a feasible tableau
 that any number of ``phase_two(c, start)`` calls copy and finish; the
-descent in ``dc`` solves every step's LP, whose feasible region depends
-only on the instance and the box, from one phase-1 start.
-``solve_standard`` is the two phases in a row.  Entering columns follow
-Dantzig's rule for a bounded number of pivots and then switch to Bland's
-rule, which rules out cycling; ratio-test ties break toward the smallest
-basis index.  Meant for hundreds of rows and columns, not for sparse or
-large models.
+descent in ``dc`` solves every step's LP, whose feasible region depends only
+on the instance and the box, from one phase-1 start.  ``solve_standard`` is
+the two phases in a row.  Entering variables follow Dantzig's rule for a
+bounded number of pivots and then Bland's rule, which rules out cycling;
+ties go to the smallest variable index, and ratio-test ties to the smallest
+basis index, so each pivot and value is the full tableau's.  Meant for
+hundreds of rows and columns, not for sparse or large models.
 """
 
 from __future__ import annotations
@@ -34,39 +37,37 @@ class SimplexResult:
     pivots: int
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] = tableau[row] / tableau[row, col]
-    column = tableau[:, col].copy()
+def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, pos: int) -> None:
+    # The leaving variable's unit column takes the entering one's place.
+    column = tableau[:, pos].copy()
+    tableau[:, pos] = 0.0
+    tableau[row, pos] = 1.0
+    tableau[row] /= column[row]
     column[row] = 0.0
     tableau -= np.outer(column, tableau[row])
-    basis[row] = col
+    basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
 
 
 def _pivot_loop(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    enter_cols: int,
-    dantzig_budget: int,
-    pivots: int,
+    tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, enter_vars: int, dantzig_budget: int, pivots: int
 ) -> tuple[str, int]:
     """Run pivots until optimal; returns (status, total pivot count)."""
     while True:
-        reduced = tableau[-1, :enter_cols]
-        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+        reduced = tableau[-1, :-1]
+        candidates = np.flatnonzero((reduced < -PIVOT_TOL) & (nonbasic < enter_vars))
         if candidates.size == 0:
             return "optimal", pivots
         if pivots < dantzig_budget:
-            col = int(candidates[np.argmin(reduced[candidates])])
-        else:
-            col = int(candidates[0])  # Bland
-        body = tableau[:-1, col]
+            candidates = candidates[reduced[candidates] == reduced[candidates].min()]
+        pos = int(candidates[np.argmin(nonbasic[candidates])])  # Bland, or Dantzig's ties
+        body = tableau[:-1, pos]
         rows = np.flatnonzero(body > PIVOT_TOL)
         if rows.size == 0:
             return "unbounded", pivots
         ratios = tableau[:-1, -1][rows] / body[rows]
         ties = rows[ratios == ratios.min()]
         row = int(ties[np.argmin(basis[ties])])
-        _pivot(tableau, basis, row, col)
+        _pivot(tableau, basis, nonbasic, row, pos)
         pivots += 1
         if pivots > MAX_PIVOTS:
             return "numeric-failure", pivots
@@ -74,13 +75,16 @@ def _pivot_loop(
 
 @dataclass(frozen=True)
 class PhaseOne:
-    """A read-only feasible tableau and basis for ``(A, b)`` with the
-    artificials driven out, or None for both when ``status`` is not
-    feasible; ``pivots`` counts the phase-1 pivots."""
+    """A read-only feasible compact tableau for ``(A, b)`` with the
+    artificials driven out, or None for the arrays when ``status`` is not
+    feasible; ``pivots`` counts the phase-1 pivots.  Column k of ``tableau``
+    is variable ``nonbasic[k]``, row r has ``basis[r]`` basic, and the last
+    column is the right-hand side."""
 
     status: str  # feasible | infeasible | numeric-failure
     tableau: np.ndarray | None
     basis: np.ndarray | None
+    nonbasic: np.ndarray | None
     n_vars: int
     n_slacks: int
     dantzig_budget: int
@@ -91,6 +95,10 @@ def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
     """Find a feasible basis of a_ub @ x <= b_ub, x >= 0."""
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float).ravel()
+    if a_ub.ndim != 2:
+        raise ValueError(f"a_ub must be 2-D, got shape {a_ub.shape}")
+    if b_ub.size != a_ub.shape[0]:
+        raise ValueError(f"b_ub has {b_ub.size} entries for the {a_ub.shape[0]} rows of a_ub")
     n_rows, n_vars = a_ub.shape
     dantzig_budget = DANTZIG_PIVOTS_PER_DIM * (n_rows + n_vars)
 
@@ -98,41 +106,40 @@ def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
     art_rows = np.flatnonzero(negative)
     n_art = art_rows.size
     n_slacks = n_rows
-    n_cols = n_vars + n_slacks + n_art
+    n_real = n_vars + n_slacks
 
-    tableau = np.zeros((n_rows + 1, n_cols + 1))
+    # Each row's slack starts basic, or its artificial where b < 0.
+    nonbasic = np.concatenate([np.arange(n_vars), n_vars + art_rows])
+    tableau = np.zeros((n_rows + 1, nonbasic.size + 1))
     tableau[:n_rows, :n_vars] = np.where(negative[:, None], -a_ub, a_ub)
-    tableau[:n_rows, n_vars : n_vars + n_slacks] = np.diag(np.where(negative, -1.0, 1.0))
-    tableau[art_rows, n_vars + n_slacks + np.arange(n_art)] = 1.0
+    tableau[art_rows, n_vars + np.arange(n_art)] = -1.0
     tableau[:n_rows, -1] = np.where(negative, -b_ub, b_ub)
 
     basis = n_vars + np.arange(n_rows)
-    basis[art_rows] = n_vars + n_slacks + np.arange(n_art)
+    basis[art_rows] = n_real + np.arange(n_art)
 
     pivots = 0
     if n_art:
-        tableau[-1, n_vars + n_slacks : n_vars + n_slacks + n_art] = 1.0
         for row in art_rows:
             tableau[-1] -= tableau[row]
-        status, pivots = _pivot_loop(tableau, basis, n_vars + n_slacks, dantzig_budget, pivots)
+        status, pivots = _pivot_loop(tableau, basis, nonbasic, n_real, dantzig_budget, pivots)
         if status != "optimal":
-            return PhaseOne("numeric-failure", None, None, n_vars, n_slacks, dantzig_budget, pivots)
+            return PhaseOne("numeric-failure", None, None, None, n_vars, n_slacks, dantzig_budget, pivots)
         if -tableau[-1, -1] > FEAS_TOL:
-            return PhaseOne("infeasible", None, None, n_vars, n_slacks, dantzig_budget, pivots)
-        for row in range(n_rows):
-            if basis[row] >= n_vars + n_slacks:
-                usable = np.flatnonzero(np.abs(tableau[row, : n_vars + n_slacks]) > PIVOT_TOL)
-                if usable.size:
-                    _pivot(tableau, basis, row, int(usable[0]))
-        keep = np.flatnonzero(basis < n_vars + n_slacks)
+            return PhaseOne("infeasible", None, None, None, n_vars, n_slacks, dantzig_budget, pivots)
+        for row in np.flatnonzero(basis >= n_real):
+            usable = np.flatnonzero((np.abs(tableau[row, :-1]) > PIVOT_TOL) & (nonbasic < n_real))
+            if usable.size:
+                _pivot(tableau, basis, nonbasic, row, int(usable[np.argmin(nonbasic[usable])]))
+        keep = np.flatnonzero(basis < n_real)
+        cols = np.flatnonzero(nonbasic < n_real)
         # Rows still basic in an artificial are redundant at this point.
-        tableau = np.vstack([tableau[keep], tableau[-1:]])
-        tableau = np.delete(tableau, np.s_[n_vars + n_slacks : n_vars + n_slacks + n_art], axis=1)
-        basis = basis[keep]
+        tableau = tableau[np.append(keep, n_rows)][:, np.append(cols, nonbasic.size)]
+        basis, nonbasic = basis[keep], nonbasic[cols]
 
-    tableau.setflags(write=False)
-    basis.setflags(write=False)
-    return PhaseOne("feasible", tableau, basis, n_vars, n_slacks, dantzig_budget, pivots)
+    for array in (tableau, basis, nonbasic):
+        array.setflags(write=False)
+    return PhaseOne("feasible", tableau, basis, nonbasic, n_vars, n_slacks, dantzig_budget, pivots)
 
 
 def phase_two(c: np.ndarray, start: PhaseOne) -> SimplexResult:
@@ -142,18 +149,19 @@ def phase_two(c: np.ndarray, start: PhaseOne) -> SimplexResult:
     count decides when Dantzig's rule gives way to Bland's, and so which
     optimal vertex is returned.
     """
+    c = np.asarray(c, dtype=float).ravel()
+    if c.size != start.n_vars:
+        raise ValueError(f"c has {c.size} entries for {start.n_vars} variables")
     if start.status != "feasible":
         return SimplexResult(start.status, None, None, start.pivots)
-    c = np.asarray(c, dtype=float).ravel()
     n_vars, n_slacks = start.n_vars, start.n_slacks
-    tableau = start.tableau.copy()
-    basis = start.basis.copy()
-    tableau[-1, :] = 0.0
-    tableau[-1, :n_vars] = c
-    for row, col in enumerate(basis):
-        if tableau[-1, col] != 0.0:
-            tableau[-1] -= tableau[-1, col] * tableau[row]
-    status, pivots = _pivot_loop(tableau, basis, n_vars + n_slacks, start.dantzig_budget, start.pivots)
+    tableau, basis, nonbasic = start.tableau.copy(), start.basis.copy(), start.nonbasic.copy()
+    cost = np.concatenate([c, np.zeros(n_slacks)])
+    tableau[-1] = np.append(cost[nonbasic], 0.0)
+    for row, var in enumerate(basis):
+        if cost[var] != 0.0:
+            tableau[-1] -= cost[var] * tableau[row]
+    status, pivots = _pivot_loop(tableau, basis, nonbasic, n_vars + n_slacks, start.dantzig_budget, start.pivots)
     if status != "optimal":
         return SimplexResult(status, None, None, pivots)
 

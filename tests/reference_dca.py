@@ -6,8 +6,10 @@ included.  This is the loop ``efxkit.dc.dca_solve`` ran before the rows
 were built once as dense arrays, phase 1 was shared across steps and
 starts, and a repeated selection reused its LP, kept verbatim (the sparse
 ``LPModel`` included) so that the shared descent and its row builder can
-be compared with it byte for byte.  Only the pivot kernels ``_pivot`` and
-``_pivot_loop`` are imported from the package.
+be compared with it byte for byte.  The pivot kernels ``_pivot`` and
+``_pivot_loop`` are the full-tableau ones the package used before it
+stored only the nonbasic columns, also kept verbatim, so the compact
+simplex is compared with the full tableau too.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from efxkit.instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total
 from efxkit.simplex import (
     DANTZIG_PIVOTS_PER_DIM,
     FEAS_TOL,
+    MAX_PIVOTS,
     PIVOT_TOL,
     SimplexResult,
-    _pivot,
-    _pivot_loop,
 )
 
 
@@ -69,6 +70,44 @@ class LPModel:
     @property
     def w_var(self) -> int:
         return self.m * self.n + self.m * len(self.pairs)
+
+
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tableau[row] = tableau[row] / tableau[row, col]
+    column = tableau[:, col].copy()
+    column[row] = 0.0
+    tableau -= np.outer(column, tableau[row])
+    basis[row] = col
+
+
+def _pivot_loop(
+    tableau: np.ndarray,
+    basis: np.ndarray,
+    enter_cols: int,
+    dantzig_budget: int,
+    pivots: int,
+) -> tuple[str, int]:
+    """Run pivots until optimal; returns (status, total pivot count)."""
+    while True:
+        reduced = tableau[-1, :enter_cols]
+        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+        if candidates.size == 0:
+            return "optimal", pivots
+        if pivots < dantzig_budget:
+            col = int(candidates[np.argmin(reduced[candidates])])
+        else:
+            col = int(candidates[0])  # Bland
+        body = tableau[:-1, col]
+        rows = np.flatnonzero(body > PIVOT_TOL)
+        if rows.size == 0:
+            return "unbounded", pivots
+        ratios = tableau[:-1, -1][rows] / body[rows]
+        ties = rows[ratios == ratios.min()]
+        row = int(ties[np.argmin(basis[ties])])
+        _pivot(tableau, basis, row, col)
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            return "numeric-failure", pivots
 
 
 def solve_standard(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResult:
