@@ -124,6 +124,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _damping(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
@@ -473,7 +480,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lovasz", help="relaxation descent plus threshold rounding")
     p.add_argument("--instance", required=True)
     p.add_argument("--iters", type=_positive_int, default=500, help="subgradient steps, at least 1")
-    p.add_argument("--step0", type=_finite_float, default=lovasz.DEFAULT_STEP0)
+    p.add_argument("--step0", type=_positive_float, default=lovasz.DEFAULT_STEP0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_lovasz)

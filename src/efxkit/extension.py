@@ -132,41 +132,34 @@ def _shifted_rowmax(inst: Instance, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     i ascending, and a (..., pairs, m) array, for scores of shape
     (..., m, n), whose row p holds each item's row maximum once column i
     has dropped by the item's value for agent i and column j has gained
-    it.  The bystander maximum over the other columns comes from each
-    row's three largest scores; max is exact, so this equals a rescan of
-    the other columns for every pair.  Every matrix of a stack gets the
-    same arithmetic as on its own.
+    it.  With three or more agents each row maximum also covers the
+    bystanders, the n - 2 columns outside {i, j}, rescanned for every
+    pair.  Every matrix of a stack gets the same arithmetic as on its own.
     """
     y = np.asarray(y, dtype=float)
-    m, n = y.shape[-2:]
-    i, j = _ordered_pairs(n)
+    n = y.shape[-1]
+    i, j, bystanders = _ordered_pairs(n)
     # Row-major (..., pairs, m) copies, so per-pair sums reduce along contiguous rows.
     yt = np.swapaxes(y, -1, -2)
     v = inst.values.T[i]
     shifted = np.maximum(yt.take(i, axis=-2) - v, yt.take(j, axis=-2) + v)
     if n > 2:
-        rows = y.reshape(-1, n)
-        top = np.argsort(-rows, axis=1)[:, :3]
-        top_values = rows[np.arange(len(rows))[:, None], top]
-        top = top.reshape(*y.shape[:-2], 1, m, 3)
-        top_values = top_values.reshape(top.shape)
-        bystander = top_values[..., 2]
-        for rank in (1, 0):
-            free = (top[..., rank] != i[:, None]) & (top[..., rank] != j[:, None])
-            bystander = np.where(free, top_values[..., rank], bystander)
-        shifted = np.maximum(shifted, bystander)
+        shifted = np.maximum(shifted, yt.take(bystanders, axis=-2).max(axis=-2))
     return i, j, shifted
 
 
 @functools.cache
-def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n(n - 1) ordered agent pairs as read-only index arrays ``(i, j)``,
-    grouped by j with i ascending."""
+    grouped by j with i ascending, and a (pairs, n - 2) array whose row p
+    lists pair p's bystanders, the columns outside {i, j}, ascending."""
     j, i = np.divmod(np.arange(n * n), n)
     keep = i != j
     i, j = i[keep], j[keep]
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+    outside = (np.arange(n) != i[:, None]) & (np.arange(n) != j[:, None])
+    bystanders = np.nonzero(outside)[1].reshape(len(i), n - 2)
+    i.flags.writeable = j.flags.writeable = bystanders.flags.writeable = False
+    return i, j, bystanders
 
 
 def convex_part(inst: Instance, y: np.ndarray) -> float:

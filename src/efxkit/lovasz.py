@@ -51,17 +51,17 @@ def _pair_extensions(inst: Instance, x: np.ndarray, monotone: bool = False):
     coeffs[:, :, 1:] = np.maximum(
         ranked[:, :, 1:], np.minimum.accumulate(ranked, axis=2)[:, :, :-1]
     )
-    # One dot per pair on contiguous operands, as a lone 1-D dot sees them:
-    # BLAS sums strided and contiguous vectors in different orders.
-    sorted_x = np.take_along_axis(x, order, axis=0).T.copy()
+    # Stacked (..., 1, m) @ (..., m, 1) calls BLAS's dot per pair with the
+    # operands' strides, as a lone dot does; BLAS sums unit-stride pairs in
+    # another order than strided ones, so the sorted columns are contiguous
+    # like the coefficients and the value columns stay strided views.
+    sorted_x = x[order, np.arange(n)].T.copy()
+    values = inst.values.T[:, None, :]
     if monotone:
-        rest = x.sum(axis=1)
-        linear = [inst.values[:, i] @ (rest - x[:, i]) for i in range(n)]
+        linear = np.matmul(values, (x.sum(axis=1) - x.T)[:, :, None])[:, 0]
     else:
-        linear = [-(inst.values[:, i] @ x[:, i]) for i in range(n)]
-    gaps = np.array(
-        [[coeffs[i, j] @ sorted_x[j] + linear[i] for j in range(n)] for i in range(n)]
-    )
+        linear = -np.matmul(values, x.T[:, :, None])[:, 0]
+    gaps = np.matmul(coeffs[:, :, None, :], sorted_x[None, :, :, None])[:, :, 0, 0] + linear
     return order, coeffs, gaps
 
 
@@ -93,8 +93,7 @@ def _worst_pair(inst: Instance, x: np.ndarray) -> tuple[float, np.ndarray]:
     order, coeffs, gaps = _pair_extensions(inst, x, monotone=True)
     np.fill_diagonal(gaps, -np.inf)
     i, j = divmod(int(np.argmax(gaps)), inst.n)
-    grad = np.tile(inst.values[:, i][:, None], (1, inst.n))
-    grad[:, i] = 0.0
+    grad = inst.values[:, i, None] * (np.arange(inst.n) != i)
     grad[order[:, j], j] += coeffs[i, j]
     return float(gaps[i, j]), grad
 
@@ -129,12 +128,12 @@ def project_rows_to_simplex(x: np.ndarray) -> np.ndarray:
     clip the rest at zero.
     """
     x = np.asarray(x, dtype=float)
+    m, n = x.shape
     sorted_desc = -np.sort(-x, axis=1)
-    cumsum = np.cumsum(sorted_desc, axis=1)
-    ranks = np.arange(1, x.shape[1] + 1)
-    positive = sorted_desc - (cumsum - 1.0) / ranks > 0.0
-    rho = positive.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
-    tau = (cumsum[np.arange(x.shape[0]), rho] - 1.0) / (rho + 1)
+    shifts = (np.cumsum(sorted_desc, axis=1) - 1.0) / np.arange(1, n + 1)
+    positive = sorted_desc > shifts
+    rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)
+    tau = shifts[np.arange(m), rho]
     return np.maximum(x - tau[:, None], 0.0)
 
 
@@ -151,8 +150,10 @@ def minimize_relaxation(
     pair), projects every iterate's rows back onto the simplex, and keeps
     the best iterate seen.  The loop is deterministic.
     Returns (best point, best value), plus the per-iterate value trace when
-    ``return_trace`` is set.
+    ``return_trace`` is set.  Raises ``ValueError`` unless step0 is positive and finite.
     """
+    if not 0.0 < step0 < np.inf:
+        raise ValueError(f"step0 must be positive and finite, got {step0!r}")
     x = uniform_point(inst)
     best_value, grad = _worst_pair(inst, x)
     best_x = x.copy()

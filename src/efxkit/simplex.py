@@ -127,15 +127,14 @@ def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
             return PhaseOne("numeric-failure", None, None, None, n_vars, n_slacks, dantzig_budget, pivots)
         if -tableau[-1, -1] > FEAS_TOL:
             return PhaseOne("infeasible", None, None, None, n_vars, n_slacks, dantzig_budget, pivots)
+        # A row still basic in its artificial was never a pivot row, so its
+        # slack column is still -e_row: some usable column drives it out.
         for row in np.flatnonzero(basis >= n_real):
             usable = np.flatnonzero((np.abs(tableau[row, :-1]) > PIVOT_TOL) & (nonbasic < n_real))
-            if usable.size:
-                _pivot(tableau, basis, nonbasic, row, int(usable[np.argmin(nonbasic[usable])]))
-        keep = np.flatnonzero(basis < n_real)
+            _pivot(tableau, basis, nonbasic, row, int(usable[np.argmin(nonbasic[usable])]))
         cols = np.flatnonzero(nonbasic < n_real)
-        # Rows still basic in an artificial are redundant at this point.
-        tableau = tableau[np.append(keep, n_rows)][:, np.append(cols, nonbasic.size)]
-        basis, nonbasic = basis[keep], nonbasic[cols]
+        tableau = tableau[:, np.append(cols, nonbasic.size)]
+        nonbasic = nonbasic[cols]
 
     for array in (tableau, basis, nonbasic):
         array.setflags(write=False)

@@ -459,6 +459,15 @@ def test_fixedpoint_alpha_outside_the_unit_interval_is_a_usage_error(tmp_path, c
     assert "damping factor in (0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step0", ["0", "-0.5"])
+def test_lovasz_nonpositive_step0_is_a_usage_error(tmp_path, capsys, step0):
+    inst = _instance_file(tmp_path, I0_NORM)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["lovasz", "--instance", inst, "--step0", step0])
+    assert excinfo.value.code == 1
+    assert "positive finite number" in capsys.readouterr().err
+
+
 def test_fixedpoint_T_skips_stuck_entries_whose_residual_overflows(tmp_path, capsys):
     # Map T is unboxed: the best start's item 2 settles near -747, where
     # exp(-rowmax) is beyond the float range.

@@ -228,6 +228,12 @@ def test_minimize_is_deterministic(i0_norm):
     assert a[1] == b[1]
 
 
+@pytest.mark.parametrize("step0", [0.0, -0.5, np.nan, np.inf])
+def test_minimize_rejects_a_step_that_is_not_positive_and_finite(i0_norm, step0):
+    with pytest.raises(ValueError, match="step0"):
+        minimize_relaxation(i0_norm, iters=5, step0=step0)
+
+
 def test_minimize_identical_agents_meets_threshold():
     values = np.tile(np.array([[3.0], [2.0], [1.0]]), (1, 3))
     inst = normalize(make_instance(values))

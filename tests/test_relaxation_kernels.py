@@ -15,6 +15,7 @@ from efxkit import (
     relaxation_objective,
     rounding_bound,
 )
+from efxkit.lovasz import _pair_extensions
 
 AGENT_COUNTS = (2, 3, 4, 6)
 LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
@@ -61,6 +62,30 @@ def test_descent_matches_per_pair_reference_exactly(n):
         for inst in _instances(seed, n):
             best_x, value, trace = minimize_relaxation(inst, iters=120, return_trace=True)
             ref_x, ref_value, ref_trace = ref.minimize_relaxation(inst, iters=120)
+            assert best_x.tobytes() == ref_x.tobytes()
+            assert value == ref_value
+            assert trace == ref_trace
+
+
+def test_stacked_dots_match_lone_dots_past_the_short_vector_path():
+    # From 16 items on, OpenBLAS's unit-stride dot adds blocks in parallel
+    # lanes instead of one running sum; at 40 items each stacked dot must
+    # still equal the lone dot of the per-pair reference.
+    rng = np.random.default_rng(40)
+    for seed in range(2):
+        for inst in (
+            normalize(random_instance(seed, 40, 3)),
+            normalize(generate_instance(40, 3, "integer", seed, kmax=2)),
+        ):
+            for x in _points(inst, rng):
+                for monotone, pair_ref in (
+                    (False, ref.envy_gap_extension),
+                    (True, ref.monotone_envy_gap_extension),
+                ):
+                    expected = np.array([[pair_ref(inst, i, j, x) for j in range(3)] for i in range(3)])
+                    assert _pair_extensions(inst, x, monotone=monotone)[2].tobytes() == expected.tobytes()
+            best_x, value, trace = minimize_relaxation(inst, iters=20, return_trace=True)
+            ref_x, ref_value, ref_trace = ref.minimize_relaxation(inst, iters=20)
             assert best_x.tobytes() == ref_x.tobytes()
             assert value == ref_value
             assert trace == ref_trace

@@ -20,7 +20,7 @@ from efxkit import (
 )
 from efxkit.extension import _shifted_rowmax, convex_part
 
-AGENT_COUNTS = (2, 3, 4, 6)
+AGENT_COUNTS = (2, 3, 4, 6, 7)
 
 
 def _tied_scores(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -62,7 +62,7 @@ def test_score_kernels_match_per_pair_reference_exactly(n):
 @pytest.mark.parametrize("n", AGENT_COUNTS)
 def test_stacked_kernels_match_one_call_per_matrix(n):
     # n = 2 has no bystander column; the tied scores of _score_matrices
-    # exercise the top-three ranks for n >= 3.
+    # put ties among the bystanders for n >= 3.
     rng = np.random.default_rng(n + 100)
     for seed in range(4):
         for inst in _instances(seed, n):
@@ -85,6 +85,26 @@ def test_stacked_kernels_match_one_call_per_matrix(n):
             i, j, _ = _shifted_rowmax(inst, stack)
             i2, j2, _ = _shifted_rowmax(inst, stack[0])
             assert i.tolist() == i2.tolist() and j.tolist() == j2.tolist()
+
+
+@pytest.mark.parametrize("n", (3, 4, 7))
+def test_stacked_rescan_matches_the_reference_on_tied_rows(n):
+    # Three or more equal scores per row, at the row maximum or below it,
+    # so that for pairs inside the tie the bystander is one of the tied.
+    rng = np.random.default_rng(n + 200)
+    for seed in range(3):
+        for inst in _instances(seed, n):
+            stack = rng.integers(-4, 0, size=(6, inst.m, n)).astype(float)
+            for row in stack.reshape(-1, n):
+                tied = rng.choice(n, size=int(rng.integers(3, n + 1)), replace=False)
+                row[tied] = rng.choice([0.0, -2.0])
+            _, _, shifted = _shifted_rowmax(inst, stack)
+            gain = transfer_gain(inst, stack)
+            pairs = [(a, b) for b in range(n) for a in range(n) if a != b]
+            for y, rows, g in zip(stack, shifted, gain):
+                expected = np.array([ref._pair_shift_max(inst.values, y, a, b) for a, b in pairs])
+                assert rows.tobytes() == expected.tobytes()
+                assert g.tobytes() == ref.transfer_gain(inst, y).tobytes()
 
 
 def test_stacked_smooth_map_raises_the_first_escape_of_the_stack():

@@ -223,7 +223,7 @@ def test_compact_tableau_matches_the_full_tableau_on_every_branch(monkeypatch):
     byte, on each branch where a column position and a variable index could
     pick differently.
 
-    Phase 1 never drops a redundant row: a row still basic in its
+    Phase 1 keeps every row, redundant ones too: a row still basic in its
     artificial has never been a pivot row, so its own slack keeps the entry
     -1 there and drives the artificial out.  The test checks that every row
     is kept.
