@@ -124,6 +124,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative finite number, got {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not 0.0 < value < np.inf:
@@ -497,7 +504,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dca", help="LP-based descent on the existence objective")
     p.add_argument("--instance", required=True)
-    p.add_argument("--delta", type=_finite_float, default=dc.DCA_STEP_TOL)
+    p.add_argument("--delta", type=_nonnegative_float, default=dc.DCA_STEP_TOL)
     p.add_argument("--max-iters", type=_positive_int, default=dc.DCA_MAX_ITERS, help="LP steps per start, at least 1")
     p.add_argument("--starts", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -509,7 +516,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--map", choices=sorted(fixedpoint.MAPS), default="Ttilde")
     p.add_argument("--alpha", type=_damping, default=fixedpoint.DEFAULT_ALPHA)
-    p.add_argument("--tol", type=_finite_float, default=fixedpoint.RESIDUAL_TOL)
+    p.add_argument("--tol", type=_nonnegative_float, default=fixedpoint.RESIDUAL_TOL)
     p.add_argument(
         "--max-iters", type=_positive_int, default=fixedpoint.DEFAULT_MAX_ITERS, help="Picard steps per start, at least 1"
     )

@@ -13,8 +13,10 @@ slack.  That score box lives here: ``box_radius``, ``_require_box``, and
 the encoding, greedy start and row-argmax extraction.  The objective's
 max-term and the fixed-point transfer gain are both read from one kernel,
 ``_shifted_rowmax``, which builds every agent pair's shifted row maxima at
-once; ``rounding_bound`` evaluates every pair's three-term log-sum-exp
-factors in one stacked pass.
+once and is fastest on scores held agents-major, where every gather copies
+whole agent rows and the bystanders fold as whole blocks;
+``rounding_bound`` evaluates every pair's three-term log-sum-exp factors
+in one stacked pass.
 """
 
 from __future__ import annotations
@@ -135,31 +137,39 @@ def _shifted_rowmax(inst: Instance, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     it.  With three or more agents each row maximum also covers the
     bystanders, the n - 2 columns outside {i, j}, rescanned for every
     pair.  Every matrix of a stack gets the same arithmetic as on its own.
+    Scores held agents-major, an (..., m, n) view of (..., n, m) memory,
+    give the same floats faster: every gather copies whole agent rows.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
-    i, j, bystanders = _ordered_pairs(n)
+    pairs, bystanders, _ = _ordered_pairs(n)
     # Row-major (..., pairs, m) copies, so per-pair sums reduce along contiguous rows.
-    yt = np.swapaxes(y, -1, -2)
+    yt = y.swapaxes(-1, -2)
+    i, j = pairs
     v = inst.values.T[i]
-    shifted = np.maximum(yt.take(i, axis=-2) - v, yt.take(j, axis=-2) + v)
+    cols = yt.take(pairs, axis=-2)
+    shifted = np.maximum(cols[..., 0, :, :] - v, cols[..., 1, :, :] + v)
     if n > 2:
-        shifted = np.maximum(shifted, yt.take(bystanders, axis=-2).max(axis=-2))
+        # Bystanders in front: the max folds whole (pairs, m) blocks in column order.
+        shifted = np.maximum(shifted, yt.take(bystanders, axis=-2).max(axis=-3))
     return i, j, shifted
 
 
 @functools.cache
 def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n(n - 1) ordered agent pairs as read-only index arrays ``(i, j)``,
-    grouped by j with i ascending, and a (pairs, n - 2) array whose row p
-    lists pair p's bystanders, the columns outside {i, j}, ascending."""
+    """Read-only index arrays for the n(n - 1) ordered agent pairs: a
+    (2, pairs) array of rows ``i`` and ``j``, grouped by j with i
+    ascending; an (n - 2, pairs) array whose column p lists pair p's
+    bystanders, the columns outside {i, j}, ascending; and an (n - 1, n)
+    array whose column j lists the pairs with that j, rivals ascending."""
     j, i = np.divmod(np.arange(n * n), n)
     keep = i != j
-    i, j = i[keep], j[keep]
-    outside = (np.arange(n) != i[:, None]) & (np.arange(n) != j[:, None])
-    bystanders = np.nonzero(outside)[1].reshape(len(i), n - 2)
-    i.flags.writeable = j.flags.writeable = bystanders.flags.writeable = False
-    return i, j, bystanders
+    pairs = np.stack((i[keep], j[keep]))
+    outside = (np.arange(n) != pairs[0][:, None]) & (np.arange(n) != pairs[1][:, None])
+    bystanders = np.nonzero(outside)[1].reshape(n * (n - 1), n - 2).T.copy()
+    rivals = np.arange(n * (n - 1)).reshape(n, n - 1).T.copy()
+    pairs.flags.writeable = bystanders.flags.writeable = rivals.flags.writeable = False
+    return pairs, bystanders, rivals
 
 
 def convex_part(inst: Instance, y: np.ndarray) -> float:

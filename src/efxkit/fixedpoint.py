@@ -13,7 +13,11 @@ and maps the box into itself, so a fixed point is guaranteed to exist.
 Damped Picard iteration hunts for one from many starts, which advance as
 one stack: the maps and the transfer gain take a leading stack axis and
 treat its matrices apart, so each start's run is the one it would have
-alone.  Convergence is not guaranteed and is always reported rather than
+alone.  The stack is held agents-major, each matrix an (m, n) view of
+(n, m) memory, so the row maxima and the folds over rivals and
+bystanders run over whole contiguous rows; the kernels give the same
+floats on either layout and lay their results out like their input.
+Convergence is not guaranteed and is always reported rather than
 assumed.  The transfer gain is a readout of the shifted row maxima from
 ``extension._shifted_rowmax``, the same kernel behind the existence
 objective.
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import _require_box, _shifted_rowmax, box_radius, encode_allocation
+from .extension import _ordered_pairs, _require_box, _shifted_rowmax, box_radius, encode_allocation
 from .extension import extract_allocation, greedy_allocation
 from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
 
@@ -57,24 +61,24 @@ def transfer_gain(inst: Instance, y: np.ndarray) -> np.ndarray:
     maxima across items other than k when each item's value for i is moved
     from column i onto column j.  Bounded by the total mass in absolute
     value for any scores whatsoever.  A (..., m, n) stack of score
-    matrices gives the stack of their gains.
+    matrices gives the stack of their gains, laid out like ``y``.
     """
     y = np.asarray(y, dtype=float)
     _, _, shifted = _shifted_rowmax(inst, y)
     delta = shifted - y.max(axis=-1)[..., None, :]
     gain = delta.sum(axis=-1, keepdims=True) - delta
-    # Pairs come grouped by j, so each block of n - 1 rows shares column j.
-    gain = gain.reshape(*y.shape[:-2], inst.n, inst.n - 1, inst.m).max(axis=-2)
-    # Row-major like y, so later row reductions keep their summation order.
-    return np.ascontiguousarray(np.swapaxes(gain, -1, -2))
+    # Rivals in front: the max folds whole (n, m) blocks in rival order,
+    # into an array laid out like y.
+    out = np.empty_like(y)
+    gain.take(_ordered_pairs(inst.n)[2], axis=-2).max(axis=-3, out=out.swapaxes(-1, -2))
+    return out
 
 
 def constraint_slacks(inst: Instance, y: np.ndarray) -> np.ndarray:
     """Per-coordinate slack of the clamp inequalities; the matrix maximum
-    equals the existence objective."""
+    equals the existence objective.  Maps a stack matrix by matrix."""
     y = np.asarray(y, dtype=float)
-    h = y.max(axis=1)
-    return y - (h[:, None] - transfer_gain(inst, y))
+    return y - (y.max(axis=-1)[..., None] - transfer_gain(inst, y))
 
 
 def verify_constraints(inst: Instance, y: np.ndarray, tol: float = 0.0):
@@ -155,28 +159,25 @@ def stuck_row_diagnostics(inst: Instance, y: np.ndarray, tol: float = DIAG_TOL) 
     h = y.max(axis=1)
     gain = transfer_gain(inst, y)
     log_bound = float(np.log1p(total_mass(inst)))
-    rows = []
-    for k in np.flatnonzero(h < -tol):
-        usable = y[k] < -tol
-        with np.errstate(over="ignore"):
-            residuals = np.abs(np.exp(-h[k]) + gain[k] / np.where(usable, y[k], -1.0))
-        entries = [
-            {"agent": j, "skipped": False, "residual": float(residuals[j])}
-            if usable[j] and np.isfinite(residuals[j])
-            else {"agent": j, "skipped": True}
-            for j in range(inst.n)
-        ]
-        rows.append(
-            {
-                "item": int(k),
-                "rowmax": float(h[k]),
-                "rowmax_abs": float(-h[k]),
-                "log_mass_bound": log_bound,
-                "within_log_bound": bool(-h[k] <= log_bound + tol),
-                "entries": entries,
-            }
-        )
-    return rows
+    stuck = np.flatnonzero(h < -tol)
+    usable = y[stuck] < -tol
+    with np.errstate(over="ignore"):
+        residuals = np.abs(np.exp(-h[stuck])[:, None] + gain[stuck] / np.where(usable, y[stuck], -1.0))
+    kept = usable & np.isfinite(residuals)
+    return [
+        {
+            "item": int(k),
+            "rowmax": float(h[k]),
+            "rowmax_abs": float(-h[k]),
+            "log_mass_bound": log_bound,
+            "within_log_bound": bool(-h[k] <= log_bound + tol),
+            "entries": [
+                {"agent": j, "skipped": False, "residual": float(row[j])} if ok[j] else {"agent": j, "skipped": True}
+                for j in range(inst.n)
+            ],
+        }
+        for k, row, ok in zip(stuck, residuals, kept)
+    ]
 
 
 @dataclass
@@ -244,14 +245,17 @@ def picard_iterate_many(
     starts = [encode_allocation(inst, greedy_allocation(inst), m_const) if y0 is None else y0 for y0 in y0s]
     if not starts:
         return []
-    y = np.array([_require_box(inst, y0, m_const if boxed else None) for y0 in starts])
+    # Agents-major: an (L, m, n) view of (L, n, m) memory, so the kernels
+    # reduce over whole agent rows.
+    y = np.array([_require_box(inst, y0, m_const if boxed else None).T for y0 in starts]).swapaxes(1, 2)
 
     best_residual = np.full(len(y), np.inf)
+    # C-ordered, so each report's iterate is C-contiguous.
     best_y = y.copy()
     converged = np.zeros(len(y), dtype=bool)
     iterations = np.zeros(len(y), dtype=int)
     # The live stack: start numbers, with each one's best residual and iterate so far.
-    live, live_residual, live_y = np.arange(len(y)), best_residual.copy(), best_y.copy()
+    live, live_residual, live_y = np.arange(len(y)), best_residual.copy(), y
     escape = None
     for step in range(max_iters + 1):
         image = None
@@ -267,7 +271,8 @@ def picard_iterate_many(
                 live, live_residual, live_y, y = live[:cut], live_residual[:cut], live_y[:cut], y[:cut]
         if image is None:
             break
-        residual = np.abs(image - y).max(axis=(1, 2))
+        step_y = image - y
+        residual = np.abs(step_y).max(axis=(1, 2))
         better = residual < live_residual
         # Iterates are never written in place, so the best ones are shared, not copied.
         if better.all():
@@ -283,10 +288,10 @@ def picard_iterate_many(
             converged[leaving], iterations[leaving] = done[stop], step
             keep = ~stop
             live, live_residual, live_y = live[keep], live_residual[keep], live_y[keep]
-            y, image = y[keep], image[keep]
+            y, step_y = y[keep], step_y[keep]
             if not live.size:
                 break
-        y = y + alpha * (image - y)
+        y = y + alpha * step_y
         if boxed:
             # Damped combinations can leave the box by a rounding ulp.
             np.clip(y, -m_const, 0.0, out=y)

@@ -468,6 +468,20 @@ def test_lovasz_nonpositive_step0_is_a_usage_error(tmp_path, capsys, step0):
     assert "positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option", [("dca", "delta"), ("fixedpoint", "tol")])
+@pytest.mark.parametrize("value", ["-1", "-1e-12"])
+def test_negative_stop_tolerance_is_a_usage_error(tmp_path, capsys, command, option, value):
+    # A negative tolerance is a stop rule that can never hold; zero stays valid.
+    inst = _instance_file(tmp_path, I0_NORM)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, f"--{option}={value}", "--instance", inst])
+    assert excinfo.value.code == 1
+    assert "nonnegative finite number" in capsys.readouterr().err
+    code, doc = _run(capsys, [command, f"--{option}", "0", "--instance", inst])
+    assert code == 0
+    assert doc["config"][option] == 0.0
+
+
 def test_fixedpoint_T_skips_stuck_entries_whose_residual_overflows(tmp_path, capsys):
     # Map T is unboxed: the best start's item 2 settles near -747, where
     # exp(-rowmax) is beyond the float range.

@@ -1,0 +1,62 @@
+"""CLI documents against golden copies, byte for byte.
+
+The instances under ``tests/golden`` come from ``efxkit gen``; each golden
+document is the standard output of one invocation on them, run from that
+directory, with ``compare``'s ``wall_time_s`` dropped from every row.  A
+change that is meant to alter documents rewrites them with
+``PYTHONPATH=src python tests/test_golden.py`` and says why.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from efxkit import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+# (items, agents, distribution) of each gen instance, all drawn with seed 1.
+INSTANCES = {"10x5": (10, 5, "uniform01"), "6x3": (6, 3, "integer"), "6x2": (6, 2, "uniform01"), "5x3": (5, 3, "uniform01")}
+INVOCATIONS = {
+    **{
+        f"fixedpoint-{map_name}-{shape}.json": ["fixedpoint", "--instance", f"gen-{shape}.json", "--map", map_name]
+        for shape in ("10x5", "6x3", "6x2")
+        for map_name in ("T", "Tprime", "Ttilde")
+    },
+    "compare-5x3.json": ["compare", "--instance", "gen-5x3.json"],
+}
+
+
+def _document(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0, argv
+    text = out.getvalue()
+    if argv[0] == "compare":
+        doc = json.loads(text)
+        for row in doc["rows"]:
+            del row["wall_time_s"]
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_document_matches_its_golden_copy(monkeypatch, name):
+    monkeypatch.chdir(GOLDEN)
+    assert _document(INVOCATIONS[name]) == (GOLDEN / name).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    os.chdir(GOLDEN)
+    for shape, (m, n, dist) in INSTANCES.items():
+        argv = ["gen", "--m", str(m), "--n", str(n), "--dist", dist, "--seed", "1", "--output", f"gen-{shape}.json"]
+        assert cli.main(argv) == 0
+    for name, argv in INVOCATIONS.items():
+        Path(name).write_text(_document(argv))
+    print(f"wrote {len(INSTANCES)} instances and {len(INVOCATIONS)} documents to {GOLDEN}", file=sys.stderr)
