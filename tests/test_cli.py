@@ -1,6 +1,8 @@
 """End-to-end command line tests driven through main() in process."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -644,3 +646,37 @@ def test_negative_oracle_cap_is_a_usage_error(tmp_path, capsys):
     code, doc = _run(capsys, ["oracle", "--instance", inst, "--cap", "0"])
     assert code == 0
     assert doc["witnesses"] == [] and doc["witness_count"] > 0
+
+
+def _invocation(argv):
+    """Exit code, standard output and standard error of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_invocation_of_a_process(tmp_path):
+    """``main`` parses with one parser per process; a usage error between
+    two subcommands leaves it as a fresh parser would be."""
+    inst = _instance_file(tmp_path, I0_RAW)
+    runs = [
+        ["dca", "--instance", inst, "--starts", "2"],
+        ["oracle", "--instance", inst, "--cap", "0"],
+        ["dca", "--instance", inst, "--delta", "-1"],
+        ["fixedpoint", "--instance", inst, "--starts", "2", "--map", "T"],
+        ["dca", "--instance", inst, "--starts", "2"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = [_invocation(argv) for argv in runs]
+    assert cli.build_parser.cache_info().currsize == 1
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(_invocation(argv))
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0]
+    assert "--delta" in shared[2][2]
+    assert shared == fresh

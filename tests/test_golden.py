@@ -28,6 +28,11 @@ INVOCATIONS = {
         for map_name in ("T", "Tprime", "Ttilde")
     },
     "compare-5x3.json": ["compare", "--instance", "gen-5x3.json"],
+    **{
+        f"dca-{shape}.json": ["dca", "--instance", f"gen-{shape}.json", "--starts", "4", "--seed", "3"]
+        for shape in ("6x3", "6x2", "5x3")
+    },
+    "oracle-6x3.json": ["oracle", "--instance", "gen-6x3.json"],
 }
 
 

@@ -263,3 +263,70 @@ def test_compact_tableau_matches_the_full_tableau_on_every_branch(monkeypatch):
     assert bland_beale > 0 and seen["bland pick off the first position"] > bland_beale
     assert seen["drive-out off the first position"] > 0
     assert statuses["optimal"] and statuses["infeasible"] and statuses["unbounded"]
+
+
+def _update_probe(monkeypatch):
+    """Count the pivots whose update scatters into the pivot row's nonzero
+    columns ("row-sparse") and those that update the whole tableau
+    ("dense"), by watching the tableau through a view that sees every
+    store made with an index array; every pivot's tableau is column-major."""
+    seen = Counter()
+    scattered = []
+
+    class Watched(np.ndarray):
+        def __setitem__(self, key, value):
+            if isinstance(key, np.ndarray):
+                scattered.append(key.size)
+            super().__setitem__(key, value)
+
+    pivot = simplex._pivot
+
+    def probe_pivot(tableau, basis, nonbasic, row, pos):
+        assert tableau.flags.f_contiguous
+        before = len(scattered)
+        pivot(tableau.view(Watched), basis, nonbasic, row, pos)
+        if len(scattered) > before:
+            assert len(scattered) == before + 1 and 2 * scattered[-1] < tableau.shape[1]
+            seen["row-sparse"] += 1
+        else:
+            seen["dense"] += 1
+
+    monkeypatch.setattr(simplex, "_pivot", probe_pivot)
+    return seen
+
+
+def test_row_sparse_and_dense_updates_match_the_full_tableau(monkeypatch):
+    """Phase 1 of the descent LPs takes both updates; every result is the
+    full tableau's, byte for byte, with and without the Dantzig opening,
+    and the shared column-major start is never written."""
+    seen = _update_probe(monkeypatch)
+    for budget in (simplex.DANTZIG_PIVOTS_PER_DIM, 0):
+        monkeypatch.setattr(simplex, "DANTZIG_PIVOTS_PER_DIM", budget)
+        monkeypatch.setattr(reference_dca, "DANTZIG_PIVOTS_PER_DIM", budget)
+        for shape, seeds, n_objectives in (((6, 3), [2, 3], 3), ((12, 3), [0], 1)):
+            for a, b, objectives in _descent_lps(*shape, seeds):
+                before = seen.copy()
+                start = phase_one(a, b)
+                assert (seen - before).keys() == {"row-sparse", "dense"}, (shape, budget)
+                assert start.tableau.flags.f_contiguous and not start.tableau.flags.writeable
+                tableau = start.tableau.tobytes()
+                for c in objectives[:n_objectives]:
+                    assert _same_result(phase_two(c, start), reference_dca.solve_standard(c, a, b))
+                assert start.tableau.tobytes() == tableau
+
+
+def test_row_sparse_update_keeps_the_signed_zeros_of_x():
+    """A pivot whose row has a zero right-hand side still updates that
+    column, as the dense update does: here a negative pivot that drives an
+    artificial out turns the row's +0.0 into -0.0, which the full tableau's
+    update turns back, and x would otherwise hold a -0.0 the reference does
+    not.  The second LP has -0.0 right-hand sides of its own."""
+    cases = [
+        ([[-2.0, 0.0, 2.0], [1.0, 2.0, -2.0], [2.0, 2.0, -2.0], [-1.0, 0.0, -2.0], [2.0, 0.0, -2.0], [1.0, 1.0, 1.0]],
+         [2.0, -1.0, -2.0, 1.0, -2.0, 5.0], [2.0, -2.0, -2.0]),
+        ([[-1.0, 0.0], [0.0, -2.0], [-0.0, 2.0], [1.0, 1.0]], [2.0, 0.0, -0.0, 5.0], [0.0, -1.0]),
+    ]
+    for a, b, c in cases:
+        result = solve_standard(c, a, b)
+        assert result.status == "optimal"
+        assert _same_result(result, reference_dca.solve_standard(c, a, b))
