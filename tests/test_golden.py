@@ -1,9 +1,12 @@
 """CLI documents against golden copies, byte for byte.
 
-The instances under ``tests/golden`` come from ``efxkit gen``; each golden
-document is the standard output of one invocation on them, run from that
-directory, with ``compare``'s ``wall_time_s`` dropped from every row.  A
-change that is meant to alter documents rewrites them with
+The instances under ``tests/golden`` come from ``efxkit gen``; beside each
+lie three small input documents made from it by ``_inputs``: an allocation
+giving every item to the agent who values it least (so ``check`` lists
+violations of several pairs), a fractional point and a score matrix.  Each
+golden document is the standard output of one invocation on them, run from
+that directory, with ``compare``'s ``wall_time_s`` dropped from every row.
+A change that is meant to alter documents rewrites them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
 
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from efxkit import cli
+from efxkit.instance import load_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 # (items, agents, distribution) of each gen instance, all drawn with seed 1.
@@ -33,6 +37,17 @@ INVOCATIONS = {
         for shape in ("6x3", "6x2", "5x3")
     },
     "oracle-6x3.json": ["oracle", "--instance", "gen-6x3.json"],
+    **{
+        f"{name}-{shape}.json": [*argv, "--instance", f"gen-{shape}.json", *inputs]
+        for shape in INSTANCES
+        for name, argv, inputs in (
+            ("check", ["check"], ["--allocation", f"alloc-{shape}.json"]),
+            ("lovasz", ["lovasz"], []),
+            ("extension-x", ["extension", "eval"], ["--x", f"x-{shape}.json"]),
+            ("extension-y", ["extension", "eval"], ["--y", f"y-{shape}.json"]),
+            ("oracle-all", ["oracle", "--all"], []),
+        )
+    },
 }
 
 
@@ -50,6 +65,21 @@ def _document(argv: list[str]) -> str:
     return text
 
 
+def _inputs(shape: str) -> dict[str, dict]:
+    """The allocation, fractional point and score documents of one instance:
+    each item goes to the agent valuing it least; rows of x alternate
+    between the item's values rescaled to sum to one and a unit row, so
+    some entries are zero; y holds quarter steps in [-1.5, 0] with ties."""
+    values = load_instance(f"gen-{shape}.json").values
+    m, n = values.shape
+    x = [list(row / row.sum()) if k % 2 == 0 else [float(i == k % n) for i in range(n)] for k, row in enumerate(values)]
+    return {
+        f"alloc-{shape}.json": {"owner": [int(i) + 1 for i in values.argmin(axis=1)]},
+        f"x-{shape}.json": {"x": [[float(e) for e in row] for row in x]},
+        f"y-{shape}.json": {"y": [[-((k * n + i) % 7) / 4 for i in range(n)] for k in range(m)]},
+    }
+
+
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_document_matches_its_golden_copy(monkeypatch, name):
     monkeypatch.chdir(GOLDEN)
@@ -62,6 +92,8 @@ if __name__ == "__main__":
     for shape, (m, n, dist) in INSTANCES.items():
         argv = ["gen", "--m", str(m), "--n", str(n), "--dist", dist, "--seed", "1", "--output", f"gen-{shape}.json"]
         assert cli.main(argv) == 0
+        for name, doc in _inputs(shape).items():
+            Path(name).write_text(json.dumps(doc, indent=2) + "\n")
     for name, argv in INVOCATIONS.items():
         Path(name).write_text(_document(argv))
     print(f"wrote {len(INSTANCES)} instances and {len(INVOCATIONS)} documents to {GOLDEN}", file=sys.stderr)
