@@ -47,6 +47,7 @@ from .instance import (
 )
 
 SCHEMA_VERSION = 1
+FIXEDPOINT_STARTS = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,46 +105,27 @@ def _prefiltered_normalized(inst: Instance) -> tuple[Instance, list[int]]:
     return normalize(inst), removed
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _bounded(cast, ok, expected: str):
+    """An option type that casts the text with ``cast`` and rejects values
+    failing ``ok`` as not ``expected``; text ``cast`` cannot read is an
+    "invalid int value" or "invalid float value"."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative finite number, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
-
-
-def _damping(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a damping factor in (0, 1], got {text!r}")
-    return value
+_positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _bounded(int, lambda v: v >= 0, "a nonnegative integer")
+_finite_float = _bounded(float, np.isfinite, "a finite number")
+_nonnegative_float = _bounded(float, lambda v: 0.0 <= v < np.inf, "a nonnegative finite number")
+_positive_float = _bounded(float, lambda v: 0.0 < v < np.inf, "a positive finite number")
+_damping = _bounded(float, lambda v: 0.0 < v <= 1.0, "a damping factor in (0, 1]")
 
 
 def _parse_lambdas(text: str) -> list[float]:
@@ -390,11 +372,12 @@ def cmd_compare(args) -> int:
         result = oracle.enumerate_efx(inst, cap=0, tol=args.tol)
         return result.exists, result.min_slack, result.allocations_scanned
 
+    # The solvers run with their commands' defaults.
     def run_lovasz():
-        x, objective = lovasz.minimize_relaxation(inst, iters=500, step0=0.5)
+        x, objective = lovasz.minimize_relaxation(inst)
         rounding = lovasz.threshold_round(x, args.seed)
         found = bool(rounding.feasible and is_efx(inst, rounding.allocation, args.tol).ok)
-        return found, objective, 500
+        return found, objective, lovasz.DEFAULT_ITERS
 
     def run_dca():
         result = dc.dca_solve(dc.build_lp(inst), efx_tol=args.tol)
@@ -402,9 +385,7 @@ def cmd_compare(args) -> int:
 
     def run_fixedpoint():
         box = extension.box_radius(inst)
-        runs = _fixedpoint_runs(
-            inst, 8, args.seed, box, map_name="Ttilde", alpha=0.5, tol=1e-8, max_iters=1000, efx_tol=args.tol
-        )
+        runs = _fixedpoint_runs(inst, FIXEDPOINT_STARTS, args.seed, box, map_name="Ttilde", efx_tol=args.tol)
         best = min(runs, key=_fixedpoint_rank)
         return best.efx, best.constraint_slack, best.iterations
 
@@ -468,7 +449,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="number of agents")
     p.add_argument("--dist", choices=["uniform01", "integer", "identical"], default="uniform01")
     p.add_argument("--kmax", type=int, default=10, help="largest value for the integer distribution")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -489,9 +470,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lovasz", help="relaxation descent plus threshold rounding")
     p.add_argument("--instance", required=True)
-    p.add_argument("--iters", type=_positive_int, default=500, help="subgradient steps, at least 1")
+    p.add_argument("--iters", type=_positive_int, default=lovasz.DEFAULT_ITERS, help="subgradient steps, at least 1")
     p.add_argument("--step0", type=_positive_float, default=lovasz.DEFAULT_STEP0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_lovasz)
 
@@ -510,7 +491,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=_nonnegative_float, default=dc.DCA_STEP_TOL)
     p.add_argument("--max-iters", type=_positive_int, default=dc.DCA_MAX_ITERS, help="LP steps per start, at least 1")
     p.add_argument("--starts", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--m-const", type=float, default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_dca)
@@ -523,15 +504,15 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--max-iters", type=_positive_int, default=fixedpoint.DEFAULT_MAX_ITERS, help="Picard steps per start, at least 1"
     )
-    p.add_argument("--starts", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--starts", type=_positive_int, default=FIXEDPOINT_STARTS)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--m-const", type=float, default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_fixedpoint)
 
     p = sub.add_parser("compare", help="run oracle and solvers side by side")
     p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
     p.add_argument("--csv", default=None, help="also write the rows as a CSV table")
     p.add_argument("--output", default=None)

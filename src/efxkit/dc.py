@@ -29,7 +29,7 @@ import numpy as np
 
 from . import simplex
 from .extension import _require_box, box_radius, dc_objective, encode_allocation, extract_allocation, greedy_allocation
-from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
+from .instance import DEFAULT_EFX_TOL, Allocation, Instance, _ordered_pairs, is_efx, total_mass
 
 DCA_STEP_TOL = 1e-8
 DCA_MAX_ITERS = 200
@@ -89,15 +89,16 @@ def build_lp(inst: Instance, m_const: float | None = None) -> DescentLP:
     """Build the descent LP's rows and bounds for the box radius
     ``box_radius(inst, m_const)``.
 
-    Rows run over family 1 by (pair, item), then over (pair, item) blocks
-    of the other families: the pair's envious agent i (family 2), its
+    Rows run over family 1 by (pair, item), pairs in the order of
+    ``instance._ordered_pairs``, then over (pair, item) blocks of the other
+    families: the pair's envious agent i (family 2), its
     envied agent j (family 3), then the bystanders in index order.
     """
     m, n = inst.m, inst.n
     m_const = box_radius(inst, m_const)
     mass = total_mass(inst)
     vmax = float(inst.values.max())
-    order = np.array([[i, j, *(r for r in range(n) if r not in (i, j))] for i in range(n) for j in range(n) if i != j])
+    order = np.vstack(_ordered_pairs(n)[:2]).T
     n_pairs = len(order)
     n_y, n_z = m * n, m * n_pairs
     n_vars = n_y + n_z + 1

@@ -21,11 +21,9 @@ in one stacked pass.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .instance import Allocation, Instance, total_mass
+from .instance import Allocation, Instance, _ordered_pairs, total_mass
 
 DEFAULT_LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
 
@@ -82,11 +80,8 @@ def rounding_bound(inst: Instance, x: np.ndarray, lam: float) -> float:
     if lam <= 0:
         raise ValueError("temperature must be positive")
     x = np.asarray(x, dtype=float)
-    n = x.shape[1]
-    # Ordered pairs in i-major order, as (pairs, m) rows of item data.
-    i, j = np.divmod(np.arange(n * n), n)
-    keep = i != j
-    i, j = i[keep], j[keep]
+    # Ordered pairs as (pairs, m) rows of item data.
+    i, j = _ordered_pairs(x.shape[1])[0]
     xt = x.T
     v = inst.values.T[i]
     rest = 1.0 - xt[i] - xt[j]
@@ -130,9 +125,9 @@ def softmax_map(y: np.ndarray, lam: float) -> np.ndarray:
 def _shifted_rowmax(inst: Instance, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-item row maxima after moving a rival's value between columns.
 
-    Returns the ordered pairs as index arrays ``(i, j)``, grouped by j with
-    i ascending, and a (..., pairs, m) array, for scores of shape
-    (..., m, n), whose row p holds each item's row maximum once column i
+    Returns the ordered pairs as index arrays ``(i, j)``, in the order of
+    ``instance._ordered_pairs``, and a (..., pairs, m) array, for scores of
+    shape (..., m, n), whose row p holds each item's row maximum once column i
     has dropped by the item's value for agent i and column j has gained
     it.  With three or more agents each row maximum also covers the
     bystanders, the n - 2 columns outside {i, j}, rescanned for every
@@ -153,23 +148,6 @@ def _shifted_rowmax(inst: Instance, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # Bystanders in front: the max folds whole (pairs, m) blocks in column order.
         shifted = np.maximum(shifted, yt.take(bystanders, axis=-2).max(axis=-3))
     return i, j, shifted
-
-
-@functools.cache
-def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index arrays for the n(n - 1) ordered agent pairs: a
-    (2, pairs) array of rows ``i`` and ``j``, grouped by j with i
-    ascending; an (n - 2, pairs) array whose column p lists pair p's
-    bystanders, the columns outside {i, j}, ascending; and an (n - 1, n)
-    array whose column j lists the pairs with that j, rivals ascending."""
-    j, i = np.divmod(np.arange(n * n), n)
-    keep = i != j
-    pairs = np.stack((i[keep], j[keep]))
-    outside = (np.arange(n) != pairs[0][:, None]) & (np.arange(n) != pairs[1][:, None])
-    bystanders = np.nonzero(outside)[1].reshape(n * (n - 1), n - 2).T.copy()
-    rivals = np.arange(n * (n - 1)).reshape(n, n - 1).T.copy()
-    pairs.flags.writeable = bystanders.flags.writeable = rivals.flags.writeable = False
-    return pairs, bystanders, rivals
 
 
 def convex_part(inst: Instance, y: np.ndarray) -> float:

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import _ordered_pairs, _require_box, _shifted_rowmax, box_radius, encode_allocation
+from .extension import _require_box, _shifted_rowmax, box_radius, encode_allocation
 from .extension import extract_allocation, greedy_allocation
-from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
+from .instance import DEFAULT_EFX_TOL, Allocation, Instance, _ordered_pairs, is_efx, total_mass
 
 RESIDUAL_TOL = 1e-8
 SLACK_TOL = 1e-6

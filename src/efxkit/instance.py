@@ -11,10 +11,15 @@ read from one kernel, ``_envy_gaps``, which yields the envy gap of each
 ordered agent pair.  It combines two half tables: the items split at
 ``m // 2`` into a prefix and a suffix, bundle sums add across the halves
 and bundle minima take the smaller, so one allocation costs O(n^2).
+The order of the ordered pairs has one home, ``_ordered_pairs``: i-major,
+j ascending.  Every pair loop of the package reads it, so it fixes the
+order of ``is_efx``'s violations, the rows of the descent LP and the
+summation order of the smoothed bound.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -233,6 +238,23 @@ def _validate_allocation(inst: Instance, alloc: Allocation) -> None:
         raise InstanceFormatError("allocation assigns an item to an agent outside 0..n-1")
 
 
+@functools.cache
+def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index arrays for the n(n - 1) ordered agent pairs (i, j),
+    i-major with j ascending: a (2, pairs) array of rows ``i`` and ``j``; an
+    (n - 2, pairs) array whose column p lists pair p's bystanders, the
+    agents outside {i, j}, ascending; and an (n - 1, n) array whose column
+    j lists the pairs with that j, rivals ascending."""
+    i, j = np.divmod(np.arange(n * n), n)
+    keep = i != j
+    pairs = np.stack((i[keep], j[keep]))
+    outside = (np.arange(n) != pairs[0][:, None]) & (np.arange(n) != pairs[1][:, None])
+    bystanders = np.nonzero(outside)[1].reshape(n * (n - 1), n - 2).T.copy()
+    rivals = np.argsort(pairs[1], kind="stable").reshape(n, n - 1).T.copy()
+    pairs.flags.writeable = bystanders.flags.writeable = rivals.flags.writeable = False
+    return pairs, bystanders, rivals
+
+
 def _split(m: int) -> int:
     """Number of prefix items; the split depends on m alone."""
     return m // 2
@@ -244,13 +266,14 @@ def _half_tables(values: np.ndarray, owners: np.ndarray):
     ``values`` holds the half's item rows and ``owners`` the matching
     (rows, items) owner columns.  Returns ``(sums, mins, base)``: agent
     i's sum and minimum over the items agent j holds in this half, shaped
-    (n, n - 1, rows) with j running over the agents other than i in order
+    (n, n - 1, rows) in pair order, j running over the agents other than i
     (minimum ``inf`` where j holds none), and agent i's base term, shaped
     (n, rows): minus its own holdings.  Items are summed one after another
     in item order.
     """
-    agents = np.arange(values.shape[1])
-    others = agents[1:] - (agents[1:] <= agents[:, None])
+    n = values.shape[1]
+    agents = np.arange(n)
+    others = _ordered_pairs(n)[0][1].reshape(n, n - 1)
     items = owners.T[:, None, :]
     held = items[:, None] == others[None, :, :, None]
     column = values[:, :, None, None]
@@ -296,12 +319,9 @@ def efx_slack(inst: Instance, alloc: Allocation) -> float:
 def is_efx(inst: Instance, alloc: Allocation, tol: float = DEFAULT_EFX_TOL) -> EfxReport:
     """Check every ordered pair's EFX constraint, allowing ``tol`` slack."""
     _validate_allocation(inst, alloc)
-    pair_gaps = _envy_gaps(*_halves(inst, alloc.owner[None, :]))[:, :, 0]
-    gaps = [
-        (i, j, float(pair_gaps[i, j - (j > i)])) for i in range(inst.n) for j in range(inst.n) if i != j
-    ]
-    violations = [gap for gap in gaps if gap[2] > tol]
-    return EfxReport(ok=not violations, violations=violations, slack=max(gap[2] for gap in gaps))
+    pair_gaps = _envy_gaps(*_halves(inst, alloc.owner[None, :])).ravel().tolist()
+    violations = [gap for gap in zip(*_ordered_pairs(inst.n)[0].tolist(), pair_gaps) if gap[2] > tol]
+    return EfxReport(ok=not violations, violations=violations, slack=max(pair_gaps))
 
 
 def generate_instance(m: int, n: int, dist: str, seed: int, kmax: int = 10) -> Instance:

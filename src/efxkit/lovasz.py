@@ -25,6 +25,7 @@ from .instance import Allocation, Instance
 ROW_SUM_TOL = 1e-10
 MONOTONE_THRESHOLD = 1.0
 DEFAULT_STEP0 = 0.5
+DEFAULT_ITERS = 500
 
 
 def _pair_extensions(inst: Instance, x: np.ndarray, monotone: bool = False):
@@ -139,7 +140,7 @@ def project_rows_to_simplex(x: np.ndarray) -> np.ndarray:
 
 def minimize_relaxation(
     inst: Instance,
-    iters: int = 500,
+    iters: int = DEFAULT_ITERS,
     step0: float = DEFAULT_STEP0,
     return_trace: bool = False,
 ):

@@ -322,6 +322,15 @@ def test_usage_errors_exit_one(capsys):
             cli.main(argv)
         assert excinfo.value.code == 1
     capsys.readouterr()
+    # Text an option type cannot read names the type it was cast with.
+    for argv, message in (
+        (["oracle", "--instance", "x", "--cap", "many"], "argument --cap: invalid int value: 'many'"),
+        (["lovasz", "--instance", "x", "--step0", "big"], "argument --step0: invalid float value: 'big'"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 1
+        assert message in capsys.readouterr().err
 
 
 def test_input_errors_exit_two(tmp_path, capsys):
@@ -646,6 +655,18 @@ def test_negative_oracle_cap_is_a_usage_error(tmp_path, capsys):
     code, doc = _run(capsys, ["oracle", "--instance", inst, "--cap", "0"])
     assert code == 0
     assert doc["witnesses"] == [] and doc["witness_count"] > 0
+
+
+@pytest.mark.parametrize("command", ["gen", "lovasz", "dca", "fixedpoint", "compare"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    inst = _instance_file(tmp_path, I0_RAW)
+    argv = ["gen", "--m", "3", "--n", "2"] if command == "gen" else [command, "--instance", inst]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--seed", "-1"])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: expected a nonnegative integer, got '-1'" in captured.err
 
 
 def _invocation(argv):

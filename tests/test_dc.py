@@ -11,6 +11,7 @@ from efxkit import (
     Allocation,
     InternalCheckError,
     build_lp,
+    dc,
     dc_objective,
     dca_solve,
     encode_allocation,
@@ -24,6 +25,18 @@ from efxkit.extension import convex_part, rowmax_sum
 
 def _nonzeros_per_row(lp):
     return np.count_nonzero(lp.a, axis=1).tolist()
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_rows_keep_the_pair_order_of_the_agent_loops(monkeypatch, n):
+    # The pair order build_lp wrote out itself before it read _ordered_pairs.
+    inst = random_instance(n, 3, n)
+    order = np.array([[i, j, *(r for r in range(n) if r not in (i, j))] for i in range(n) for j in range(n) if i != j])
+    lp = build_lp(inst)
+    monkeypatch.setattr(dc, "_ordered_pairs", lambda _: (order[:, :2].T, order[:, 2:].T, None))
+    reference = build_lp(inst)
+    assert lp.a.tobytes() == reference.a.tobytes() and lp.a.shape == reference.a.shape
+    assert lp.b.tobytes() == reference.b.tobytes()
 
 
 def test_model_shape_two_agents(i0_raw):

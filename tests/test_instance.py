@@ -22,8 +22,25 @@ from efxkit import (
     normalize,
     total_mass,
 )
+from efxkit.instance import _ordered_pairs
 
 SEEDS = range(25)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ordered_pairs_match_a_brute_force_enumeration(n):
+    pairs, bystanders, rivals = _ordered_pairs(n)
+    expected = [(i, j) for i in range(n) for j in range(n) if i != j]
+    assert list(zip(*pairs.tolist())) == expected
+    assert bystanders.shape == (n - 2, len(expected))
+    for p, (i, j) in enumerate(expected):
+        assert bystanders[:, p].tolist() == [r for r in range(n) if r not in (i, j)]
+    assert rivals.shape == (n - 1, n)
+    for j in range(n):
+        assert rivals[:, j].tolist() == [expected.index((i, j)) for i in range(n) if i != j]
+    for array in (pairs, bystanders, rivals):
+        assert not array.flags.writeable
+    assert _ordered_pairs(n)[0] is pairs
 
 
 def test_shape_validation():

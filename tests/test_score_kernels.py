@@ -100,7 +100,7 @@ def test_stacked_rescan_matches_the_reference_on_tied_rows(n):
                 row[tied] = rng.choice([0.0, -2.0])
             _, _, shifted = _shifted_rowmax(inst, stack)
             gain = transfer_gain(inst, stack)
-            pairs = [(a, b) for b in range(n) for a in range(n) if a != b]
+            pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
             for y, rows, g in zip(stack, shifted, gain):
                 expected = np.array([ref._pair_shift_max(inst.values, y, a, b) for a, b in pairs])
                 assert rows.tobytes() == expected.tobytes()
