@@ -122,6 +122,8 @@ def _bounded(cast, ok, expected: str):
 
 _positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
 _nonnegative_int = _bounded(int, lambda v: v >= 0, "a nonnegative integer")
+_agent_count = _bounded(int, lambda v: v >= 2, "an integer of at least 2")
+_kmax = _bounded(int, lambda v: 1 <= v <= np.iinfo(np.int64).max, "a positive integer of at most 2**63 - 1")
 _finite_float = _bounded(float, np.isfinite, "a finite number")
 _nonnegative_float = _bounded(float, lambda v: 0.0 <= v < np.inf, "a nonnegative finite number")
 _positive_float = _bounded(float, lambda v: 0.0 < v < np.inf, "a positive finite number")
@@ -445,10 +447,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="draw a random instance document")
-    p.add_argument("--m", type=int, required=True, help="number of items")
-    p.add_argument("--n", type=int, required=True, help="number of agents")
+    p.add_argument("--m", type=_positive_int, required=True, help="number of items")
+    p.add_argument("--n", type=_agent_count, required=True, help="number of agents, at least 2")
     p.add_argument("--dist", choices=["uniform01", "integer", "identical"], default="uniform01")
-    p.add_argument("--kmax", type=int, default=10, help="largest value for the integer distribution")
+    p.add_argument("--kmax", type=_kmax, default=10, help="largest value for the integer distribution")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gen)

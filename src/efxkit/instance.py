@@ -7,10 +7,14 @@ The allocation is EFX (envy-free up to any good) when no agent would prefer
 another agent's bundle even after removing that bundle's cheapest item
 from the comparison.  Every EFX slack in the package (``efx_slack``,
 ``is_efx`` and the oracle's batched scan and its exact minimum slack) is
-read from one kernel, ``_envy_gaps``, which yields the envy gap of each
-ordered agent pair.  It combines two half tables: the items split at
-``m // 2`` into a prefix and a suffix, bundle sums add across the halves
-and bundle minima take the smaller, so one allocation costs O(n^2).
+read from one kernel, ``_reduced_values``, which yields agent i's reduced
+value for agent j's bundle.  It combines two half tables: the items split
+at ``m // 2`` into a prefix and a suffix, bundle sums add across the
+halves and bundle minima take the smaller, so one allocation costs O(n^2).
+``_envy_gaps`` adds each agent's base term (minus its own bundle value) to
+every pair for ``is_efx``; ``_worst_gap``, the scan's readout, folds the
+rivals first and adds the base term once per agent, which is exact
+because rounding a sum is monotone and no reduced value is -0.0.
 The order of the ordered pairs has one home, ``_ordered_pairs``: i-major,
 j ascending.  Every pair loop of the package reads it, so it fixes the
 order of ``is_efx``'s violations, the rows of the descent LP and the
@@ -289,22 +293,49 @@ def _halves(inst: Instance, owners: np.ndarray):
     return _half_tables(inst.values[:p], owners[:, :p]), _half_tables(inst.values[p:], owners[:, p:])
 
 
-def _envy_gaps(prefix, suffix) -> np.ndarray:
-    """Envy gap of every ordered agent pair, from a prefix and a suffix table.
+def _reduced_values(prefix, suffix, fold: bool = False) -> np.ndarray:
+    """Agent i's reduced value for agent j's bundle, from a prefix and a
+    suffix table: the bundle sum less its minimum, zero for an empty bundle.
 
     The two tables broadcast against each other along their trailing
     allocation axes.  An allocation's bundle sums are the prefix sums plus
-    the suffix sums and its bundle minima the smaller of the two, so agent
-    i's reduced value for j's bundle is their difference (zero for an
-    empty bundle).  The gap subtracts i's own bundle value; gaps are
-    shaped (n, n - 1, ...) in row-major pair order, and positive gaps are
-    EFX violations.  Every EFX slack in the package is read from here.
+    the suffix sums and its bundle minima the smaller of the two.  Values
+    are shaped (n, n - 1, ...) in row-major pair order; with ``fold`` only
+    the largest over the rivals j is kept, shaped (n, ...).  Folding before
+    the clamp at zero is exact, because max(0, .) commutes with max.
     """
-    gaps = prefix[0] + suffix[0]
-    gaps -= np.minimum(prefix[1], suffix[1])
-    np.maximum(gaps, 0.0, out=gaps)  # reduced values, zero for empty bundles
+    values = prefix[0] + suffix[0]
+    values -= np.minimum(prefix[1], suffix[1])
+    if fold:
+        values = values.max(axis=1)
+    return np.maximum(values, 0.0, out=values)
+
+
+def _envy_gaps(prefix, suffix) -> np.ndarray:
+    """Envy gap of every ordered agent pair, from a prefix and a suffix table:
+    agent i's reduced value for j's bundle minus i's own bundle value, shaped
+    (n, n - 1, ...) in row-major pair order.  Positive gaps are EFX
+    violations.
+    """
+    gaps = _reduced_values(prefix, suffix)
     gaps += (prefix[2] + suffix[2])[:, None]
     return gaps
+
+
+def _worst_gap(prefix, suffix) -> np.ndarray:
+    """Largest envy gap of each allocation, ``_envy_gaps(...).max(axis=(0, 1))``
+    bit for bit.
+
+    The rivals are folded before i's base term is added.  That is exact:
+    fl(x + b) is monotone in x, so it commutes with the max over j.  No
+    reduced value is -0.0, so no two equal zeros differ in sign: a
+    difference is -0.0 only for -0.0 less 0.0, and a bundle sum is -0.0
+    only when every item is in the bundle at -0.0, when its minimum is
+    -0.0 as well.
+    """
+    worst = _reduced_values(prefix, suffix, fold=True)
+    worst += prefix[2] + suffix[2]
+    return worst.max(axis=0)
 
 
 def efx_slack(inst: Instance, alloc: Allocation) -> float:

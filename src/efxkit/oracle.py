@@ -2,17 +2,20 @@
 
 Scans every owner vector in a fixed mixed-radix order (item 0 is the most
 significant digit) and applies the EFX check to each.  The items split at
-``m // 2`` into a prefix (the most significant digits) and a suffix; the
-pair tables of every suffix row are built once (per block when n is so
-large that they would not fit), and each block of prefix rows is combined
-with them by broadcast, O(n^2) per allocation with no per-allocation
-decode.  The scan stays single-threaded and prefix-major,
+``m // 2`` into a prefix (the most significant digits) and a suffix, a
+meet-in-the-middle split: both halves' owner rows are decoded and their
+pair tables built once (per block when n is so large that they would not
+fit), and each block of prefix rows is combined with suffix rows by
+broadcast, O(n^2) per allocation.  Each allocation's worst gap folds the
+rivals before adding the envious agent's base term, which is exact (see
+``instance._worst_gap``).  Once the witness list is full the scan only
+counts.  The scan stays single-threaded and prefix-major,
 so results and witness order are deterministic.  A guard caps the search
 at 10^7 owner vectors; nothing in this package concludes "no EFX
 allocation exists" except this scan, run within the guard.  The EFX
-slack is read from ``instance._envy_gaps``, the kernel behind ``is_efx``,
-so the scan and the single-allocation check agree bit for bit by
-construction.  The smallest worst-pair slack over the scan is the exact
+slack is read from ``instance._reduced_values``, the kernel behind
+``is_efx``, so the scan and the single-allocation check agree bit for bit
+by construction.  The smallest worst-pair slack over the scan is the exact
 integral minimum of the existence objective: an EFX allocation exists
 exactly when it is nonpositive.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DEFAULT_EFX_TOL, Allocation, Instance, _envy_gaps, _half_tables, _halves, _split
+from .instance import DEFAULT_EFX_TOL, Allocation, Instance, _half_tables, _halves, _split, _worst_gap
 
 SCAN_GUARD = 10**7
 WITNESS_CAP = 64
@@ -54,14 +57,9 @@ def _decode_owners(codes: np.ndarray, m: int, n: int) -> np.ndarray:
     return owners
 
 
-def _worst_gap(gaps: np.ndarray) -> np.ndarray:
-    """Largest pair gap of each allocation."""
-    return gaps.max(axis=(0, 1))
-
-
 def batch_efx_slack(inst: Instance, owners: np.ndarray) -> np.ndarray:
     """Worst EFX slack for each owner row, vectorized over allocations."""
-    return _worst_gap(_envy_gaps(*_halves(inst, np.asarray(owners, dtype=int))))
+    return _worst_gap(*_halves(inst, np.asarray(owners, dtype=int)))
 
 
 def _scan(inst: Instance, guard: int):
@@ -72,8 +70,10 @@ def _scan(inst: Instance, guard: int):
     A block pairs consecutive prefix rows with consecutive suffix rows and
     holds about ``_BLOCK`` pair entries; it spans several prefix rows only
     when it spans every suffix row, so row-major order within a block is
-    the scan order.  The suffix tables are built once when they hold at
-    most ``_TABLE_CAP`` entries, and per block otherwise.
+    the scan order.  Both halves' owner rows are decoded once.  Their
+    tables are built once too when the suffix tables hold at most
+    ``_TABLE_CAP`` entries (the prefix half is never the larger), and per
+    block otherwise.
     """
     m, n = inst.m, inst.n
     size = n**m
@@ -82,26 +82,28 @@ def _scan(inst: Instance, guard: int):
             f"scan of {n}^{m} = {size} owner vectors exceeds the guard of {guard}"
         )
     p = _split(m)
-    prefix_values, suffix_values = inst.values[:p], inst.values[p:]
     pairs = n * (n - 1)
     suffix_size = n ** (m - p)
     suffix_step = min(suffix_size, max(1, _BLOCK // pairs))
     prefix_step = max(1, _BLOCK // (suffix_size * pairs))
-    suffix_owners = _decode_owners(np.arange(suffix_size), m - p, n)
+    values = inst.values[:p], inst.values[p:]
+    owners = _decode_owners(np.arange(n**p), p, n), _decode_owners(np.arange(suffix_size), m - p, n)
     cached = None
     if suffix_size * pairs <= _TABLE_CAP:
-        cached = _half_tables(suffix_values, suffix_owners)
+        cached = [_half_tables(*half) for half in zip(values, owners)]
+
+    def tables(half: int, rows: slice):
+        if cached is None:
+            return _half_tables(values[half], owners[half][rows])
+        return [table[..., rows] for table in cached[half]]
+
     for start in range(0, n**p, prefix_step):
-        owners = _decode_owners(np.arange(start, min(start + prefix_step, n**p)), p, n)
-        prefix = [table[..., None] for table in _half_tables(prefix_values, owners)]
+        rows = slice(start, start + prefix_step)
+        prefix = [table[..., None] for table in tables(0, rows)]
         for cut in range(0, suffix_size, suffix_step):
-            rows = suffix_owners[cut : cut + suffix_step]
-            if cached is None:
-                tables = _half_tables(suffix_values, rows)
-            else:
-                tables = [table[..., cut : cut + suffix_step] for table in cached]
-            suffix = [table[..., None, :] for table in tables]
-            yield owners, rows, _worst_gap(_envy_gaps(prefix, suffix))
+            cols = slice(cut, cut + suffix_step)
+            suffix = [table[..., None, :] for table in tables(1, cols)]
+            yield owners[0][rows], owners[1][cols], _worst_gap(prefix, suffix)
 
 
 def enumerate_efx(
@@ -121,9 +123,12 @@ def enumerate_efx(
     min_slack = np.inf
     for prefix, suffix, slack in _scan(inst, guard):
         min_slack = min(min_slack, slack.min())
+        if len(witnesses) >= cap:
+            count += int(np.count_nonzero(slack <= tol))
+            continue
         a, b = np.nonzero(slack <= tol)
         count += a.size
-        keep = max(0, cap - len(witnesses))
+        keep = cap - len(witnesses)
         witnesses.extend(map(Allocation, np.hstack([prefix[a[:keep]], suffix[b[:keep]]])))
     return OracleResult(
         exists=count > 0,

@@ -562,6 +562,31 @@ def test_no_subcommand_loads_scipy(tmp_path):
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "option, value, expected",
+    [
+        ("--m", "0", "positive integer"),
+        ("--n", "1", "at least 2"),
+        ("--kmax", "0", "positive integer"),
+        ("--kmax", "9223372036854775808", "at most 2**63 - 1"),
+        ("--kmax", "99999999999999999999", "at most 2**63 - 1"),
+    ],
+)
+def test_gen_out_of_range_counts_are_usage_errors(capsys, option, value, expected):
+    argv = {"--m": "3", "--n": "2", "--dist": "integer", "--kmax": "5"}
+    argv[option] = value
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["gen", *(part for item in argv.items() for part in item)])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and expected in err
+
+
+def test_gen_largest_drawable_kmax_is_accepted(capsys):
+    code, doc = _run(capsys, ["gen", "--m", "2", "--n", "2", "--dist", "integer", "--kmax", "9223372036854775807"])
+    assert code == 0 and doc["config"]["kmax"] == 2**63 - 1
+
+
 @pytest.mark.parametrize("count", ["-1", "0"])
 def test_fixedpoint_nonpositive_max_iters_is_a_usage_error(tmp_path, capsys, count):
     inst = _instance_file(tmp_path, I0_NORM)

@@ -46,6 +46,8 @@ INVOCATIONS = {
             ("extension-x", ["extension", "eval"], ["--x", f"x-{shape}.json"]),
             ("extension-y", ["extension", "eval"], ["--y", f"y-{shape}.json"]),
             ("oracle-all", ["oracle", "--all"], []),
+            ("oracle-cap0", ["oracle", "--cap", "0"], []),
+            ("oracle-cap1", ["oracle", "--cap", "1"], []),
         )
     },
 }

@@ -17,7 +17,7 @@ from efxkit import (
     normalize,
 )
 from efxkit import oracle
-from efxkit.instance import DEFAULT_EFX_TOL
+from efxkit.instance import DEFAULT_EFX_TOL, _envy_gaps, _worst_gap
 
 CAPS = (0, 1, 64)
 # Every m in 1..9 and every n in 2..5, up to 6561 owner vectors per scan.
@@ -116,16 +116,40 @@ def test_min_max_envy_is_its_best_allocations_readout():
 @pytest.mark.parametrize("block, table_cap", [(1, 0), (7, 0), (7, 1 << 20), (50, 40)])
 def test_block_sizes_leave_results_unchanged(monkeypatch, block, table_cap):
     # Small blocks split the suffix rows into slices; a zero table cap
-    # rebuilds the suffix tables for every block instead of slicing them.
+    # rebuilds both halves' tables for every block instead of slicing them.
+    # Caps 0, 1 and 3 fill the witness list inside one block or across
+    # several, after which the scan only counts.
     instances = [random_instance(3, 5, 3), generate_instance(6, 2, "integer", 4, kmax=1)]
     instances.append(generate_instance(4, 4, "identical", 5))
-    expected = [enumerate_efx(inst, cap=64) for inst in instances]
+    caps = (0, 1, 3, 64)
+    expected = [[enumerate_efx(inst, cap=cap) for cap in caps] for inst in instances]
     monkeypatch.setattr(oracle, "_BLOCK", block)
     monkeypatch.setattr(oracle, "_TABLE_CAP", table_cap)
-    for inst, scan in zip(instances, expected):
-        got = enumerate_efx(inst, cap=64)
-        assert (got.witness_count, _owners(got)) == (scan.witness_count, _owners(scan))
-        assert got.min_slack == scan.min_slack
+    for inst, scans in zip(instances, expected):
+        for cap, scan in zip(caps, scans):
+            got = enumerate_efx(inst, cap=cap)
+            assert (got.witness_count, _owners(got)) == (scan.witness_count, _owners(scan)), cap
+            assert got.min_slack == scan.min_slack
+
+
+@pytest.mark.parametrize("table_cap", [oracle._TABLE_CAP, 0])
+def test_folded_worst_gap_is_the_pair_maximum_byte_for_byte(monkeypatch, table_cap):
+    # The scan folds the rivals before adding the base term.  Comparing
+    # bytes compares sign bits too, so a -0.0 against a 0.0 fails here.
+    # The kinds hold ties, identical columns and signed zeros; every scan
+    # has agents holding nothing, and m = 1 leaves the prefix empty.
+    def checked(prefix, suffix):
+        got = _worst_gap(prefix, suffix)
+        assert got.tobytes() == _envy_gaps(prefix, suffix).max(axis=(0, 1)).tobytes()
+        return got
+
+    monkeypatch.setattr(oracle, "_worst_gap", checked)
+    monkeypatch.setattr(oracle, "_BLOCK", 64)
+    monkeypatch.setattr(oracle, "_TABLE_CAP", table_cap)
+    for m, n in ((1, 2), (1, 4), (2, 3), (3, 4), (4, 3), (5, 2)):
+        for kind, inst in _kinds(m, n, seed=m + n):
+            enumerate_efx(inst, cap=0)
+            batch_efx_slack(inst, np.random.default_rng(m).integers(0, n, size=(16, m)))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
