@@ -212,19 +212,21 @@ def cmd_extension(args) -> int:
     lams = _parse_lambdas(args.lambdas)
     if (args.y is None) == (args.x is None):
         raise InstanceFormatError("provide exactly one of --y or --x")
-    bound = [float(np.log(inst.n * inst.m) / lam) for lam in lams]
+    f_value = None
     if args.y is not None:
         y = _load_matrix(args.y, "y", inst)
         f_value = extension.dc_objective(inst, y)
-        g_values = [
-            extension.rounding_bound(inst, extension.softmax_map(y, lam), lam) for lam in lams
-        ]
     else:
         x = _load_matrix(args.x, "x", inst)
         if not lovasz.in_partition_polytope(x):
             raise InstanceFormatError("x rows must be distributions over agents")
-        f_value = None
-        g_values = [extension.rounding_bound(inst, x, lam) for lam in lams]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = [float(np.log(inst.n * inst.m) / lam) for lam in lams]
+        points = [x] * len(lams) if args.y is None else [extension.softmax_map(y, lam) for lam in lams]
+        g_values = [extension.rounding_bound(inst, point, lam) for point, lam in zip(points, lams)]
+    for lam, b, g in zip(lams, bound, g_values):
+        if not np.isfinite([b, g]).all():
+            raise InstanceFormatError(f"--lambdas: temperature {lam!r} takes the evaluation beyond the float range")
     payload = {"f": f_value, "g": g_values, "bound": bound}
     _emit(args, payload, command="extension eval", lambdas=lams)
     return 0

@@ -13,14 +13,14 @@ and maps the box into itself, so a fixed point is guaranteed to exist.
 Damped Picard iteration hunts for one from many starts, which advance as
 one stack: the maps and the transfer gain take a leading stack axis and
 treat its matrices apart, so each start's run is the one it would have
-alone.  The stack is held agents-major, each matrix an (m, n) view of
-(n, m) memory, so the row maxima and the folds over rivals and
-bystanders run over whole contiguous rows; the kernels give the same
-floats on either layout and lay their results out like their input.
-Convergence is not guaranteed and is always reported rather than
-assumed.  The transfer gain is a readout of the shifted row maxima from
-``extension._shifted_rowmax``, the same kernel behind the existence
-objective.
+alone, and each start keeps one record of its best residual and iterate.
+The stack is held agents-major, each matrix an (m, n) view of (n, m)
+memory, so the row maxima and the folds over rivals and bystanders run
+over whole contiguous rows; the kernels give the same floats on either
+layout and lay their results out like their input.  Convergence is not
+guaranteed and is always reported rather than assumed.  The transfer gain
+is a readout of the shifted row maxima from ``extension._shifted_rowmax``,
+the same kernel behind the existence objective.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .extension import extract_allocation, greedy_allocation
 from .instance import DEFAULT_EFX_TOL, Allocation, Instance, _ordered_pairs, is_efx, total_mass
 
 RESIDUAL_TOL = 1e-8
-SLACK_TOL = 1e-6
 DEFAULT_ALPHA = 0.5
 DEFAULT_MAX_ITERS = 1000
 DIAG_TOL = 1e-9
@@ -224,11 +223,12 @@ def picard_iterate_many(
     Works in the box of radius ``box_radius(inst, m_const)``.  Each start
     is an items-by-agents matrix, inside the box for the boxed maps, or
     None for the greedy allocation's encoding.  The starts advance as one
-    stack: each step maps every live start at once, and a start leaves the
-    stack when its undamped residual (max-norm distance between the point
-    and its image) drops to ``tol`` or when it reaches ``max_iters``.  Each
-    start reports its best iterate; every kernel treats the matrices of a
-    stack apart, so a report equals that of a run from its start alone.
+    stack, each step mapping every live start at once; a start leaves it
+    when its undamped residual (max-norm distance between the point and
+    its image) drops to ``tol``, and the rest stop at ``max_iters``.  Each
+    start keeps one record, its best residual and iterate, and reports it;
+    every kernel treats the matrices of a stack apart, so a report equals
+    that of a run from its start alone.
     The constraint slack and the EFX verdict of the row-argmax extraction
     are always checked independently of convergence, and rows stuck below
     zero are reported as diagnostics.  If the map escapes its box on some
@@ -238,6 +238,8 @@ def picard_iterate_many(
         raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAPS)}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("damping factor must be in (0, 1]")
+    if max_iters < 0:
+        raise ValueError("iteration cap must be nonnegative")
     m_const = box_radius(inst, m_const)
     boxed = map_name in ("Tprime", "Ttilde")
     # Map T is unboxed: it takes no radius, and only the shape of its start is checked.
@@ -249,13 +251,13 @@ def picard_iterate_many(
     # reduce over whole agent rows.
     y = np.array([_require_box(inst, y0, m_const if boxed else None).T for y0 in starts]).swapaxes(1, 2)
 
+    # One record per start; best_y is C-ordered, so each report's iterate is C-contiguous.
     best_residual = np.full(len(y), np.inf)
-    # C-ordered, so each report's iterate is C-contiguous.
     best_y = y.copy()
     converged = np.zeros(len(y), dtype=bool)
-    iterations = np.zeros(len(y), dtype=int)
-    # The live stack: start numbers, with each one's best residual and iterate so far.
-    live, live_residual, live_y = np.arange(len(y)), best_residual.copy(), y
+    iterations = np.full(len(y), max_iters)
+    # The start behind each matrix of the stack.
+    live = np.arange(len(y))
     escape = None
     for step in range(max_iters + 1):
         image = None
@@ -268,29 +270,20 @@ def picard_iterate_many(
                 # stack.  An escape that names no matrix is charged to the first.
                 escape = exc
                 cut = exc.index or 0
-                live, live_residual, live_y, y = live[:cut], live_residual[:cut], live_y[:cut], y[:cut]
+                live, y = live[:cut], y[:cut]
         if image is None:
             break
         step_y = image - y
         residual = np.abs(step_y).max(axis=(1, 2))
-        better = residual < live_residual
-        # Iterates are never written in place, so the best ones are shared, not copied.
-        if better.all():
-            live_residual, live_y = residual, y
-        elif better.any():
-            live_residual = np.where(better, residual, live_residual)
-            live_y = np.where(better[:, None, None], y, live_y)
+        better = residual < best_residual[live]
+        improved = live[better]
+        best_residual[improved], best_y[improved] = residual[better], y[better]
         done = residual <= tol
-        if step >= max_iters or done.any():
-            stop = done | (step >= max_iters)
-            leaving = live[stop]
-            best_residual[leaving], best_y[leaving] = live_residual[stop], live_y[stop]
-            converged[leaving], iterations[leaving] = done[stop], step
-            keep = ~stop
-            live, live_residual, live_y = live[keep], live_residual[keep], live_y[keep]
-            y, step_y = y[keep], step_y[keep]
-            if not live.size:
-                break
+        if done.any():
+            converged[live[done]], iterations[live[done]] = True, step
+            live, y, step_y = live[~done], y[~done], step_y[~done]
+        if step == max_iters or not live.size:
+            break
         y = y + alpha * step_y
         if boxed:
             # Damped combinations can leave the box by a rounding ulp.

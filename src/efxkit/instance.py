@@ -11,10 +11,12 @@ read from one kernel, ``_reduced_values``, which yields agent i's reduced
 value for agent j's bundle.  It combines two half tables: the items split
 at ``m // 2`` into a prefix and a suffix, bundle sums add across the
 halves and bundle minima take the smaller, so one allocation costs O(n^2).
-``_envy_gaps`` adds each agent's base term (minus its own bundle value) to
-every pair for ``is_efx``; ``_worst_gap``, the scan's readout, folds the
-rivals first and adds the base term once per agent, which is exact
-because rounding a sum is monotone and no reduced value is -0.0.
+``_envy_gaps`` clamps an empty bundle's -inf at zero and adds each agent's
+base term (minus its own bundle value) to every pair for ``is_efx``;
+``_worst_gap``, the scan's readout, folds the rivals first, unclamped, and
+adds the base term once per agent.  Both are exact: rounding a sum is
+monotone, and the clamp only lifts a pair whose rival holds nothing, to
+at most +0.0, which that rival's own gap already reaches.
 The order of the ordered pairs has one home, ``_ordered_pairs``: i-major,
 j ascending.  Every pair loop of the package reads it, so it fixes the
 order of ``is_efx``'s violations, the rows of the descent LP and the
@@ -293,31 +295,27 @@ def _halves(inst: Instance, owners: np.ndarray):
     return _half_tables(inst.values[:p], owners[:, :p]), _half_tables(inst.values[p:], owners[:, p:])
 
 
-def _reduced_values(prefix, suffix, fold: bool = False) -> np.ndarray:
+def _reduced_values(prefix, suffix) -> np.ndarray:
     """Agent i's reduced value for agent j's bundle, from a prefix and a
-    suffix table: the bundle sum less its minimum, zero for an empty bundle.
+    suffix table: the bundle sum less its minimum, -inf for an empty bundle.
 
     The two tables broadcast against each other along their trailing
     allocation axes.  An allocation's bundle sums are the prefix sums plus
     the suffix sums and its bundle minima the smaller of the two.  Values
-    are shaped (n, n - 1, ...) in row-major pair order; with ``fold`` only
-    the largest over the rivals j is kept, shaped (n, ...).  Folding before
-    the clamp at zero is exact, because max(0, .) commutes with max.
+    are shaped (n, n - 1, ...) in row-major pair order.
     """
     values = prefix[0] + suffix[0]
     values -= np.minimum(prefix[1], suffix[1])
-    if fold:
-        values = values.max(axis=1)
-    return np.maximum(values, 0.0, out=values)
+    return values
 
 
 def _envy_gaps(prefix, suffix) -> np.ndarray:
     """Envy gap of every ordered agent pair, from a prefix and a suffix table:
-    agent i's reduced value for j's bundle minus i's own bundle value, shaped
-    (n, n - 1, ...) in row-major pair order.  Positive gaps are EFX
-    violations.
+    agent i's reduced value for j's bundle, zero for an empty bundle, minus
+    i's own bundle value, shaped (n, n - 1, ...) in row-major pair order.
+    Positive gaps are EFX violations.
     """
-    gaps = _reduced_values(prefix, suffix)
+    gaps = np.maximum(_reduced_values(prefix, suffix), 0.0)
     gaps += (prefix[2] + suffix[2])[:, None]
     return gaps
 
@@ -331,9 +329,11 @@ def _worst_gap(prefix, suffix) -> np.ndarray:
     reduced value is -0.0, so no two equal zeros differ in sign: a
     difference is -0.0 only for -0.0 less 0.0, and a bundle sum is -0.0
     only when every item is in the bundle at -0.0, when its minimum is
-    -0.0 as well.
+    -0.0 as well.  The clamp at zero is skipped: it only lifts a pair whose
+    rival j holds nothing, from -inf to at most +0.0, and j's own gap
+    against an agent holding an item (m >= 1) is already at least +0.0.
     """
-    worst = _reduced_values(prefix, suffix, fold=True)
+    worst = _reduced_values(prefix, suffix).max(axis=1)
     worst += prefix[2] + suffix[2]
     return worst.max(axis=0)
 

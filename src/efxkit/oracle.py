@@ -7,12 +7,13 @@ meet-in-the-middle split: both halves' owner rows are decoded and their
 pair tables built once (per block when n is so large that they would not
 fit), and each block of prefix rows is combined with suffix rows by
 broadcast, O(n^2) per allocation.  Each allocation's worst gap folds the
-rivals before adding the envious agent's base term, which is exact (see
-``instance._worst_gap``).  Once the witness list is full the scan only
-counts.  The scan stays single-threaded and prefix-major,
-so results and witness order are deterministic.  A guard caps the search
-at 10^7 owner vectors; nothing in this package concludes "no EFX
-allocation exists" except this scan, run within the guard.  The EFX
+rivals before adding the envious agent's base term and skips the clamp of
+an empty bundle's reduced value at zero, which the worst gap never needs;
+both are exact (see ``instance._worst_gap``).  Once the witness list is
+full the scan only counts.  The scan stays single-threaded and
+prefix-major, so results and witness order are deterministic.  A guard
+caps the search at 10^7 owner vectors; nothing in this package concludes
+"no EFX allocation exists" except this scan, run within the guard.  The EFX
 slack is read from ``instance._reduced_values``, the kernel behind
 ``is_efx``, so the scan and the single-allocation check agree bit for bit
 by construction.  The smallest worst-pair slack over the scan is the exact

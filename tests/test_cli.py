@@ -671,6 +671,25 @@ def test_non_finite_temperature_is_an_input_error(tmp_path, capsys, lambdas):
     assert "positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", ["x", "y"])
+@pytest.mark.parametrize("lambdas", ["1e-320", "1,1e308"])
+def test_temperature_whose_evaluation_overflows_is_an_input_error(tmp_path, capsys, point, lambdas):
+    # log(nm) / 1e-320 and g at 1e-320 overflow; at 1e308, lam * v and the
+    # softmax products do.
+    inst = tmp_path / "instance.json"
+    assert cli.main(["gen", "--m", "4", "--n", "3", "--output", str(inst)]) == 0
+    doc = {"x": [[1 / 3] * 3] * 4} if point == "x" else {"y": [[-1.0, -2.0, -3.0]] * 4}
+    source = _write_doc(tmp_path / "point.json", doc)
+    out = tmp_path / "out.json"
+    argv = ["extension", "eval", "--instance", str(inst), f"--{point}", source, "--lambdas", lambdas]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*argv, "--output", str(out)]) == 2
+    lam = float(lambdas.split(",")[-1])
+    assert f"--lambdas: temperature {lam!r} takes the evaluation beyond the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_oracle_cap_is_a_usage_error(tmp_path, capsys):
     inst = _instance_file(tmp_path, I0_NORM)
     with pytest.raises(SystemExit) as excinfo:

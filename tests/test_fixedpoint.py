@@ -291,6 +291,8 @@ def test_picard_rejects_bad_arguments(i0_norm):
         picard_iterate(i0_norm, alpha=0.0)
     with pytest.raises(ValueError):
         picard_iterate(i0_norm, alpha=1.5)
+    with pytest.raises(ValueError, match="iteration cap"):
+        picard_iterate(i0_norm, max_iters=-1)
     assert sorted(MAPS) == ["T", "Tprime", "Ttilde"]
 
 

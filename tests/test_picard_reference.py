@@ -32,15 +32,19 @@ def _instances(m: int, n: int):
     yield normalize(generate_instance(m, n, "identical", n))
 
 
-def _starts(inst, count: int) -> list:
+def _starts(inst, count: int, map_name: str) -> list:
     """The greedy start, an EFX encoding when the oracle finds one, then
-    ``count`` uniform starts in the box."""
+    ``count`` uniform starts in the box and, for map T, which takes any
+    start of the right shape, ``count`` more uniform in [-3M, M]."""
     encodings = []
     if inst.n**inst.m <= ORACLE_SCAN_LIMIT:
         encodings = [encode_allocation(inst, alloc) for alloc in enumerate_efx(inst, cap=1).witnesses]
     box = box_radius(inst)
     rng = np.random.default_rng(inst.m * inst.n)
-    return [None, *encodings, *rng.uniform(-box, 0.0, size=(count, inst.m, inst.n))]
+    starts = [None, *encodings, *rng.uniform(-box, 0.0, size=(count, inst.m, inst.n))]
+    if map_name == "T":
+        starts += list(rng.uniform(-3 * box, box, size=(count, inst.m, inst.n)))
+    return starts
 
 
 def _fingerprint(report) -> str:
@@ -68,7 +72,7 @@ def test_stacked_picard_matches_one_start_reference_exactly(map_name):
     ends = set()
     for m, n in SHAPES:
         for inst in _instances(m, n):
-            starts = _starts(inst, 3)
+            starts = _starts(inst, 3, map_name)
             for max_iters in (12, 300):
                 reports = picard_iterate_many(inst, starts, map_name, max_iters=max_iters)
                 assert len(reports) == len(starts)
