@@ -287,6 +287,49 @@ def test_compare_runs_all_methods(tmp_path, capsys):
     assert rows[0]["found_efx"] == "True"
 
 
+def test_compare_csv_header_order(tmp_path):
+    inst = _instance_file(tmp_path, I0_RAW)
+    csv_path = tmp_path / "rows.csv"
+    assert cli.main(["compare", "--instance", inst, "--csv", str(csv_path), "--output", str(tmp_path / "doc.json")]) == 0
+    with open(csv_path, newline="") as handle:
+        header = next(csv.reader(handle))
+    assert header == ["method", "found_efx", "objective", "iterations", "wall_time_s", "flag", "error"]
+
+
+# Dyadic columns summing to exactly one: normalizing leaves them unchanged,
+# so compare's rows see the very instance the commands load.
+DYADIC = [[0.5, 0.25, 0.125], [0.25, 0.25, 0.375], [0.125, 0.25, 0.25], [0.125, 0.25, 0.25]]
+
+
+@pytest.mark.parametrize("seed", ["0", "2"])  # seed 2 rounds to an EFX allocation
+def test_compare_rows_run_what_the_commands_run(tmp_path, capsys, seed):
+    inst = _instance_file(tmp_path, DYADIC)
+    code, doc = _run(capsys, ["compare", "--instance", inst, "--seed", seed])
+    assert code == 0
+    rows = {row["method"]: row for row in doc["rows"]}
+    code, lovasz_doc = _run(capsys, ["lovasz", "--instance", inst, "--seed", seed])
+    assert code == 0
+    assert (rows["lovasz"]["found_efx"], rows["lovasz"]["objective"]) == (
+        lovasz_doc["rounding"]["efx"],
+        lovasz_doc["objective"],
+    )
+    code, dca_doc = _run(capsys, ["dca", "--instance", inst])
+    assert code == 0
+    assert (rows["dca"]["found_efx"], rows["dca"]["objective"], rows["dca"]["iterations"]) == (
+        dca_doc["efx"],
+        dca_doc["objective"],
+        dca_doc["iterations"],
+    )
+    code, fixedpoint_doc = _run(capsys, ["fixedpoint", "--instance", inst, "--seed", seed])
+    assert code == 0
+    row = rows["fixedpoint-Ttilde"]
+    assert (row["found_efx"], row["objective"], row["iterations"]) == (
+        fixedpoint_doc["efx"],
+        fixedpoint_doc["constraint_slack"],
+        fixedpoint_doc["iterations"],
+    )
+
+
 def test_compare_scans_every_allocation_once(tmp_path, capsys, monkeypatch):
     # The oracle row reads its verdict and its objective off one scan.
     inst = _instance_file(tmp_path, I0_RAW)

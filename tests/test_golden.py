@@ -31,11 +31,16 @@ INVOCATIONS = {
         for shape in ("10x5", "6x3", "6x2")
         for map_name in ("T", "Tprime", "Ttilde")
     },
-    "compare-5x3.json": ["compare", "--instance", "gen-5x3.json"],
+    **{
+        f"fixedpoint-start1-{shape}.json": ["fixedpoint", "--instance", f"gen-{shape}.json", "--starts", "1"]
+        for shape in ("10x5", "6x3", "6x2")
+    },
+    **{f"compare-{shape}.json": ["compare", "--instance", f"gen-{shape}.json"] for shape in INSTANCES},
     **{
         f"dca-{shape}.json": ["dca", "--instance", f"gen-{shape}.json", "--starts", "4", "--seed", "3"]
         for shape in ("6x3", "6x2", "5x3")
     },
+    **{f"dca-start1-{shape}.json": ["dca", "--instance", f"gen-{shape}.json"] for shape in ("6x3", "6x2", "5x3")},
     "oracle-6x3.json": ["oracle", "--instance", "gen-6x3.json"],
     **{
         f"{name}-{shape}.json": [*argv, "--instance", f"gen-{shape}.json", *inputs]
