@@ -10,6 +10,9 @@ Subcommands
     fixedpoint  damped Picard iteration of a clamp map
     compare     run oracle and solvers side by side, optionally to CSV
 
+compare's solver rows call the commands' own runners and best-start ranks,
+at the commands' defaults and with compare's --tol as their EFX tolerance.
+
 Exit codes: 0 ran to completion, 1 usage error, 2 input error, 3 internal
 check failure.  Documents are JSON with sorted keys; agents and items are
 1-based in documents while the library API is 0-based.  Every output
@@ -177,17 +180,20 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _lovasz_run(inst: Instance, iters: int, step0: float, seed: int, tol: float):
+    """Relaxation descent and one seeded threshold rounding: x, the
+    objective, the rounding and its EFX verdict, rechecked with ``tol``."""
+    x, objective = lovasz.minimize_relaxation(inst, iters=iters, step0=step0)
+    rounding = lovasz.threshold_round(x, seed)
+    return x, objective, rounding, bool(rounding.feasible and is_efx(inst, rounding.allocation, tol).ok)
+
+
 def cmd_lovasz(args) -> int:
-    raw = load_instance(args.instance)
-    inst, removed = _prefiltered_normalized(raw)
-    x, objective = lovasz.minimize_relaxation(inst, iters=args.iters, step0=args.step0)
-    rounding = lovasz.threshold_round(x, args.seed)
-    rounded_efx = bool(
-        rounding.feasible and is_efx(inst, rounding.allocation, DEFAULT_EFX_TOL).ok
-    )
+    inst, removed = _prefiltered_normalized(load_instance(args.instance))
+    x, objective, rounding, rounded_efx = _lovasz_run(inst, args.iters, args.step0, args.seed, DEFAULT_EFX_TOL)
     payload = {
         "form": "monotone",
-        "threshold": 1.0,
+        "threshold": lovasz.MONOTONE_THRESHOLD,
         "objective": objective,
         "x": _matrix_doc(x),
         "iterations": args.iters,
@@ -249,51 +255,55 @@ def _random_starts(inst: Instance, seed: int, count: int, box: float) -> list[np
     return [np.random.default_rng(child).uniform(-box, 0.0, size=(inst.m, inst.n)) for child in children]
 
 
+def _multistart(runs: list, rank, summary) -> tuple:
+    """The best of ``runs`` by ``rank`` (the first on ties) and the core of
+    its document: the best run's ``summary``, its index as
+    ``selected_start`` and every start's summary as ``starts``."""
+    best_index = min(range(len(runs)), key=lambda i: rank(runs[i]))
+    core = {
+        **summary(runs[best_index]),
+        "selected_start": best_index,
+        "starts": [{"start": i, **summary(run)} for i, run in enumerate(runs)],
+    }
+    return runs[best_index], core
+
+
+def _dca_runs(inst: Instance, starts: int, seed: int, box: float, **options) -> list[dc.DCAResult]:
+    """DCA runs with ``options`` from the greedy encoding (start 0) and
+    ``starts - 1`` random starts.  Every start's LPs share their rows and
+    bounds, so phase 1 runs once."""
+    lp = dc.build_lp(inst, box)
+    return [dc.dca_solve(lp, y0=y0, **options) for y0 in [None, *_random_starts(inst, seed, starts - 1, box)]]
+
+
+def _dca_rank(run: dc.DCAResult) -> tuple:
+    """Best-start order: EFX extractions first, then the smaller objective."""
+    return (not run.efx, run.objective)
+
+
 def cmd_dca(args) -> int:
     inst = load_instance(args.instance)
     box = _box_radius(inst, args.m_const)
-    # Every start's LPs share their rows and bounds, so phase 1 runs once.
-    lp = dc.build_lp(inst, box)
-    # Start 0 is the greedy encoding, the others are random starts.
-    runs = [
-        dc.dca_solve(lp, y0=y0, delta=args.delta, max_iters=args.max_iters)
-        for y0 in [None, *_random_starts(inst, args.seed, args.starts - 1, box)]
-    ]
-    best_index = min(range(len(runs)), key=lambda i: (not runs[i].efx, runs[i].objective))
-    best = runs[best_index]
-    payload = {
-        "objective": best.objective,
-        "iterations": best.iterations,
-        "status": best.status,
-        "owner": allocation_to_doc(best.allocation)["owner"],
-        "efx": best.efx,
-        "selected_start": best_index,
-        "trace": best.trace,
-        "lp_phase1_pivots": best.phase1_pivots,
-        "starts": [
-            {
-                "start": i,
-                "objective": run.objective,
-                "iterations": run.iterations,
-                "status": run.status,
-                "efx": run.efx,
-                "lp_phase1_pivots": run.phase1_pivots,
-            }
-            for i, run in enumerate(runs)
-        ],
-    }
-    _emit(args, payload)
+    runs = _dca_runs(inst, args.starts, args.seed, box, delta=args.delta, max_iters=args.max_iters)
+    best, core = _multistart(
+        runs,
+        _dca_rank,
+        lambda run: {
+            "objective": run.objective,
+            "iterations": run.iterations,
+            "status": run.status,
+            "efx": run.efx,
+            "lp_phase1_pivots": run.phase1_pivots,
+        },
+    )
+    _emit(args, {**core, "owner": allocation_to_doc(best.allocation)["owner"], "trace": best.trace})
     return 0
 
 
 def _stuck_rows_doc(rows: list[dict]) -> list[dict]:
     """Stuck-row diagnostics renumbered 1-based."""
     return [
-        {
-            **row,
-            "item": row["item"] + 1,
-            "entries": [{**entry, "agent": entry["agent"] + 1} for entry in row["entries"]],
-        }
+        {**row, "item": row["item"] + 1, "entries": [{**e, "agent": e["agent"] + 1} for e in row["entries"]]}
         for row in rows
     ]
 
@@ -317,33 +327,25 @@ def cmd_fixedpoint(args) -> int:
     runs = _fixedpoint_runs(
         inst, args.starts, args.seed, box, map_name=args.map, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters
     )
-    best_index = min(range(len(runs)), key=lambda i: _fixedpoint_rank(runs[i]))
-    best = runs[best_index]
+    best, core = _multistart(
+        runs,
+        _fixedpoint_rank,
+        lambda run: {
+            "converged": run.converged,
+            "iterations": run.iterations,
+            "residual": run.residual,
+            "constraint_slack": run.constraint_slack,
+            "efx": run.efx,
+            "stuck_row_count": len(run.stuck_rows),
+        },
+    )
+    del core["stuck_row_count"]  # the top level lists the stuck rows themselves
     payload = {
+        **core,
         "map": args.map,
-        "converged": best.converged,
-        "iterations": best.iterations,
-        "residual": best.residual,
-        "constraint_slack": best.constraint_slack,
-        "violations": [
-            {"item": k + 1, "agent": j + 1, "slack": s} for k, j, s in best.violations
-        ],
+        "violations": [{"item": k + 1, "agent": j + 1, "slack": s} for k, j, s in best.violations],
         "owner": allocation_to_doc(best.allocation)["owner"],
-        "efx": best.efx,
         "stuck_rows": _stuck_rows_doc(best.stuck_rows),
-        "selected_start": best_index,
-        "starts": [
-            {
-                "start": i,
-                "converged": run.converged,
-                "iterations": run.iterations,
-                "residual": run.residual,
-                "constraint_slack": run.constraint_slack,
-                "efx": run.efx,
-                "stuck_row_count": len(run.stuck_rows),
-            }
-            for i, run in enumerate(runs)
-        ],
     }
     _emit(args, payload)
     return 0
@@ -352,40 +354,30 @@ def cmd_fixedpoint(args) -> int:
 def _compare_row(method: str, runner) -> dict:
     """Run one method, recording failures instead of aborting the harness."""
     start_time = time.perf_counter()
+    row = {"method": method, "found_efx": False, "objective": None, "iterations": 0}
+    error = None
     try:
-        found_efx, objective, iterations = runner()
-        error = None
+        row["found_efx"], row["objective"], row["iterations"] = runner()
     except (dc.InternalCheckError, fixedpoint.SelfMapViolation, ValueError) as exc:
-        found_efx, objective, iterations = False, None, 0
         error = str(exc)
-    return {
-        "method": method,
-        "found_efx": found_efx,
-        "objective": objective,
-        "iterations": iterations,
-        "wall_time_s": time.perf_counter() - start_time,
-        "error": error,
-    }
+    return {**row, "wall_time_s": time.perf_counter() - start_time, "flag": None, "error": error}
 
 
 def cmd_compare(args) -> int:
-    raw = load_instance(args.instance)
-    inst, removed = _prefiltered_normalized(raw)
+    inst, removed = _prefiltered_normalized(load_instance(args.instance))
 
     def run_oracle():
         result = oracle.enumerate_efx(inst, cap=0, tol=args.tol)
         return result.exists, result.min_slack, result.allocations_scanned
 
-    # The solvers run with their commands' defaults.
+    # The solver rows run the commands' runners at the commands' defaults.
     def run_lovasz():
-        x, objective = lovasz.minimize_relaxation(inst)
-        rounding = lovasz.threshold_round(x, args.seed)
-        found = bool(rounding.feasible and is_efx(inst, rounding.allocation, args.tol).ok)
+        _, objective, _, found = _lovasz_run(inst, lovasz.DEFAULT_ITERS, lovasz.DEFAULT_STEP0, args.seed, args.tol)
         return found, objective, lovasz.DEFAULT_ITERS
 
     def run_dca():
-        result = dc.dca_solve(dc.build_lp(inst), efx_tol=args.tol)
-        return result.efx, result.objective, result.iterations
+        [run] = _dca_runs(inst, 1, args.seed, extension.box_radius(inst), efx_tol=args.tol)
+        return run.efx, run.objective, run.iterations
 
     def run_fixedpoint():
         box = extension.box_radius(inst)
@@ -403,41 +395,23 @@ def cmd_compare(args) -> int:
     # An oracle that could not run (say, past its scan guard) gives no
     # verdict, so the solver rows are not judged against one.
     oracle_exists = rows[0]["found_efx"] if rows[0]["error"] is None else None
-    findings = []
     for row in rows:
         if row["error"] is not None:
-            flag = "method-error"
-        elif row is rows[0] or oracle_exists is None or row["found_efx"] == oracle_exists:
-            flag = None
-        else:
-            flag = "disagreement" if row["found_efx"] else "stationary-miss"
-        row["flag"] = flag
-        if flag:
-            findings.append({"method": row["method"], "flag": flag})
+            row["flag"] = "method-error"
+        elif row is not rows[0] and oracle_exists is not None and row["found_efx"] != oracle_exists:
+            row["flag"] = "disagreement" if row["found_efx"] else "stationary-miss"
 
     payload = {
         "oracle_exists": oracle_exists,
         "removed_agents": removed,
         "rows": rows,
-        "findings": findings,
+        "findings": [{"method": row["method"], "flag": row["flag"]} for row in rows if row["flag"]],
     }
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
-            writer = csv.DictWriter(
-                handle,
-                fieldnames=[
-                    "method",
-                    "found_efx",
-                    "objective",
-                    "iterations",
-                    "wall_time_s",
-                    "flag",
-                    "error",
-                ],
-            )
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
     _emit(args, payload)
     return 0
 

@@ -237,10 +237,11 @@ def normalize(inst: Instance) -> Instance:
     return Instance(inst.values / sums, normalized=True)
 
 
-def _validate_allocation(inst: Instance, alloc: Allocation) -> None:
-    if alloc.owner.shape != (inst.m,):
-        raise InstanceFormatError(f"allocation covers {alloc.owner.shape[0]} items, expected m={inst.m}")
-    if alloc.owner.size and (alloc.owner.min() < 0 or alloc.owner.max() >= inst.n):
+def _validate_allocation(inst: Instance, owners: np.ndarray) -> None:
+    """Reject owner rows not shaped (allocations, m) or naming an agent outside 0..n-1."""
+    if owners.ndim != 2 or owners.shape[1] != inst.m:
+        raise InstanceFormatError(f"owner rows have shape {owners.shape}, expected (allocations, m={inst.m})")
+    if owners.size and (owners.min() < 0 or owners.max() >= inst.n):
         raise InstanceFormatError("allocation assigns an item to an agent outside 0..n-1")
 
 
@@ -290,7 +291,8 @@ def _half_tables(values: np.ndarray, owners: np.ndarray):
 
 
 def _halves(inst: Instance, owners: np.ndarray):
-    """Prefix and suffix tables of each owner row."""
+    """Prefix and suffix tables of each owner row, checked by ``_validate_allocation``."""
+    _validate_allocation(inst, owners)
     p = _split(inst.m)
     return _half_tables(inst.values[:p], owners[:, :p]), _half_tables(inst.values[p:], owners[:, p:])
 
@@ -349,7 +351,6 @@ def efx_slack(inst: Instance, alloc: Allocation) -> float:
 
 def is_efx(inst: Instance, alloc: Allocation, tol: float = DEFAULT_EFX_TOL) -> EfxReport:
     """Check every ordered pair's EFX constraint, allowing ``tol`` slack."""
-    _validate_allocation(inst, alloc)
     pair_gaps = _envy_gaps(*_halves(inst, alloc.owner[None, :])).ravel().tolist()
     violations = [gap for gap in zip(*_ordered_pairs(inst.n)[0].tolist(), pair_gaps) if gap[2] > tol]
     return EfxReport(ok=not violations, violations=violations, slack=max(pair_gaps))

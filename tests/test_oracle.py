@@ -8,6 +8,7 @@ import pytest
 from conftest import random_instance
 from efxkit import (
     Allocation,
+    InstanceFormatError,
     OracleGuardError,
     batch_efx_slack,
     efx_slack,
@@ -88,3 +89,15 @@ def test_min_slack_threshold_matches_existence():
         m = 2 + seed % 3
         result = enumerate_efx(normalize(random_instance(seed, m, n)))
         assert (result.min_slack + 1.0 <= 1.0 + 1e-9) == result.exists
+
+
+@pytest.mark.parametrize(
+    "owners",
+    [[[2, 2, 2]], [[0, 1, 0], [-1, 0, 0]], [[0, 1]], [0, 1, 1]],
+    ids=["agent-n", "agent-minus-one", "two-items", "flat"],
+)
+def test_batch_slack_rejects_rows_that_are_not_allocations(owners):
+    # Each row must give the m items to agents 0..n-1, as is_efx demands.
+    inst = make_instance([[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(InstanceFormatError):
+        batch_efx_slack(inst, np.asarray(owners))
