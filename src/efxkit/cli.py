@@ -180,7 +180,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _lovasz_run(inst: Instance, iters: int, step0: float, seed: int, tol: float):
+def _lovasz_run(inst: Instance, iters: int, step0: float, seed: int, tol: float) -> tuple:
     """Relaxation descent and one seeded threshold rounding: x, the
     objective, the rounding and its EFX verdict, rechecked with ``tol``."""
     x, objective = lovasz.minimize_relaxation(inst, iters=iters, step0=step0)
@@ -303,7 +303,11 @@ def cmd_dca(args) -> int:
 def _stuck_rows_doc(rows: list[dict]) -> list[dict]:
     """Stuck-row diagnostics renumbered 1-based."""
     return [
-        {**row, "item": row["item"] + 1, "entries": [{**e, "agent": e["agent"] + 1} for e in row["entries"]]}
+        {
+            **row,
+            "item": row["item"] + 1,
+            "entries": [{**entry, "agent": entry["agent"] + 1} for entry in row["entries"]],
+        }
         for row in rows
     ]
 

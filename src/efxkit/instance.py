@@ -238,7 +238,6 @@ def normalize(inst: Instance) -> Instance:
 
 
 def _validate_allocation(inst: Instance, owners: np.ndarray) -> None:
-    """Reject owner rows not shaped (allocations, m) or naming an agent outside 0..n-1."""
     if owners.ndim != 2 or owners.shape[1] != inst.m:
         raise InstanceFormatError(f"owner rows have shape {owners.shape}, expected (allocations, m={inst.m})")
     if owners.size and (owners.min() < 0 or owners.max() >= inst.n):

@@ -59,8 +59,7 @@ def _decode_owners(codes: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def batch_efx_slack(inst: Instance, owners: np.ndarray) -> np.ndarray:
-    """Worst EFX slack for each owner row, vectorized over allocations;
-    raises ``InstanceFormatError`` on rows that are not allocations."""
+    """Worst EFX slack for each owner row, vectorized over allocations; rejects rows that are not allocations."""
     return _worst_gap(*_halves(inst, np.asarray(owners, dtype=int)))
 
 
