@@ -221,7 +221,11 @@ def cmd_extension(args) -> int:
     f_value = None
     if args.y is not None:
         y = _load_matrix(args.y, "y", inst)
-        f_value = extension.dc_objective(inst, y)
+        try:
+            with np.errstate(over="raise"):
+                f_value = extension.dc_objective(inst, y)
+        except FloatingPointError:
+            raise InstanceFormatError("--y: the scores take the existence objective beyond the float range") from None
     else:
         x = _load_matrix(args.x, "x", inst)
         if not lovasz.in_partition_polytope(x):

@@ -71,7 +71,10 @@ class DescentLP:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         a_std = np.vstack([self.a, np.eye(self.a.shape[1])])
-        b_std = np.concatenate([self.b - self.a @ self.lower, self.upper - self.lower])
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_std = np.concatenate([self.b - self.a @ self.lower, self.upper - self.lower])
+        if not np.isfinite(b_std).all():
+            raise ValueError(f"box radius {self.m_const!r} takes the descent LP's bounds beyond the float range")
         object.__setattr__(self, "phase_one", simplex.phase_one(a_std, b_std))
 
 

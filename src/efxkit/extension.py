@@ -180,19 +180,22 @@ def box_radius(inst: Instance, m_const: float | None = None) -> float:
     """Radius M of the score box [-M, 0]^(m x n) of the DC and fixed-point solvers.
 
     Encodings are faithful only when M is finite and strictly above twice
-    the total mass.  Returns ``m_const`` once it is, one more than twice
-    the mass when it is None, and raises ``ValueError`` otherwise or when
-    that default overflows the float range.
+    the total mass.  Returns ``m_const``, or one more than twice the mass
+    when it is None.  The default obeys the same rule or raises
+    ``ValueError``, as a bad ``m_const`` does; it breaks the rule only by
+    overflowing the float range or by rounding back to twice the mass.
     """
     with np.errstate(over="ignore"):
         twice = 2.0 * total_mass(inst)
+    radius = twice + 1.0 if m_const is None else m_const
+    if twice < radius < np.inf:
+        return radius
     if m_const is None:
-        m_const = twice + 1.0
-        if not np.isfinite(m_const):
-            raise ValueError("twice the total mass plus one overflows the float range; rescale the values")
-    elif not twice < m_const < np.inf:
-        raise ValueError(f"box radius {m_const!r} must be finite and strictly above twice the total mass ({twice!r})")
-    return m_const
+        raise ValueError(
+            f"the default box radius, twice the total mass ({twice!r}) plus one, overflows the float range"
+            " or does not exceed twice the mass; rescale the values"
+        )
+    raise ValueError(f"box radius {m_const!r} must be finite and strictly above twice the total mass ({twice!r})")
 
 
 def _require_box(inst: Instance, y: np.ndarray, m_const: float | None, stacked: bool = False) -> np.ndarray:

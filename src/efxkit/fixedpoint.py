@@ -80,13 +80,10 @@ def constraint_slacks(inst: Instance, y: np.ndarray) -> np.ndarray:
     return y - (y.max(axis=-1)[..., None] - transfer_gain(inst, y))
 
 
-def verify_constraints(inst: Instance, y: np.ndarray, tol: float = 0.0):
-    """Worst clamp slack and the list of coordinates exceeding ``tol``."""
+def verify_constraints(inst: Instance, y: np.ndarray):
+    """Worst clamp slack and the list of coordinates with positive slack."""
     slacks = constraint_slacks(inst, y)
-    violations = [
-        (int(k), int(j), float(slacks[k, j]))
-        for k, j in np.argwhere(slacks > tol)
-    ]
+    violations = [(int(k), int(j), float(slacks[k, j])) for k, j in np.argwhere(slacks > 0.0)]
     return float(slacks.max()), violations
 
 
@@ -143,8 +140,8 @@ def smooth_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None
 MAPS = {"T": clamp_map, "Tprime": rowmax_clamp_map, "Ttilde": smooth_clamp_map}
 
 
-def stuck_row_diagnostics(inst: Instance, y: np.ndarray, tol: float = DIAG_TOL) -> list[dict]:
-    """Evidence rows for fixed points whose maxima stay below zero.
+def stuck_row_diagnostics(inst: Instance, y: np.ndarray) -> list[dict]:
+    """Evidence rows for fixed points whose maxima stay below -DIAG_TOL.
 
     A genuine fixed point with a strictly negative row maximum would have
     to satisfy a rigid system: exp(-h_k) equal to the negated transfer gain
@@ -159,7 +156,7 @@ def stuck_row_diagnostics(inst: Instance, y: np.ndarray, tol: float = DIAG_TOL) 
     h = y.max(axis=1)
     gain = transfer_gain(inst, y)
     log_bound = float(np.log1p(total_mass(inst)))
-    stuck = np.flatnonzero(h < -tol)
+    stuck = np.flatnonzero(h < -DIAG_TOL)
     with np.errstate(over="ignore"):
         residuals = np.abs(np.exp(-h[stuck])[:, None] + gain[stuck] / y[stuck])
     kept = np.isfinite(residuals)
@@ -169,7 +166,7 @@ def stuck_row_diagnostics(inst: Instance, y: np.ndarray, tol: float = DIAG_TOL) 
             "rowmax": float(h[k]),
             "rowmax_abs": float(-h[k]),
             "log_mass_bound": log_bound,
-            "within_log_bound": bool(-h[k] <= log_bound + tol),
+            "within_log_bound": bool(-h[k] <= log_bound + DIAG_TOL),
             "entries": [
                 {"agent": j, "skipped": False, "residual": float(row[j])} if ok[j] else {"agent": j, "skipped": True}
                 for j in range(inst.n)
@@ -193,19 +190,10 @@ class FixedPointReport:
     y: np.ndarray | None = None
 
 
-def picard_iterate(
-    inst: Instance,
-    map_name: str = "Ttilde",
-    y0: np.ndarray | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    tol: float = RESIDUAL_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    m_const: float | None = None,
-    efx_tol: float = DEFAULT_EFX_TOL,
-) -> FixedPointReport:
-    """Damped Picard iteration of one of the clamp maps from one start;
-    see ``picard_iterate_many``."""
-    return picard_iterate_many(inst, [y0], map_name, alpha, tol, max_iters, m_const, efx_tol)[0]
+def picard_iterate(inst: Instance, map_name: str = "Ttilde", y0: np.ndarray | None = None, **options) -> FixedPointReport:
+    """Damped Picard iteration of one of the clamp maps from one start,
+    with ``picard_iterate_many``'s keyword ``options``."""
+    return picard_iterate_many(inst, [y0], map_name, **options)[0]
 
 
 def picard_iterate_many(

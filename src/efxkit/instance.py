@@ -61,8 +61,7 @@ class Instance:
     normalized: bool = False
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values = np.array(values, copy=True)
+        values = np.array(self.values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
@@ -105,8 +104,7 @@ class Allocation:
     owner: np.ndarray
 
     def __post_init__(self):
-        owner = np.asarray(self.owner, dtype=int)
-        owner = np.array(owner, copy=True)
+        owner = np.array(self.owner, dtype=int)
         owner.setflags(write=False)
         object.__setattr__(self, "owner", owner)
         if owner.ndim != 1:

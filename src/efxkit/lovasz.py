@@ -107,11 +107,11 @@ def relaxation_objective(inst: Instance, x: np.ndarray) -> float:
 
 
 def in_partition_polytope(x: np.ndarray, atol: float = ROW_SUM_TOL) -> bool:
-    """True when x is entrywise in [0, 1] and every item row sums to one."""
+    """True when x is entrywise in [0, 1 + atol] and every item row sums to one within ``atol``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         return False
-    if x.min(initial=0.0) < -atol or x.max(initial=0.0) > 1.0 + atol:
+    if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) > 1.0 + atol:
         return False
     return bool(np.all(np.abs(x.sum(axis=1) - 1.0) <= atol))
 

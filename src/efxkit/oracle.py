@@ -1,14 +1,15 @@
 """Exhaustive ground truth for desk-scale instances.
 
 Scans every owner vector in a fixed mixed-radix order (item 0 is the most
-significant digit) and applies the EFX check to each.  The items split at
-``m // 2`` into a prefix (the most significant digits) and a suffix, a
-meet-in-the-middle split: both halves' owner rows are decoded and their
-pair tables built once (per block when n is so large that they would not
-fit), and each block of prefix rows is combined with suffix rows by
-broadcast, O(n^2) per allocation.  Each allocation's worst gap folds the
-rivals before adding the envious agent's base term and skips the clamp of
-an empty bundle's reduced value at zero, which the worst gap never needs;
+significant digit), which is the row-major order of ``np.indices``, and
+applies the EFX check to each.  The items split at ``m // 2`` into a
+prefix (the most significant digits) and a suffix, a meet-in-the-middle
+split: both halves' owner rows are read off ``np.indices`` and their pair
+tables built once (per block when n is so large that they would not fit),
+and each block of prefix rows is combined with suffix rows by broadcast,
+O(n^2) per allocation.  Each allocation's worst gap folds the rivals
+before adding the envious agent's base term and skips the clamp of an
+empty bundle's reduced value at zero, which the worst gap never needs;
 both are exact (see ``instance._worst_gap``).  Once the witness list is
 full the scan only counts.  The scan stays single-threaded and
 prefix-major, so results and witness order are deterministic.  A guard
@@ -48,16 +49,6 @@ class OracleResult:
     min_slack: float  # smallest worst-pair EFX slack over the whole scan
 
 
-def _decode_owners(codes: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Mixed-radix decode of scan indices into (len(codes), m) owner rows."""
-    owners = np.empty((codes.size, m), dtype=int)
-    rest = codes.copy()
-    for k in range(m - 1, -1, -1):
-        owners[:, k] = rest % n
-        rest //= n
-    return owners
-
-
 def batch_efx_slack(inst: Instance, owners: np.ndarray) -> np.ndarray:
     """Worst EFX slack for each owner row, vectorized over allocations; rejects rows that are not allocations."""
     return _worst_gap(*_halves(inst, np.asarray(owners, dtype=int)))
@@ -71,7 +62,7 @@ def _scan(inst: Instance, guard: int):
     A block pairs consecutive prefix rows with consecutive suffix rows and
     holds about ``_BLOCK`` pair entries; it spans several prefix rows only
     when it spans every suffix row, so row-major order within a block is
-    the scan order.  Both halves' owner rows are decoded once.  Their
+    the scan order.  Both halves' owner rows are built once.  Their
     tables are built once too when the suffix tables hold at most
     ``_TABLE_CAP`` entries (the prefix half is never the larger), and per
     block otherwise.
@@ -88,7 +79,8 @@ def _scan(inst: Instance, guard: int):
     suffix_step = min(suffix_size, max(1, _BLOCK // pairs))
     prefix_step = max(1, _BLOCK // (suffix_size * pairs))
     values = inst.values[:p], inst.values[p:]
-    owners = _decode_owners(np.arange(n**p), p, n), _decode_owners(np.arange(suffix_size), m - p, n)
+    # reshape(k, -1) would fail on an empty prefix (k = 0).
+    owners = [np.indices((n,) * k).reshape(k, n**k).T for k in (p, m - p)]
     cached = None
     if suffix_size * pairs <= _TABLE_CAP:
         cached = [_half_tables(*half) for half in zip(values, owners)]

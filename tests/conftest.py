@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from efxkit import Instance, make_instance, normalize
+from efxkit import Instance, generate_instance, make_instance, normalize
 
 
 @pytest.fixture
@@ -19,17 +19,7 @@ def i0_norm(i0_raw) -> Instance:
 
 def random_instance(seed: int, m: int, n: int, dist: str = "uniform01") -> Instance:
     """Seeded instance factory used across the suite."""
-    rng = np.random.default_rng(seed)
-    if dist == "uniform01":
-        values = rng.random((m, n))
-    elif dist == "integer":
-        values = rng.integers(1, 11, size=(m, n)).astype(float)
-    elif dist == "identical":
-        column = rng.random(m)
-        values = np.tile(column[:, None], (1, n))
-    else:
-        raise ValueError(dist)
-    return make_instance(values)
+    return generate_instance(m, n, dist, seed)
 
 
 def random_polytope_point(rng: np.random.Generator, m: int, n: int) -> np.ndarray:

@@ -208,6 +208,28 @@ def test_extension_eval_rejects_off_polytope_point(tmp_path, capsys):
     assert "distributions over agents" in capsys.readouterr().err
 
 
+def test_extension_eval_rejects_a_negative_entry_within_the_sum_tolerance(tmp_path, capsys):
+    # The row sums to one within the tolerance, but the log of its negative entry is NaN.
+    inst = _instance_file(tmp_path, I0_RAW)
+    x = _write_doc(tmp_path / "x.json", {"x": [[1.00000000001, -0.00000000001], [0.5, 0.5], [0.5, 0.5]]})
+    assert cli.main(["extension", "eval", "--instance", inst, "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: x rows must be distributions over agents" in captured.err
+
+
+def test_extension_eval_scores_whose_objective_overflows_are_an_input_error(tmp_path, capsys):
+    # Finite scores whose row maxima sum beyond the float range.
+    inst = _instance_file(tmp_path, I0_RAW)
+    y = _write_doc(tmp_path / "y.json", {"y": [[-1e308, -1e308]] * 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["extension", "eval", "--instance", inst, "--y", y]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --y:" in captured.err
+
+
 def test_dca_finds_efx_on_reference_instance(tmp_path, capsys):
     inst = _instance_file(tmp_path, I0_NORM)
     code, doc = _run(capsys, ["dca", "--instance", inst])
@@ -386,6 +408,20 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert cli.main(["oracle", "--instance", short]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+    inst = _instance_file(tmp_path, I0_NORM)
+    x = _write_doc(tmp_path / "x.json", {"x": [[0.5, 0.5]] * 3})
+    ragged = _write_doc(tmp_path / "ragged.json", {"m": 2, "n": 2, "values": [[1.0, 2.0], [3.0]]})
+    listed = _write_doc(tmp_path / "listed.json", [[1.0, 2.0], [3.0, 4.0]])
+    for argv, message in (
+        (["extension", "eval", "--instance", inst, "--y", x], "y document must be an object with a 'y' key"),
+        (["extension", "eval", "--instance", inst, "--x", x, "--lambdas", "1,abc"], "bad temperature list '1,abc'"),
+        (["oracle", "--instance", ragged], "values[1] is not a row of n=2 entries"),
+        (["oracle", "--instance", listed], "instance document must be a JSON object"),
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
 
 
 def test_extension_eval_rejects_non_finite_scores(tmp_path, capsys):
@@ -559,6 +595,31 @@ def test_m_const_on_overflowing_mass_is_an_input_error_without_warnings(tmp_path
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "twice the total mass (inf)" in captured.err
+
+
+def test_default_radius_that_rounds_back_to_twice_the_mass_is_an_input_error(tmp_path, capsys):
+    # Twice the total mass is above 2**53, where adding one rounds back to it.
+    inst = _instance_file(tmp_path, [[1e16, 1.0], [2.0, 1.0], [2.0, 2.0]])
+    for command in ("dca", "fixedpoint"):
+        assert cli.main([command, "--instance", inst]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: the default box radius" in captured.err
+        assert "rescale the values" in captured.err
+
+
+def test_radius_whose_lp_bounds_overflow_is_an_input_error(tmp_path, capsys):
+    # The descent LP bounds its epigraph variable by (m + 1) * M plus the mass.
+    inst = _instance_file(tmp_path, I0_RAW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["dca", "--instance", inst, "--m-const", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: box radius 1e+308" in captured.err
+        code, doc = _run(capsys, ["fixedpoint", "--instance", inst, "--m-const", "1e308"])
+    assert code == 0
+    assert doc["config"]["m_const"] == 1e308
 
 
 def test_compare_tol_reaches_every_row(tmp_path, capsys):

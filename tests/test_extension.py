@@ -156,6 +156,22 @@ def test_every_box_user_rejects_a_bad_radius(i0_raw, m_const):
                 call()
 
 
+def test_default_radius_obeys_the_rule_it_checks(i0_raw, i0_norm):
+    # Twice the total mass is above 2**53, where adding one rounds back to it.
+    big = make_instance([[1e16, 1.0], [2.0, 1.0], [2.0, 2.0]])
+    calls = (
+        lambda: box_radius(big),
+        lambda: encode_allocation(big, Allocation(np.array([0, 1, 1]))),
+        lambda: build_lp(big),
+        lambda: picard_iterate(big),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="overflows the float range or does not exceed twice the mass"):
+            call()
+    for inst in (i0_raw, i0_norm):
+        assert box_radius(inst, box_radius(inst)) == box_radius(inst)
+
+
 def test_softmax_of_encoding_is_near_integral(i0_norm):
     lam = 4.0
     m_const = 5.0

@@ -138,6 +138,8 @@ def test_allocation_validation(i0_raw):
         efx_slack(i0_raw, Allocation(np.array([0, 1])))
     with pytest.raises(InstanceFormatError):
         efx_slack(i0_raw, Allocation(np.array([0, 1, 2])))
+    with pytest.raises(InstanceFormatError, match="flat item -> agent vector"):
+        Allocation(np.zeros((2, 3), dtype=int))
 
 
 def test_load_allocation_one_based(i0_raw):

@@ -308,3 +308,10 @@ def test_efx_witness_scores_at_most_one():
         x[np.arange(4), res.witnesses[0].owner] = 1.0
         assert relaxation_objective(inst, x) <= 1.0 + 1e-9
         assert efx_slack(inst, res.witnesses[0]) <= 1e-9
+
+
+def test_partition_polytope_entries_are_nonnegative_exactly():
+    # The row sums and the upper bound keep their tolerance; the lower bound has none.
+    assert in_partition_polytope(np.array([[1.0 + 1e-11, 0.0], [0.5, 0.5]]))
+    assert not in_partition_polytope(np.array([[1.0 + 1e-11, -1e-11], [0.5, 0.5]]))
+    assert not in_partition_polytope(np.array([[1.0, -5e-324], [0.5, 0.5]]))
