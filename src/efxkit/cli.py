@@ -242,10 +242,10 @@ def cmd_extension(args) -> int:
     return 0
 
 
-def _box_radius(inst: Instance, m_const: float | None) -> float:
-    """``extension.box_radius``, naming ``--m-const`` when it is rejected."""
+def _with_m_const(build, inst: Instance, m_const: float | None):
+    """``build(inst, m_const)``, naming ``--m-const`` when it rejects the radius."""
     try:
-        return extension.box_radius(inst, m_const)
+        return build(inst, m_const)
     except ValueError as exc:
         if m_const is None:
             raise
@@ -272,12 +272,11 @@ def _multistart(runs: list, rank, summary) -> tuple:
     return runs[best_index], core
 
 
-def _dca_runs(inst: Instance, starts: int, seed: int, box: float, **options) -> list[dc.DCAResult]:
+def _dca_runs(lp: dc.DescentLP, starts: int, seed: int, **options) -> list[dc.DCAResult]:
     """DCA runs with ``options`` from the greedy encoding (start 0) and
-    ``starts - 1`` random starts.  Every start's LPs share their rows and
-    bounds, so phase 1 runs once."""
-    lp = dc.build_lp(inst, box)
-    return [dc.dca_solve(lp, y0=y0, **options) for y0 in [None, *_random_starts(inst, seed, starts - 1, box)]]
+    ``starts - 1`` random starts in ``lp``'s box.  Every start's LPs share
+    ``lp``'s rows and bounds, so phase 1 runs once."""
+    return [dc.dca_solve(lp, y0=y0, **options) for y0 in [None, *_random_starts(lp.inst, seed, starts - 1, lp.m_const)]]
 
 
 def _dca_rank(run: dc.DCAResult) -> tuple:
@@ -287,8 +286,8 @@ def _dca_rank(run: dc.DCAResult) -> tuple:
 
 def cmd_dca(args) -> int:
     inst = load_instance(args.instance)
-    box = _box_radius(inst, args.m_const)
-    runs = _dca_runs(inst, args.starts, args.seed, box, delta=args.delta, max_iters=args.max_iters)
+    lp = _with_m_const(dc.build_lp, inst, args.m_const)
+    runs = _dca_runs(lp, args.starts, args.seed, delta=args.delta, max_iters=args.max_iters)
     best, core = _multistart(
         runs,
         _dca_rank,
@@ -331,7 +330,7 @@ def _fixedpoint_rank(run: fixedpoint.FixedPointReport) -> tuple:
 
 def cmd_fixedpoint(args) -> int:
     inst = load_instance(args.instance)
-    box = _box_radius(inst, args.m_const)
+    box = _with_m_const(extension.box_radius, inst, args.m_const)
     runs = _fixedpoint_runs(
         inst, args.starts, args.seed, box, map_name=args.map, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters
     )
@@ -366,7 +365,7 @@ def _compare_row(method: str, runner) -> dict:
     error = None
     try:
         row["found_efx"], row["objective"], row["iterations"] = runner()
-    except (dc.InternalCheckError, fixedpoint.SelfMapViolation, ValueError) as exc:
+    except (dc.InternalCheckError, ValueError) as exc:
         error = str(exc)
     return {**row, "wall_time_s": time.perf_counter() - start_time, "flag": None, "error": error}
 
@@ -384,7 +383,7 @@ def cmd_compare(args) -> int:
         return found, objective, lovasz.DEFAULT_ITERS
 
     def run_dca():
-        [run] = _dca_runs(inst, 1, args.seed, extension.box_radius(inst), efx_tol=args.tol)
+        [run] = _dca_runs(dc.build_lp(inst), 1, args.seed, efx_tol=args.tol)
         return run.efx, run.objective, run.iterations
 
     def run_fixedpoint():
@@ -468,7 +467,7 @@ def build_parser() -> _Parser:
     q.add_argument("--instance", required=True)
     q.add_argument("--y", default=None, help="score document {'y': [[..]]}")
     q.add_argument("--x", default=None, help="fractional document {'x': [[..]]}")
-    q.add_argument("--lambdas", default="1,10,100,1000")
+    q.add_argument("--lambdas", default=",".join(map(repr, extension.DEFAULT_LAMBDAS)))
     q.add_argument("--output", default=None)
     q.set_defaults(func=cmd_extension)
 
@@ -517,7 +516,7 @@ def main(argv=None) -> int:
         # output paths that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (dc.InternalCheckError, fixedpoint.SelfMapViolation) as exc:
+    except dc.InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dc import InternalCheckError
 from .extension import _require_box, _shifted_rowmax, box_radius, encode_allocation
 from .extension import extract_allocation, greedy_allocation
 from .instance import DEFAULT_EFX_TOL, Allocation, Instance, _ordered_pairs, is_efx, total_mass
@@ -40,17 +41,9 @@ DEFAULT_MAX_ITERS = 1000
 DIAG_TOL = 1e-9
 
 
-class SelfMapViolation(RuntimeError):
-    """The smooth clamp map produced a point outside its box.
-
-    ``index`` is the flat position, among the leading axes of a stacked
-    call, of the first escaping matrix; None when the call was not stacked
-    or the escape belongs to no single matrix.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+class SelfMapViolation(InternalCheckError):
+    """The smooth clamp map produced a point outside a box whose radius
+    covers the mass, which its self-map property rules out."""
 
 
 def transfer_gain(inst: Instance, y: np.ndarray) -> np.ndarray:
@@ -116,8 +109,8 @@ def smooth_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None
 
     Continuous on the box and mapping it into itself, so a fixed point
     exists; an image coordinate outside the box is an invariant failure
-    and raises rather than being clamped away.  On a stack the first
-    escaping matrix raises, and the exception's ``index`` names it.
+    and raises rather than being clamped away.  On a stack the message
+    names the coordinate in the first escaping matrix.
     """
     m_const = box_radius(inst) if m_const is None else m_const
     y = _require_box(inst, y, m_const, stacked=True)
@@ -130,10 +123,7 @@ def smooth_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None
         escaped = (flat.max(axis=(1, 2)) > 0.0) | (flat.min(axis=(1, 2)) < -m_const)
         index = int(np.argmax(escaped))
         k, j = np.unravel_index(int(np.argmin(flat[index])), flat[index].shape)
-        raise SelfMapViolation(
-            f"image coordinate ({k}, {j}) = {flat[index][k, j]!r} left the box [-{m_const}, 0]",
-            index if image.ndim > 2 else None,
-        )
+        raise SelfMapViolation(f"image coordinate ({k}, {j}) = {flat[index][k, j]!r} left the box [-{m_const}, 0]")
     return image
 
 
@@ -219,8 +209,8 @@ def picard_iterate_many(
     that of a run from its start alone.
     The constraint slack and the EFX verdict of the row-argmax extraction
     are always checked independently of convergence, and rows stuck below
-    zero are reported as diagnostics.  If the map escapes its box on some
-    start, the escape of the lowest such start is raised at the end.
+    zero are reported as diagnostics.  An escape from the box raises at the
+    step it happens, with the escape of the lowest start escaping there.
     """
     if map_name not in MAPS:
         raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAPS)}")
@@ -246,22 +236,8 @@ def picard_iterate_many(
     iterations = np.full(len(y), max_iters)
     # The start behind each matrix of the stack.
     live = np.arange(len(y))
-    escape = None
     for step in range(max_iters + 1):
-        image = None
-        while image is None and live.size:
-            try:
-                image = MAPS[map_name](inst, y, *radius)
-            except SelfMapViolation as exc:
-                # The lowest escaping start's escape is raised, so the starts
-                # from this one on cannot change the outcome and leave the
-                # stack.  An escape that names no matrix is charged to the first.
-                escape = exc
-                cut = exc.index or 0
-                live, y = live[:cut], y[:cut]
-        if image is None:
-            break
-        step_y = image - y
+        step_y = MAPS[map_name](inst, y, *radius) - y
         residual = np.abs(step_y).max(axis=(1, 2))
         better = residual < best_residual[live]
         improved = live[better]
@@ -276,8 +252,6 @@ def picard_iterate_many(
         if boxed:
             # Damped combinations can leave the box by a rounding ulp.
             np.clip(y, -m_const, 0.0, out=y)
-    if escape is not None:
-        raise escape
 
     reports = []
     for s, y_best in enumerate(best_y):

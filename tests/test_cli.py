@@ -286,6 +286,25 @@ def test_fixedpoint_internal_check_exits_three(tmp_path, capsys, monkeypatch):
     assert "internal check failed" in capsys.readouterr().err
 
 
+def test_compare_records_a_box_escape_as_a_method_error(tmp_path, capsys, monkeypatch):
+    inst = _instance_file(tmp_path, I0_RAW)
+    _, clean = _run(capsys, ["compare", "--instance", inst])
+    message = "image coordinate (0, 0) = 1.0 left the box"
+
+    def escaping_map(inst_, y, m_const):
+        raise SelfMapViolation(message)
+
+    monkeypatch.setitem(fixedpoint.MAPS, "Ttilde", escaping_map)
+    code, doc = _run(capsys, ["compare", "--instance", inst])
+    assert code == 0
+    *others, row = doc["rows"]
+    assert row["method"] == "fixedpoint-Ttilde"
+    assert row["flag"] == "method-error" and row["error"] == message
+    assert {"method": "fixedpoint-Ttilde", "flag": "method-error"} in doc["findings"]
+    for before, after in zip(clean["rows"][:-1], others, strict=True):
+        assert {**before, "wall_time_s": 0} == {**after, "wall_time_s": 0}
+
+
 def test_compare_runs_all_methods(tmp_path, capsys):
     inst = _instance_file(tmp_path, I0_RAW)
     csv_path = tmp_path / "rows.csv"
@@ -616,7 +635,7 @@ def test_radius_whose_lp_bounds_overflow_is_an_input_error(tmp_path, capsys):
         assert cli.main(["dca", "--instance", inst, "--m-const", "1e308"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: box radius 1e+308" in captured.err
+        assert "error: --m-const: box radius 1e+308" in captured.err
         code, doc = _run(capsys, ["fixedpoint", "--instance", inst, "--m-const", "1e308"])
     assert code == 0
     assert doc["config"]["m_const"] == 1e308

@@ -16,16 +16,19 @@ from efxkit import (
     dc_objective,
     encode_allocation,
     extract_allocation,
+    generate_instance,
     make_instance,
     normalize,
     picard_iterate,
     rowmax_clamp_map,
     smooth_clamp_map,
     stuck_row_diagnostics,
+    total_mass,
     transfer_gain,
     verify_constraints,
 )
 from efxkit.fixedpoint import MAPS
+from test_layout import _agents_major, _tied_stack
 
 
 def _encode_efx(i0_norm):
@@ -153,14 +156,26 @@ def test_zero_values_reach_fixed_point_fast():
 
 
 def test_smooth_map_self_map_random():
+    # Every radius the box rule accepts, down to the smallest, keeps T-tilde
+    # in its box: one matrix at a time, on stacks of either layout, and on
+    # rows tied at zeros of either sign or at the box's edge.
     for seed in range(6):
-        inst = random_instance(seed, 4, 3)
-        box = box_radius(inst)
-        rng = np.random.default_rng(seed + 7)
-        for _ in range(200):
-            y = rng.uniform(-box, 0, size=(4, 3))
-            image = smooth_clamp_map(inst, y, box)  # raises on any escape
-            assert image.min() >= -box and image.max() <= 0.0
+        for inst in (
+            random_instance(seed, 4, 3),
+            generate_instance(4, 3, "integer", seed, kmax=1),
+            generate_instance(4, 3, "integer", seed),
+            generate_instance(4, 3, "identical", seed),
+        ):
+            rng = np.random.default_rng(seed + 7)
+            twice = 2 * total_mass(inst)
+            with pytest.raises(ValueError):
+                box_radius(inst, twice)
+            for box in (box_radius(inst), box_radius(inst, np.nextafter(twice, np.inf))):
+                points = rng.uniform(-box, 0, size=(200, 4, 3))
+                tied = _tied_stack(rng, 4, 3) * (box / 4)
+                for y in (*points, points, _agents_major(points), tied, _agents_major(tied)):
+                    image = smooth_clamp_map(inst, y, box)  # raises on any escape
+                    assert image.min() >= -box and image.max() <= 0.0
 
 
 def test_smooth_map_violation_raised(i0_norm):

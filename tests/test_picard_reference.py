@@ -1,5 +1,5 @@
 """The stacked Picard driver against the one-start reference loop, byte for
-byte, and the order in which it reports an escape from the box."""
+byte, and the step at which it reports an escape from the box."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from efxkit import (
     picard_iterate,
     picard_iterate_many,
     smooth_clamp_map,
+    transfer_gain,
 )
 from efxkit.fixedpoint import MAPS
 
@@ -108,39 +109,36 @@ def _iterates(monkeypatch, inst, y0, steps: int) -> list[bytes]:
 
 
 def test_the_lowest_escaping_start_raises(monkeypatch):
+    # The smooth map's box check raises at the step an escape happens, for
+    # the lowest start escaping there, however many would escape later.
     inst = normalize(random_instance(4, 6, 3))
-    starts = list(np.random.default_rng(8).uniform(-box_radius(inst), 0.0, size=(5, 6, 3)))
-    # Start 3 escapes at step 2, start 1 later, at step 5.
-    poisoned = {
-        _iterates(monkeypatch, inst, starts[3], 8)[2]: "start 3 escaped",
-        _iterates(monkeypatch, inst, starts[1], 8)[5]: "start 1 escaped",
-    }
-    assert len(poisoned) == 2
+    box = box_radius(inst)
+    starts = list(np.random.default_rng(8).uniform(-box, 0.0, size=(5, 6, 3)))
+    # Starts 3 and 4 escape at step 2; start 1, lower in the stack, at step 5.
+    poisoned = {_iterates(monkeypatch, inst, starts[s], 8)[step]: s for s, step in ((3, 2), (4, 2), (1, 5))}
+    assert len(poisoned) == 3
     calls = []
 
-    def escaping(inst_, y, m_const):
-        stack = y if y.ndim == 3 else y[None]
-        calls.append(len(stack))
-        for index, point in enumerate(stack):
+    def poisoned_gain(inst_, y):
+        # -gain * exp(h) < -box for every row maximum h >= -box.
+        calls.append(len(y))
+        gain = transfer_gain(inst_, y)
+        for point, point_gain in zip(y.reshape(-1, 6, 3), gain.reshape(-1, 6, 3)):
             if point.tobytes() in poisoned:
-                raise SelfMapViolation(poisoned[point.tobytes()], index if y.ndim == 3 else None)
-        return smooth_clamp_map(inst_, y, m_const)
+                point_gain += 2.0 * box * np.exp(box)
+        return gain
 
-    monkeypatch.setitem(MAPS, "Ttilde", escaping)
-    # One start at a time, start 1 is the first to escape.
-    with pytest.raises(SelfMapViolation) as sequential:
-        for y0 in starts:
-            ref.picard_iterate(inst, "Ttilde", y0=y0)
-    assert str(sequential.value) == "start 1 escaped"
+    monkeypatch.setattr("efxkit.fixedpoint.transfer_gain", poisoned_gain)
+    escapes = {}
+    for point, s in poisoned.items():
+        with pytest.raises(SelfMapViolation) as alone:
+            smooth_clamp_map(inst, np.frombuffer(point).reshape(6, 3), box)
+        escapes[s] = str(alone.value)
+    assert len(set(escapes.values())) == 3
 
     calls.clear()
-    with pytest.raises(SelfMapViolation, match="^start 1 escaped$"):
+    with pytest.raises(SelfMapViolation) as stacked:
         picard_iterate_many(inst, starts)
-    # Start 3 left at step 2 and took start 4 with it; start 1 left at step
-    # 5 with starts 2 and 3, so only start 0 is stepped after that.
-    assert calls[:3] == [5, 5, 5] and calls[3:6] == [3, 3, 3] and calls[6:8] == [3, 1]
-    assert set(calls[8:]) == {1}
-
-    del poisoned[next(key for key, text in poisoned.items() if text == "start 1 escaped")]
-    with pytest.raises(SelfMapViolation, match="^start 3 escaped$"):
-        picard_iterate_many(inst, starts)
+    assert str(stacked.value) == escapes[3]
+    # Steps 0-2 map all five starts; nothing is mapped after the escape.
+    assert calls == [5, 5, 5]

