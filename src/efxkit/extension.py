@@ -12,9 +12,10 @@ negative constant elsewhere, where the objective reproduces the exact EFX
 slack.  That score box lives here: ``box_radius``, ``_require_box``, and
 the encoding, greedy start and row-argmax extraction.  The objective's
 max-term and the fixed-point transfer gain are both read from one kernel,
-``_shifted_rowmax``, which builds every agent pair's shifted row maxima at
-once and is fastest on scores held agents-major, where every gather copies
-whole agent rows and the bystanders fold as whole blocks;
+``_shifted_rows``, which builds every agent pair's shifted row maxima at
+once from the scores as agents-by-items rows, with one gather of whole
+agent rows per call and the pair's columns and bystanders folded as
+whole blocks (``_shifted_rowmax`` is its items-by-agents readout);
 ``rounding_bound`` evaluates every pair's three-term log-sum-exp factors
 in one stacked pass.
 """
@@ -136,18 +137,32 @@ def _shifted_rowmax(inst: Instance, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     give the same floats faster: every gather copies whole agent rows.
     """
     y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    pairs, bystanders, _ = _ordered_pairs(n)
-    # Row-major (..., pairs, m) copies, so per-pair sums reduce along contiguous rows.
-    yt = y.swapaxes(-1, -2)
-    i, j = pairs
-    v = inst.values.T[i]
-    cols = yt.take(pairs, axis=-2)
-    shifted = np.maximum(cols[..., 0, :, :] - v, cols[..., 1, :, :] + v)
-    if n > 2:
-        # Bystanders in front: the max folds whole (pairs, m) blocks in column order.
-        shifted = np.maximum(shifted, yt.take(bystanders, axis=-2).max(axis=-3))
-    return i, j, shifted
+    i, j = _ordered_pairs(inst.n)[0]
+    return i, j, _shifted_rows(y.swapaxes(-1, -2), *_pair_gather(inst)[:2])
+
+
+def _pair_gather(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair constants of ``inst``: for ``_shifted_rows``, an (n, pairs)
+    gather index whose column p lists pair p's agents i and j and then its
+    bystanders, and a (2, pairs, m) shift whose row p holds agent i's value
+    of every item, negated in its first block; and ``_ordered_pairs``'s
+    (n - 1, n) rival-fold index, which the transfer gain folds over."""
+    pairs, bystanders, rivals = _ordered_pairs(inst.n)
+    v = inst.values.T[pairs[0]]
+    return np.concatenate((pairs, bystanders)), np.array((-v, v)), rivals
+
+
+def _shifted_rows(yt: np.ndarray, index: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``_shifted_rowmax``'s (..., pairs, m) array from the base ``yt``, the
+    scores as (..., n, m) agents-by-items rows, and ``_pair_gather``'s
+    index and shift."""
+    # Row-major (..., n, pairs, m) copies, so per-pair sums reduce along
+    # contiguous rows: each pair's columns i and j, shifted (adding -v is
+    # subtracting v, bit for bit), then its bystanders, folded as whole
+    # (pairs, m) blocks in that order.
+    cols = yt.take(index, axis=-2)
+    cols[..., :2, :, :] += shift
+    return cols.max(axis=-3)
 
 
 def convex_part(inst: Instance, y: np.ndarray) -> float:
@@ -201,13 +216,20 @@ def box_radius(inst: Instance, m_const: float | None = None) -> float:
 def _require_box(inst: Instance, y: np.ndarray, m_const: float | None, stacked: bool = False) -> np.ndarray:
     """``y`` as a float items-by-agents matrix, or a (..., m, n) stack of
     them when ``stacked``, in the box [-m_const, 0] unless ``m_const`` is
-    None (a NaN score lies in no box)."""
+    None."""
     y = np.asarray(y, dtype=float)
     if (y.shape[-2:] if stacked else y.shape) != (inst.m, inst.n):
         raise ValueError(f"scores must be an items-by-agents matrix of shape {(inst.m, inst.n)}, got {y.shape}")
-    if m_const is not None and not (y.max(initial=-np.inf) <= 0.0 and y.min(initial=0.0) >= -m_const):
-        raise ValueError("scores must lie in the box [-M, 0]")
+    if m_const is not None:
+        _check_box(y, m_const)
     return y
+
+
+def _check_box(y: np.ndarray, m_const: float) -> None:
+    """Raise unless every score of ``y`` lies in the box [-m_const, 0] (a
+    NaN score lies in no box)."""
+    if not (np.maximum.reduce(y, None, initial=-np.inf) <= 0.0 and np.minimum.reduce(y, None, initial=0.0) >= -m_const):
+        raise ValueError("scores must lie in the box [-M, 0]")
 
 
 def encode_allocation(inst: Instance, alloc: Allocation, m_const: float | None = None) -> np.ndarray:

@@ -14,12 +14,15 @@ Damped Picard iteration hunts for one from many starts, which advance as
 one stack: the maps and the transfer gain take a leading stack axis and
 treat its matrices apart, so each start's run is the one it would have
 alone, and each start keeps one record of its best residual and iterate.
-The stack is held agents-major, each matrix an (m, n) view of (n, m)
-memory, so the row maxima and the folds over rivals and bystanders run
-over whole contiguous rows; the kernels give the same floats on either
+The maps, the gain and the loop share one arithmetic on the base, the
+scores as (..., n, m) agents-by-items rows, where the row maxima and the
+folds over rivals and bystanders run over whole rows.  The Picard loop holds its
+stack as a C-contiguous (L, n, m) base and steps it with ``_clamp_step``,
+built once per run; the public maps and ``transfer_gain`` read the same
+step or gain off the base of their input, give the same floats on either
 layout and lay their results out like their input.  Convergence is not
 guaranteed and is always reported rather than assumed.  The transfer gain
-is a readout of the shifted row maxima from ``extension._shifted_rowmax``,
+is a readout of the shifted row maxima from ``extension._shifted_rows``,
 the same kernel behind the existence objective.
 """
 
@@ -31,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dc import InternalCheckError
-from .extension import _require_box, _shifted_rowmax, box_radius, encode_allocation
+from .extension import _check_box, _pair_gather, _require_box, _shifted_rows, box_radius, encode_allocation
 from .extension import extract_allocation, greedy_allocation
-from .instance import DEFAULT_EFX_TOL, Allocation, Instance, _ordered_pairs, is_efx, total_mass
+from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
 
 RESIDUAL_TOL = 1e-8
 DEFAULT_ALPHA = 0.5
@@ -56,28 +59,90 @@ def transfer_gain(inst: Instance, y: np.ndarray) -> np.ndarray:
     matrices gives the stack of their gains, laid out like ``y``.
     """
     y = np.asarray(y, dtype=float)
-    _, _, shifted = _shifted_rowmax(inst, y)
-    delta = shifted - y.max(axis=-1)[..., None, :]
-    gain = delta.sum(axis=-1, keepdims=True) - delta
-    # Rivals in front: the max folds whole (n, m) blocks in rival order,
-    # into an array laid out like y.
+    yt = y.swapaxes(-1, -2)
     out = np.empty_like(y)
-    gain.take(_ordered_pairs(inst.n)[2], axis=-2).max(axis=-3, out=out.swapaxes(-1, -2))
+    _gain(yt, yt.max(axis=-2), *_pair_gather(inst), out.swapaxes(-1, -2))
     return out
+
+
+def _gain(yt: np.ndarray, h: np.ndarray, index: np.ndarray, shift: np.ndarray, rivals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The transfer gain on the base: ``yt`` holds the scores as (..., n, m)
+    agents-by-items rows and ``h`` their (..., m) row maxima, the next
+    three arguments are ``extension._pair_gather``'s constants, and the
+    gain goes to ``out``, shaped like ``yt``."""
+    delta = _shifted_rows(yt, index, shift)
+    delta -= h[..., None, :]
+    gain = np.subtract(delta.sum(axis=-1, keepdims=True), delta, out=delta)
+    # Rivals in front: the max folds whole (n, m) blocks in rival order.
+    return gain.take(rivals, axis=-2).max(axis=-3, out=out)
+
+
+def _clamp_step(inst: Instance, map_name: str, m_const: float | None = None):
+    """The map ``map_name`` as one function of the base, built once.
+
+    The function takes scores as an (..., n, m) stack of agents-by-items
+    rows and returns their images laid out like it, taking the row maxima
+    once.  It holds the gain's constants, and for T-tilde the radius
+    ``m_const`` of the escape check, which it takes as given.  The box
+    check of its input is left to the caller.
+    """
+    constants = _pair_gather(inst)
+
+    def step(yt: np.ndarray) -> np.ndarray:
+        h = yt.max(axis=-2)
+        gain = _gain(yt, h, *constants, np.empty_like(yt))
+        if map_name == "T":
+            return np.minimum(yt, h[..., None, :] - gain)
+        first = yt - h[..., None, :]
+        if map_name == "Tprime":
+            return np.minimum(first, np.where((h == 0.0)[..., None, :], -gain, 0.0))
+        # gain * -exp(h) is -gain * exp(h) bit for bit.
+        image = np.minimum(first, np.multiply(gain, -np.exp(h)[..., None, :], out=gain), out=first)
+        if image.max(initial=-np.inf) > 0.0 or image.min(initial=0.0) < -m_const:
+            # The first escaping matrix of the stack, named by its lowest coordinate.
+            flat = image.swapaxes(-1, -2).reshape(-1, inst.m, inst.n)
+            escaped = flat[int(np.argmax((flat.max(axis=(1, 2)) > 0.0) | (flat.min(axis=(1, 2)) < -m_const)))]
+            k, j = np.unravel_index(int(np.argmin(escaped)), escaped.shape)
+            raise SelfMapViolation(f"image coordinate ({k}, {j}) = {float(escaped[k, j])!r} left the box [-{m_const}, 0]")
+        return image
+
+    return step
+
+
+def _slacks(y: np.ndarray, h: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Clamp slacks of scores ``y`` with row maxima ``h`` and transfer gain ``gain``."""
+    return y - (h[..., None] - gain)
+
+
+def _violations(slacks: np.ndarray) -> list[tuple[int, int, float]]:
+    """The coordinates (k, j) of an (m, n) slack matrix with positive slack, row by row, and their slacks."""
+    positive = slacks > 0.0
+    return [(k, j, slack) for (k, j), slack in zip(np.argwhere(positive).tolist(), slacks[positive].tolist())]
 
 
 def constraint_slacks(inst: Instance, y: np.ndarray) -> np.ndarray:
     """Per-coordinate slack of the clamp inequalities; the matrix maximum
     equals the existence objective.  Maps a stack matrix by matrix."""
     y = np.asarray(y, dtype=float)
-    return y - (y.max(axis=-1)[..., None] - transfer_gain(inst, y))
+    return _slacks(y, y.max(axis=-1), transfer_gain(inst, y))
 
 
 def verify_constraints(inst: Instance, y: np.ndarray):
     """Worst clamp slack and the list of coordinates with positive slack."""
     slacks = constraint_slacks(inst, y)
-    violations = [(int(k), int(j), float(slacks[k, j])) for k, j in np.argwhere(slacks > 0.0)]
-    return float(slacks.max()), violations
+    return float(slacks.max()), _violations(slacks)
+
+
+def _map_readout(inst: Instance, y: np.ndarray, map_name: str, m_const: float | None = None) -> np.ndarray:
+    """``_clamp_step``'s image of ``y``, a (..., m, n) stack of score
+    matrices, laid out like ``y``; the boxed maps check the box of radius
+    ``box_radius(inst, m_const)`` first."""
+    if map_name == "T":
+        y = np.asarray(y, dtype=float)
+    else:
+        m_const = box_radius(inst, m_const)
+        y = _require_box(inst, y, m_const, stacked=True)
+    return _clamp_step(inst, map_name, m_const)(y.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def clamp_map(inst: Instance, y: np.ndarray) -> np.ndarray:
@@ -87,44 +152,27 @@ def clamp_map(inst: Instance, y: np.ndarray) -> np.ndarray:
     everywhere; the image can dip below any box by at most the total mass.
     Like the two box variants, it maps a (..., m, n) stack matrix by matrix.
     """
-    y = np.asarray(y, dtype=float)
-    h = y.max(axis=-1)
-    return np.minimum(y, h[..., None] - transfer_gain(inst, y))
+    return _map_readout(inst, y, "T")
 
 
 def rowmax_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None) -> np.ndarray:
     """Box variant that raises each row's maximum to zero and clamps by the
     negated transfer gain only on rows whose maximum already sits at zero
-    (exact test).  Maps the box into itself whenever M covers the mass."""
-    m_const = box_radius(inst) if m_const is None else m_const
-    y = _require_box(inst, y, m_const, stacked=True)
-    h = y.max(axis=-1)
-    first = y - h[..., None]
-    second = np.where((h == 0.0)[..., None], -transfer_gain(inst, y), 0.0)
-    return np.minimum(first, second)
+    (exact test).  Maps the box of radius ``box_radius(inst, m_const)``
+    into itself."""
+    return _map_readout(inst, y, "Tprime", m_const)
 
 
 def smooth_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None) -> np.ndarray:
     """Smooth box variant weighting the clamp by exp(row maximum).
 
-    Continuous on the box and mapping it into itself, so a fixed point
-    exists; an image coordinate outside the box is an invariant failure
-    and raises rather than being clamped away.  On a stack the message
-    names the coordinate in the first escaping matrix.
+    Continuous on the box of radius ``box_radius(inst, m_const)`` and
+    mapping it into itself, so a fixed point exists; an image coordinate
+    outside the box is an invariant failure and raises rather than being
+    clamped away.  On a stack the message names the coordinate in the
+    first escaping matrix.
     """
-    m_const = box_radius(inst) if m_const is None else m_const
-    y = _require_box(inst, y, m_const, stacked=True)
-    h = y.max(axis=-1)
-    first = y - h[..., None]
-    second = -transfer_gain(inst, y) * np.exp(h)[..., None]
-    image = np.minimum(first, second)
-    if image.max(initial=-np.inf) > 0.0 or image.min(initial=0.0) < -m_const:
-        flat = image.reshape(-1, inst.m, inst.n)
-        escaped = (flat.max(axis=(1, 2)) > 0.0) | (flat.min(axis=(1, 2)) < -m_const)
-        index = int(np.argmax(escaped))
-        k, j = np.unravel_index(int(np.argmin(flat[index])), flat[index].shape)
-        raise SelfMapViolation(f"image coordinate ({k}, {j}) = {flat[index][k, j]!r} left the box [-{m_const}, 0]")
-    return image
+    return _map_readout(inst, y, "Ttilde", m_const)
 
 
 MAPS = {"T": clamp_map, "Tprime": rowmax_clamp_map, "Ttilde": smooth_clamp_map}
@@ -143,8 +191,11 @@ def stuck_row_diagnostics(inst: Instance, y: np.ndarray) -> list[dict]:
     so none is zero.
     """
     y = np.asarray(y, dtype=float)
-    h = y.max(axis=1)
-    gain = transfer_gain(inst, y)
+    return _stuck_rows(inst, y, y.max(axis=1), transfer_gain(inst, y))
+
+
+def _stuck_rows(inst: Instance, y: np.ndarray, h: np.ndarray, gain: np.ndarray) -> list[dict]:
+    """``stuck_row_diagnostics`` of an (m, n) matrix ``y`` with row maxima ``h`` and transfer gain ``gain``."""
     log_bound = float(np.log1p(total_mass(inst)))
     stuck = np.flatnonzero(h < -DIAG_TOL)
     with np.errstate(over="ignore"):
@@ -201,16 +252,19 @@ def picard_iterate_many(
     Works in the box of radius ``box_radius(inst, m_const)``.  Each start
     is an items-by-agents matrix, inside the box for the boxed maps, or
     None for the greedy allocation's encoding.  The starts advance as one
-    stack, each step mapping every live start at once; a start leaves it
-    when its undamped residual (max-norm distance between the point and
-    its image) drops to ``tol``, and the rest stop at ``max_iters``.  Each
-    start keeps one record, its best residual and iterate, and reports it;
-    every kernel treats the matrices of a stack apart, so a report equals
-    that of a run from its start alone.
+    C-contiguous (L, n, m) stack of agents-by-items rows, each step
+    mapping every live start at once through one ``_clamp_step`` built for
+    the run; a start leaves the stack when its undamped residual (max-norm
+    distance between the point and its image) drops to ``tol``, and the
+    rest stop at ``max_iters``.  The box of every step's input is checked.
+    Each start keeps one record, its best residual and iterate, and
+    reports it; every kernel treats the matrices of a stack apart, so a
+    report equals that of a run from its start alone.
     The constraint slack and the EFX verdict of the row-argmax extraction
     are always checked independently of convergence, and rows stuck below
-    zero are reported as diagnostics.  An escape from the box raises at the
-    step it happens, with the escape of the lowest start escaping there.
+    zero are reported as diagnostics, all read off one transfer gain of
+    the record stack.  An escape from the box raises at the step it
+    happens, with the escape of the lowest start escaping there.
     """
     if map_name not in MAPS:
         raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAPS)}")
@@ -220,43 +274,56 @@ def picard_iterate_many(
         raise ValueError("iteration cap must be nonnegative")
     m_const = box_radius(inst, m_const)
     boxed = map_name in ("Tprime", "Ttilde")
-    # Map T is unboxed: it takes no radius, and only the shape of its start is checked.
-    radius = (m_const,) if boxed else ()
     starts = [encode_allocation(inst, greedy_allocation(inst), m_const) if y0 is None else y0 for y0 in y0s]
     if not starts:
         return []
-    # Agents-major: an (L, m, n) view of (L, n, m) memory, so the kernels
-    # reduce over whole agent rows.
-    y = np.array([_require_box(inst, y0, m_const if boxed else None).T for y0 in starts]).swapaxes(1, 2)
+    step = _clamp_step(inst, map_name, m_const)
+    # The base: each start as an (n, m) agents-by-items matrix of one
+    # C-contiguous (L, n, m) stack, so every step reduces and gathers whole
+    # agent rows.  Map T is unboxed: only the shape of its start is checked.
+    yt = np.array([_require_box(inst, y0, m_const if boxed else None).T for y0 in starts])
 
-    # One record per start; best_y is C-ordered, so each report's iterate is C-contiguous.
-    best_residual = np.full(len(y), np.inf)
-    best_y = y.copy()
-    converged = np.zeros(len(y), dtype=bool)
-    iterations = np.full(len(y), max_iters)
-    # The start behind each matrix of the stack.
-    live = np.arange(len(y))
-    for step in range(max_iters + 1):
-        step_y = MAPS[map_name](inst, y, *radius) - y
-        residual = np.abs(step_y).max(axis=(1, 2))
-        better = residual < best_residual[live]
-        improved = live[better]
-        best_residual[improved], best_y[improved] = residual[better], y[better]
+    converged = np.zeros(len(yt), dtype=bool)
+    iterations = np.full(len(yt), max_iters)
+    # The start behind each matrix of the live stack, and one record per
+    # live start, its best residual and iterate, kept beside the stack and
+    # written out to best_residual and best_t when the start leaves it.
+    live = np.arange(len(yt))
+    live_residual, live_best = np.full(len(yt), np.inf), yt.copy()
+    best_residual, best_t = np.empty_like(live_residual), np.empty_like(yt)
+    for it in range(max_iters + 1):
+        if boxed:
+            _check_box(yt, m_const)
+        step_t = step(yt) - yt
+        residual = np.abs(step_t).max(axis=(1, 2))
+        better = residual < live_residual
+        np.copyto(live_residual, residual, where=better)
+        np.copyto(live_best, yt, where=better[:, None, None])
         done = residual <= tol
-        if done.any():
-            converged[live[done]], iterations[live[done]] = True, step
-            live, y, step_y = live[~done], y[~done], step_y[~done]
-        if step == max_iters or not live.size:
+        if np.count_nonzero(done):
+            left = live[done]
+            converged[left], iterations[left] = True, it
+            best_residual[left], best_t[left] = live_residual[done], live_best[done]
+            kept = ~done
+            live, yt, step_t, live_residual, live_best = live[kept], yt[kept], step_t[kept], live_residual[kept], live_best[kept]
+        if it == max_iters or not live.size:
             break
-        y = y + alpha * step_y
+        step_t *= alpha
+        yt += step_t
         if boxed:
             # Damped combinations can leave the box by a rounding ulp.
-            np.clip(y, -m_const, 0.0, out=y)
+            yt.clip(-m_const, 0.0, out=yt)
+    best_residual[live], best_t[live] = live_residual, live_best
 
+    # A converged step is always a strict new best, so the record is the
+    # answer.  One gain over the record stack serves every report; best_y is
+    # C-ordered, so each report's iterate is C-contiguous.
+    best_y = np.ascontiguousarray(best_t.swapaxes(1, 2))
+    h = best_y.max(axis=2)
+    gain = transfer_gain(inst, best_y)
+    slacks = _slacks(best_y, h, gain)
     reports = []
     for s, y_best in enumerate(best_y):
-        # A converged step is always a strict new best, so best_y is the answer.
-        slack, violations = verify_constraints(inst, y_best)
         allocation = extract_allocation(y_best)
         reports.append(
             FixedPointReport(
@@ -264,11 +331,11 @@ def picard_iterate_many(
                 converged=bool(converged[s]),
                 iterations=int(iterations[s]),
                 residual=float(best_residual[s]),
-                constraint_slack=slack,
-                violations=violations,
+                constraint_slack=float(slacks[s].max()),
+                violations=_violations(slacks[s]),
                 allocation=allocation,
                 efx=is_efx(inst, allocation, efx_tol).ok,
-                stuck_rows=stuck_row_diagnostics(inst, y_best),
+                stuck_rows=_stuck_rows(inst, y_best, h[s], gain[s]),
                 y=y_best,
             )
         )

@@ -277,10 +277,10 @@ def test_fixedpoint_reports_all_starts(tmp_path, capsys):
 def test_fixedpoint_internal_check_exits_three(tmp_path, capsys, monkeypatch):
     inst = _instance_file(tmp_path, I0_NORM)
 
-    def escaping_map(inst_, y, m_const):
+    def escaping_step(yt):
         raise SelfMapViolation("image coordinate (0, 0) = 1.0 left the box")
 
-    monkeypatch.setitem(fixedpoint.MAPS, "Ttilde", escaping_map)
+    monkeypatch.setattr(fixedpoint, "_clamp_step", lambda inst_, map_name, m_const: escaping_step)
     code = cli.main(["fixedpoint", "--instance", inst, "--starts", "1"])
     assert code == 3
     assert "internal check failed" in capsys.readouterr().err
@@ -291,10 +291,10 @@ def test_compare_records_a_box_escape_as_a_method_error(tmp_path, capsys, monkey
     _, clean = _run(capsys, ["compare", "--instance", inst])
     message = "image coordinate (0, 0) = 1.0 left the box"
 
-    def escaping_map(inst_, y, m_const):
+    def escaping_step(yt):
         raise SelfMapViolation(message)
 
-    monkeypatch.setitem(fixedpoint.MAPS, "Ttilde", escaping_map)
+    monkeypatch.setattr(fixedpoint, "_clamp_step", lambda inst_, map_name, m_const: escaping_step)
     code, doc = _run(capsys, ["compare", "--instance", inst])
     assert code == 0
     *others, row = doc["rows"]

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import poison_gain, random_instance
 from efxkit import (
     Allocation,
     SelfMapViolation,
@@ -178,10 +178,30 @@ def test_smooth_map_self_map_random():
                     assert image.min() >= -box and image.max() <= 0.0
 
 
-def test_smooth_map_violation_raised(i0_norm):
-    # a box radius below the total mass breaks the self-map argument
-    with pytest.raises(SelfMapViolation):
-        smooth_clamp_map(i0_norm, np.zeros((3, 2)), m_const=0.5)
+def test_smooth_map_violation_raised(i0_norm, monkeypatch):
+    # A poisoned gain pushes the image below the box; the message prints
+    # the escaping coordinate's value as a plain float.
+    box = box_radius(i0_norm)
+    y = np.zeros((3, 2))
+    poison = 2.0 * box * np.exp(box)
+    image = -(transfer_gain(i0_norm, y) + poison)
+    poison_gain(monkeypatch, [y], poison)
+    with pytest.raises(SelfMapViolation) as caught:
+        smooth_clamp_map(i0_norm, y, m_const=box)
+    k, j = np.unravel_index(int(np.argmin(image)), image.shape)
+    value = float(image[k, j])
+    assert str(caught.value) == f"image coordinate ({k}, {j}) = {value!r} left the box [-{box}, 0]"
+    assert repr(value) in str(caught.value) and "np." not in str(caught.value)
+
+
+def test_boxed_maps_apply_the_radius_rule(i0_raw):
+    # Twice the mass of I0 is 24: a radius of 1.0 is no box of the maps,
+    # though the point lies in [-1, 0].
+    y = np.full((3, 2), -0.5)
+    for box_map in (rowmax_clamp_map, smooth_clamp_map):
+        with pytest.raises(ValueError, match="box radius 1.0 must be finite and strictly above"):
+            box_map(i0_raw, y, 1.0)
+        assert box_map(i0_raw, y, np.nextafter(24.0, np.inf)).shape == (3, 2)
 
 
 def test_maps_reject_points_outside_box(i0_norm):

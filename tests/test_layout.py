@@ -18,6 +18,7 @@ from efxkit import (
     transfer_gain,
 )
 from efxkit.extension import _shifted_rowmax
+from efxkit.fixedpoint import MAPS, _clamp_step
 from test_score_kernels import AGENT_COUNTS, _instances, _score_matrices
 
 
@@ -39,7 +40,7 @@ def _tied_stack(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 def _kernels(inst, box):
-    return {
+    kernels = {
         "shifted_rowmax": lambda y: _shifted_rowmax(inst, y)[2],
         "transfer_gain": lambda y: transfer_gain(inst, y),
         "clamp_map": lambda y: clamp_map(inst, y),
@@ -47,9 +48,14 @@ def _kernels(inst, box):
         "smooth_clamp_map": lambda y: smooth_clamp_map(inst, y, box),
         "constraint_slacks": lambda y: constraint_slacks(inst, y),
     }
+    # The Picard loop's step of each map, on the (..., n, m) base of y.
+    for name in MAPS:
+        step = _clamp_step(inst, name, box)
+        kernels[f"step_{name}"] = lambda y, step=step: step(np.swapaxes(y, -1, -2)).swapaxes(-1, -2)
+    return kernels
 
 
-@pytest.mark.parametrize("n", AGENT_COUNTS)
+@pytest.mark.parametrize("n", sorted({*AGENT_COUNTS, 5}))
 def test_agents_major_stacks_give_the_same_bytes(n):
     rng = np.random.default_rng(n + 300)
     for seed in range(3):
@@ -64,7 +70,7 @@ def test_agents_major_stacks_give_the_same_bytes(n):
                 for name, kernel in kernels.items():
                     assert kernel(major).tobytes() == kernel(stack).tobytes(), name
                 # The gain and the maps come back laid out like their input.
-                for name in ("transfer_gain", "clamp_map", "smooth_clamp_map"):
+                for name in ("transfer_gain", "clamp_map", "smooth_clamp_map", "step_T", "step_Ttilde"):
                     assert np.swapaxes(kernels[name](major), -1, -2).flags.c_contiguous, name
                     assert kernels[name](stack).flags.c_contiguous, name
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_picard as ref
-from conftest import random_instance
+from conftest import poison_gain, random_instance
 from efxkit import (
     SelfMapViolation,
     box_radius,
@@ -16,8 +16,8 @@ from efxkit import (
     picard_iterate,
     picard_iterate_many,
     smooth_clamp_map,
-    transfer_gain,
 )
+from efxkit import fixedpoint
 from efxkit.fixedpoint import MAPS
 
 # Shapes (items, agents) from n = 2 to the (10,5) shape of the bench; the
@@ -95,16 +95,23 @@ def test_one_start_is_the_stack_of_one(i0_norm):
 
 
 def _iterates(monkeypatch, inst, y0, steps: int) -> list[bytes]:
-    """The points a one-start run hands the smooth map, step by step."""
+    """The points a one-start run hands its step, step by step, as the
+    bytes of (m, n) matrices."""
     seen = []
+    build = fixedpoint._clamp_step
 
-    def recording(inst_, y, m_const):
-        seen.append(y[0].tobytes())
-        return smooth_clamp_map(inst_, y, m_const)
+    def recording(*args):
+        step = build(*args)
 
-    monkeypatch.setitem(MAPS, "Ttilde", recording)
+        def recorded(yt):
+            seen.append(yt[0].T.tobytes())
+            return step(yt)
+
+        return recorded
+
+    monkeypatch.setattr(fixedpoint, "_clamp_step", recording)
     picard_iterate_many(inst, [y0], max_iters=steps, tol=0.0)
-    monkeypatch.setitem(MAPS, "Ttilde", smooth_clamp_map)
+    monkeypatch.setattr(fixedpoint, "_clamp_step", build)
     return seen
 
 
@@ -117,18 +124,8 @@ def test_the_lowest_escaping_start_raises(monkeypatch):
     # Starts 3 and 4 escape at step 2; start 1, lower in the stack, at step 5.
     poisoned = {_iterates(monkeypatch, inst, starts[s], 8)[step]: s for s, step in ((3, 2), (4, 2), (1, 5))}
     assert len(poisoned) == 3
-    calls = []
-
-    def poisoned_gain(inst_, y):
-        # -gain * exp(h) < -box for every row maximum h >= -box.
-        calls.append(len(y))
-        gain = transfer_gain(inst_, y)
-        for point, point_gain in zip(y.reshape(-1, 6, 3), gain.reshape(-1, 6, 3)):
-            if point.tobytes() in poisoned:
-                point_gain += 2.0 * box * np.exp(box)
-        return gain
-
-    monkeypatch.setattr("efxkit.fixedpoint.transfer_gain", poisoned_gain)
+    # -gain * exp(h) < -box for every row maximum h >= -box.
+    calls = poison_gain(monkeypatch, [np.frombuffer(point).reshape(6, 3) for point in poisoned], 2.0 * box * np.exp(box))
     escapes = {}
     for point, s in poisoned.items():
         with pytest.raises(SelfMapViolation) as alone:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_shift as ref
-from conftest import random_instance
+from conftest import poison_gain, random_instance
 from efxkit import (
     Allocation,
     SelfMapViolation,
@@ -107,12 +107,13 @@ def test_stacked_rescan_matches_the_reference_on_tied_rows(n):
                 assert g.tobytes() == ref.transfer_gain(inst, y).tobytes()
 
 
-def test_stacked_smooth_map_raises_the_first_escape_of_the_stack():
-    # A radius below the total mass lets some images escape the box.
+def test_stacked_smooth_map_raises_the_first_escape_of_the_stack(monkeypatch):
+    # A poisoned gain lets some images escape the box.
     inst = generate_instance(4, 3, "uniform01", 5)
-    radius = 1.8
+    radius = box_radius(inst)
     rng = np.random.default_rng(17)
     points = rng.uniform(-radius, 0.0, size=(40, 4, 3))
+    poison_gain(monkeypatch, points[[6, 13, 29]], 2.0 * radius * np.exp(radius))
     messages = []
     for y in points:
         try:
