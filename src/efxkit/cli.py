@@ -138,7 +138,9 @@ def _parse_lambdas(text: str) -> list[float]:
         lams = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise InstanceFormatError(f"bad temperature list {text!r}") from exc
-    if not lams or not all(0 < l < np.inf for l in lams):
+    if not lams:
+        raise InstanceFormatError(f"temperature list {text!r} holds no temperature")
+    if not all(0 < l < np.inf for l in lams):
         raise InstanceFormatError("temperatures must be positive and finite")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise InstanceFormatError("temperatures must be strictly increasing")
@@ -429,78 +431,66 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="efxkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="draw a random instance document")
+    def shared(*flags, **kwargs) -> argparse.ArgumentParser:
+        """An option that several commands take, declared once as a parent parser."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
+    instance = shared("--instance", required=True)
+    seed = shared("--seed", type=_nonnegative_int, default=0)
+    m_const = shared("--m-const", type=float, default=None)
+    efx_tol = shared("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
+    output = shared("--output", default=None)
+
+    p = sub.add_parser("gen", help="draw a random instance document", parents=[seed, output])
     p.add_argument("--m", type=_positive_int, required=True, help="number of items")
     p.add_argument("--n", type=_agent_count, required=True, help="number of agents, at least 2")
     p.add_argument("--dist", choices=["uniform01", "integer", "identical"], default="uniform01")
     p.add_argument("--kmax", type=_kmax, default=10, help="largest value for the integer distribution")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("check", help="verify an allocation document")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("check", help="verify an allocation document", parents=[instance, efx_tol, output])
     p.add_argument("--allocation", required=True)
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("oracle", help="exhaustive EFX scan")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("oracle", help="exhaustive EFX scan", parents=[instance, efx_tol, output])
     p.add_argument("--cap", type=_nonnegative_int, default=oracle.WITNESS_CAP, help="witnesses to keep; 0 counts only")
     p.add_argument("--all", action="store_true", help="keep every witness instead of capping")
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("lovasz", help="relaxation descent plus threshold rounding")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("lovasz", help="relaxation descent plus threshold rounding", parents=[instance, seed, output])
     p.add_argument("--iters", type=_positive_int, default=lovasz.DEFAULT_ITERS, help="subgradient steps, at least 1")
     p.add_argument("--step0", type=_positive_float, default=lovasz.DEFAULT_STEP0)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_lovasz)
 
     p = sub.add_parser("extension", help="evaluate the smooth bound")
     ext_sub = p.add_subparsers(dest="mode", required=True)
-    q = ext_sub.add_parser("eval", help="bound and objective at a point")
-    q.add_argument("--instance", required=True)
+    q = ext_sub.add_parser("eval", help="bound and objective at a point", parents=[instance, output])
     q.add_argument("--y", default=None, help="score document {'y': [[..]]}")
     q.add_argument("--x", default=None, help="fractional document {'x': [[..]]}")
     q.add_argument("--lambdas", default=",".join(map(repr, extension.DEFAULT_LAMBDAS)))
-    q.add_argument("--output", default=None)
     q.set_defaults(func=cmd_extension)
 
-    p = sub.add_parser("dca", help="LP-based descent on the existence objective")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("dca", help="LP-based descent on the existence objective", parents=[instance, seed, m_const, output])
     p.add_argument("--delta", type=_nonnegative_float, default=dc.DCA_STEP_TOL)
     p.add_argument("--max-iters", type=_positive_int, default=dc.DCA_MAX_ITERS, help="LP steps per start, at least 1")
     p.add_argument("--starts", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--m-const", type=float, default=None)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_dca)
 
-    p = sub.add_parser("fixedpoint", help="damped Picard iteration of a clamp map")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("fixedpoint", help="damped Picard iteration of a clamp map", parents=[instance, seed, m_const, output])
     p.add_argument("--map", choices=sorted(fixedpoint.MAPS), default="Ttilde")
     p.add_argument("--alpha", type=_damping, default=fixedpoint.DEFAULT_ALPHA)
+    # A residual tolerance, not the EFX one of check, oracle and compare.
     p.add_argument("--tol", type=_nonnegative_float, default=fixedpoint.RESIDUAL_TOL)
     p.add_argument(
         "--max-iters", type=_positive_int, default=fixedpoint.DEFAULT_MAX_ITERS, help="Picard steps per start, at least 1"
     )
     p.add_argument("--starts", type=_positive_int, default=FIXEDPOINT_STARTS)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--m-const", type=float, default=None)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_fixedpoint)
 
-    p = sub.add_parser("compare", help="run oracle and solvers side by side")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
+    p = sub.add_parser("compare", help="run oracle and solvers side by side", parents=[instance, seed, efx_tol, output])
     p.add_argument("--csv", default=None, help="also write the rows as a CSV table")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_compare)
 
     return parser

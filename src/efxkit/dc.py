@@ -17,7 +17,7 @@ step whose selection repeats the previous one reuses its LP solution.
 Successive LP optima are non-increasing, and any score matrix that reaches
 a nonpositive objective extracts a verified EFX allocation by row argmax.
 The objective and its two terms, ``convex_part`` and ``rowmax_sum``, live
-in the extension module, whose ``_shifted_rowmax`` kernel builds the
+in the extension module, whose ``_shifted_rows`` kernel builds the
 shifted row maxima.
 """
 
@@ -205,7 +205,6 @@ def dca_solve(
     trace: list[dict] = []
     previous_objective = np.inf
     status = "max-iters"
-    converged = False
     solved = None  # (selection, LPSolution) of the last LP solved
     for t in range(max_iters):
         selection = np.argmax(y, axis=1)
@@ -236,7 +235,6 @@ def dca_solve(
         )
         if step <= delta:
             status = "converged"
-            converged = True
             break
 
     allocation = extract_allocation(y)
@@ -246,7 +244,7 @@ def dca_solve(
         y=y,
         objective=float(objective),
         iterations=len(trace),
-        converged=converged,
+        converged=status == "converged",
         status=status,
         trace=trace,
         allocation=allocation,

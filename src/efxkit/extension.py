@@ -10,14 +10,15 @@ nonpositive exactly when an EFX allocation exists.  Integral allocations
 embed as score matrices with zeros at owner coordinates and a large
 negative constant elsewhere, where the objective reproduces the exact EFX
 slack.  That score box lives here: ``box_radius``, ``_require_box``, and
-the encoding, greedy start and row-argmax extraction.  The objective's
+the encoding, greedy start and row-argmax extraction.  Every public score
+readout, here and in the fixed-point module, takes its scores through
+``_require_box``, which always checks their shape.  The objective's
 max-term and the fixed-point transfer gain are both read from one kernel,
 ``_shifted_rows``, which builds every agent pair's shifted row maxima at
 once from the scores as agents-by-items rows, with one gather of whole
 agent rows per call and the pair's columns and bystanders folded as
-whole blocks (``_shifted_rowmax`` is its items-by-agents readout);
-``rounding_bound`` evaluates every pair's three-term log-sum-exp factors
-in one stacked pass.
+whole blocks; ``rounding_bound`` evaluates every pair's three-term
+log-sum-exp factors in one stacked pass.
 """
 
 from __future__ import annotations
@@ -123,24 +124,6 @@ def softmax_map(y: np.ndarray, lam: float) -> np.ndarray:
     return x
 
 
-def _shifted_rowmax(inst: Instance, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-item row maxima after moving a rival's value between columns.
-
-    Returns the ordered pairs as index arrays ``(i, j)``, in the order of
-    ``instance._ordered_pairs``, and a (..., pairs, m) array, for scores of
-    shape (..., m, n), whose row p holds each item's row maximum once column i
-    has dropped by the item's value for agent i and column j has gained
-    it.  With three or more agents each row maximum also covers the
-    bystanders, the n - 2 columns outside {i, j}, rescanned for every
-    pair.  Every matrix of a stack gets the same arithmetic as on its own.
-    Scores held agents-major, an (..., m, n) view of (..., n, m) memory,
-    give the same floats faster: every gather copies whole agent rows.
-    """
-    y = np.asarray(y, dtype=float)
-    i, j = _ordered_pairs(inst.n)[0]
-    return i, j, _shifted_rows(y.swapaxes(-1, -2), *_pair_gather(inst)[:2])
-
-
 def _pair_gather(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pair constants of ``inst``: for ``_shifted_rows``, an (n, pairs)
     gather index whose column p lists pair p's agents i and j and then its
@@ -153,9 +136,18 @@ def _pair_gather(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _shifted_rows(yt: np.ndarray, index: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """``_shifted_rowmax``'s (..., pairs, m) array from the base ``yt``, the
-    scores as (..., n, m) agents-by-items rows, and ``_pair_gather``'s
-    index and shift."""
+    """Per-item row maxima after moving a rival's value between columns.
+
+    ``yt`` holds the scores as (..., n, m) agents-by-items rows, and
+    ``index`` and ``shift`` are ``_pair_gather``'s.  Returns a (..., pairs,
+    m) array, pairs in the order of ``instance._ordered_pairs``, whose row
+    p holds each item's row maximum once column i has dropped by the item's
+    value for agent i and column j has gained it.  With three or more
+    agents each row maximum also covers the bystanders, the n - 2 columns
+    outside {i, j}, rescanned for every pair.  Every matrix of a stack gets
+    the same arithmetic as on its own.  A C-contiguous ``yt`` gives the
+    same floats faster: every gather copies whole agent rows.
+    """
     # Row-major (..., n, pairs, m) copies, so per-pair sums reduce along
     # contiguous rows: each pair's columns i and j, shifted (adding -v is
     # subtracting v, bit for bit), then its bystanders, folded as whole
@@ -168,10 +160,11 @@ def _shifted_rows(yt: np.ndarray, index: np.ndarray, shift: np.ndarray) -> np.nd
 def convex_part(inst: Instance, y: np.ndarray) -> float:
     """The max-term of the objective: worst over pairs and items of the
     item's envied-column score plus the other items' shifted row maxima."""
-    y = np.asarray(y, dtype=float)
-    _, j, shifted = _shifted_rowmax(inst, y)
+    y = _require_box(inst, y, None)
+    index, shift, _ = _pair_gather(inst)
+    shifted = _shifted_rows(y.T, index, shift)
     total = shifted.sum(axis=1, keepdims=True)
-    return float((y.T[j] + (total - shifted)).max())
+    return float((y.T[index[1]] + (total - shifted)).max())
 
 
 def rowmax_sum(y: np.ndarray) -> float:
@@ -216,7 +209,8 @@ def box_radius(inst: Instance, m_const: float | None = None) -> float:
 def _require_box(inst: Instance, y: np.ndarray, m_const: float | None, stacked: bool = False) -> np.ndarray:
     """``y`` as a float items-by-agents matrix, or a (..., m, n) stack of
     them when ``stacked``, in the box [-m_const, 0] unless ``m_const`` is
-    None."""
+    None.  Every public score readout takes its scores through here: the
+    shape is always checked, the box only for the boxed maps and starts."""
     y = np.asarray(y, dtype=float)
     if (y.shape[-2:] if stacked else y.shape) != (inst.m, inst.n):
         raise ValueError(f"scores must be an items-by-agents matrix of shape {(inst.m, inst.n)}, got {y.shape}")

@@ -20,7 +20,9 @@ folds over rivals and bystanders run over whole rows.  The Picard loop holds its
 stack as a C-contiguous (L, n, m) base and steps it with ``_clamp_step``,
 built once per run; the public maps and ``transfer_gain`` read the same
 step or gain off the base of their input, give the same floats on either
-layout and lay their results out like their input.  Convergence is not
+layout and lay their results out like their input.  Every public
+readout takes its scores through ``extension._require_box``, which checks
+their shape, and for the boxed maps their box.  Convergence is not
 guaranteed and is always reported rather than assumed.  The transfer gain
 is a readout of the shifted row maxima from ``extension._shifted_rows``,
 the same kernel behind the existence objective.
@@ -58,7 +60,7 @@ def transfer_gain(inst: Instance, y: np.ndarray) -> np.ndarray:
     value for any scores whatsoever.  A (..., m, n) stack of score
     matrices gives the stack of their gains, laid out like ``y``.
     """
-    y = np.asarray(y, dtype=float)
+    y = _require_box(inst, y, None, stacked=True)
     yt = y.swapaxes(-1, -2)
     out = np.empty_like(y)
     _gain(yt, yt.max(axis=-2), *_pair_gather(inst), out.swapaxes(-1, -2))
@@ -123,25 +125,22 @@ def _violations(slacks: np.ndarray) -> list[tuple[int, int, float]]:
 def constraint_slacks(inst: Instance, y: np.ndarray) -> np.ndarray:
     """Per-coordinate slack of the clamp inequalities; the matrix maximum
     equals the existence objective.  Maps a stack matrix by matrix."""
-    y = np.asarray(y, dtype=float)
+    y = _require_box(inst, y, None, stacked=True)
     return _slacks(y, y.max(axis=-1), transfer_gain(inst, y))
 
 
 def verify_constraints(inst: Instance, y: np.ndarray):
     """Worst clamp slack and the list of coordinates with positive slack."""
-    slacks = constraint_slacks(inst, y)
+    slacks = constraint_slacks(inst, _require_box(inst, y, None))
     return float(slacks.max()), _violations(slacks)
 
 
 def _map_readout(inst: Instance, y: np.ndarray, map_name: str, m_const: float | None = None) -> np.ndarray:
     """``_clamp_step``'s image of ``y``, a (..., m, n) stack of score
     matrices, laid out like ``y``; the boxed maps check the box of radius
-    ``box_radius(inst, m_const)`` first."""
-    if map_name == "T":
-        y = np.asarray(y, dtype=float)
-    else:
-        m_const = box_radius(inst, m_const)
-        y = _require_box(inst, y, m_const, stacked=True)
+    ``box_radius(inst, m_const)`` first; every map checks the shape."""
+    m_const = None if map_name == "T" else box_radius(inst, m_const)
+    y = _require_box(inst, y, m_const, stacked=True)
     return _clamp_step(inst, map_name, m_const)(y.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
@@ -190,7 +189,7 @@ def stuck_row_diagnostics(inst: Instance, y: np.ndarray) -> list[dict]:
     below zero).  Every score of a stuck row lies at or below its maximum,
     so none is zero.
     """
-    y = np.asarray(y, dtype=float)
+    y = _require_box(inst, y, None)
     return _stuck_rows(inst, y, y.max(axis=1), transfer_gain(inst, y))
 
 
@@ -283,7 +282,6 @@ def picard_iterate_many(
     # agent rows.  Map T is unboxed: only the shape of its start is checked.
     yt = np.array([_require_box(inst, y0, m_const if boxed else None).T for y0 in starts])
 
-    converged = np.zeros(len(yt), dtype=bool)
     iterations = np.full(len(yt), max_iters)
     # The start behind each matrix of the live stack, and one record per
     # live start, its best residual and iterate, kept beside the stack and
@@ -302,7 +300,7 @@ def picard_iterate_many(
         done = residual <= tol
         if np.count_nonzero(done):
             left = live[done]
-            converged[left], iterations[left] = True, it
+            iterations[left] = it
             best_residual[left], best_t[left] = live_residual[done], live_best[done]
             kept = ~done
             live, yt, step_t, live_residual, live_best = live[kept], yt[kept], step_t[kept], live_residual[kept], live_best[kept]
@@ -316,8 +314,8 @@ def picard_iterate_many(
     best_residual[live], best_t[live] = live_residual, live_best
 
     # A converged step is always a strict new best, so the record is the
-    # answer.  One gain over the record stack serves every report; best_y is
-    # C-ordered, so each report's iterate is C-contiguous.
+    # answer, converged exactly when within tol.  One gain over the record
+    # stack serves every report; best_y is C-ordered, so each report's iterate is C-contiguous.
     best_y = np.ascontiguousarray(best_t.swapaxes(1, 2))
     h = best_y.max(axis=2)
     gain = transfer_gain(inst, best_y)
@@ -328,7 +326,7 @@ def picard_iterate_many(
         reports.append(
             FixedPointReport(
                 map_name=map_name,
-                converged=bool(converged[s]),
+                converged=bool(best_residual[s] <= tol),
                 iterations=int(iterations[s]),
                 residual=float(best_residual[s]),
                 constraint_slack=float(slacks[s].max()),

@@ -434,6 +434,7 @@ def test_input_errors_exit_two(tmp_path, capsys):
     for argv, message in (
         (["extension", "eval", "--instance", inst, "--y", x], "y document must be an object with a 'y' key"),
         (["extension", "eval", "--instance", inst, "--x", x, "--lambdas", "1,abc"], "bad temperature list '1,abc'"),
+        (["extension", "eval", "--instance", inst, "--x", x, "--lambdas", ","], "temperature list ',' holds no"),
         (["oracle", "--instance", ragged], "values[1] is not a row of n=2 entries"),
         (["oracle", "--instance", listed], "instance document must be a JSON object"),
     ):

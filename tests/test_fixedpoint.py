@@ -231,6 +231,19 @@ def test_picard_checks_only_the_shape_of_a_start_for_map_T():
         picard_iterate(inst, "Ttilde", y0=y0, max_iters=2)
 
 
+def test_score_readouts_reject_a_matrix_wider_than_the_agents(i0_raw):
+    # The extra columns would otherwise be scored as agents the instance lacks.
+    encoded = encode_allocation(i0_raw, Allocation(np.array([0, 0, 1])))
+    wide = np.hstack([encoded, np.zeros((3, 1))])
+    five = generate_instance(5, 3, "uniform01", 1)
+    square = np.random.default_rng(1).uniform(-1.0, 0.0, (5, 5))
+    readouts = (dc_objective, transfer_gain, constraint_slacks, verify_constraints, stuck_row_diagnostics)
+    for inst, y in ((i0_raw, wide), (five, square)):
+        for readout in (*readouts, *MAPS.values()):
+            with pytest.raises(ValueError, match=r"scores must be an items-by-agents matrix of shape \(\d, \d\)"):
+                readout(inst, y)
+
+
 def test_extraction_round_trip():
     for seed in range(4):
         for n, m in ((2, 4), (3, 3)):

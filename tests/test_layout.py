@@ -17,9 +17,8 @@ from efxkit import (
     stuck_row_diagnostics,
     transfer_gain,
 )
-from efxkit.extension import _shifted_rowmax
 from efxkit.fixedpoint import MAPS, _clamp_step
-from test_score_kernels import AGENT_COUNTS, _instances, _score_matrices
+from test_score_kernels import AGENT_COUNTS, _instances, _score_matrices, _shifted_rowmax
 
 
 def _agents_major(stack: np.ndarray) -> np.ndarray:

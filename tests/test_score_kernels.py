@@ -18,9 +18,15 @@ from efxkit import (
     smooth_clamp_map,
     transfer_gain,
 )
-from efxkit.extension import _shifted_rowmax, convex_part
+from efxkit.extension import _pair_gather, _shifted_rows, convex_part
+from efxkit.instance import _ordered_pairs
 
 AGENT_COUNTS = (2, 3, 4, 6, 7)
+
+
+def _shifted_rowmax(inst, y):
+    """The pairs' rows i and j and ``_shifted_rows`` read off items-by-agents scores."""
+    return *_ordered_pairs(inst.n)[0], _shifted_rows(np.swapaxes(y, -1, -2), *_pair_gather(inst)[:2])
 
 
 def _tied_scores(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
