@@ -81,7 +81,7 @@ def rounding_bound(inst: Instance, x: np.ndarray, lam: float) -> float:
     """
     if lam <= 0:
         raise ValueError("temperature must be positive")
-    x = np.asarray(x, dtype=float)
+    x = _require_box(inst, x, None)
     # Ordered pairs as (pairs, m) rows of item data.
     i, j = _ordered_pairs(x.shape[1])[0]
     xt = x.T
@@ -209,8 +209,9 @@ def box_radius(inst: Instance, m_const: float | None = None) -> float:
 def _require_box(inst: Instance, y: np.ndarray, m_const: float | None, stacked: bool = False) -> np.ndarray:
     """``y`` as a float items-by-agents matrix, or a (..., m, n) stack of
     them when ``stacked``, in the box [-m_const, 0] unless ``m_const`` is
-    None.  Every public score readout takes its scores through here: the
-    shape is always checked, the box only for the boxed maps and starts."""
+    None.  Every public score readout takes its scores, and ``rounding_bound``
+    its point, through here: the shape is always checked, the box only for
+    the boxed maps and starts."""
     y = np.asarray(y, dtype=float)
     if (y.shape[-2:] if stacked else y.shape) != (inst.m, inst.n):
         raise ValueError(f"scores must be an items-by-agents matrix of shape {(inst.m, inst.n)}, got {y.shape}")

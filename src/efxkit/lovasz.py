@@ -12,6 +12,8 @@ minimizer keeps its best iterate rather than trusting descent to settle.
 Every pair's extension, the objective and the descent's worst-pair
 subgradient are read from one kernel, ``_pair_extensions``, which sorts
 each column once and builds all pairs' coefficients from that sort.
+``_descent_step`` builds it once per run with the in-place projected step,
+its coefficients in a C-contiguous buffer so BLAS sums as in a lone dot.
 """
 
 from __future__ import annotations
@@ -26,6 +28,47 @@ ROW_SUM_TOL = 1e-10
 MONOTONE_THRESHOLD = 1.0
 DEFAULT_STEP0 = 0.5
 DEFAULT_ITERS = 500
+
+
+def _descent_step(inst: Instance):
+    """The kernel behind ``_pair_extensions``, the readout behind ``_worst_pair``
+    and ``step(x, grad, s)``, which moves x by s along -grad in grad's buffer,
+    projects it there and returns it with its worst pair's value and subgradient."""
+    n = inst.n
+    vt, values = inst.values.T.copy(), inst.values.T[:, None, :]
+    cols, rows, ranks = np.arange(n), np.arange(inst.m), np.arange(1, n + 1)
+    diagonal = cols * (n + 1)
+    base = inst.values.T[:, :, None] * (cols != cols[:, None, None])
+    coeffs = np.zeros((n, n, inst.m))
+
+    def extensions(x: np.ndarray, monotone: bool):
+        order = (-x).argsort(axis=0, kind="stable")
+        ranked = vt.take(order.T, axis=1)
+        # Stacked (..., 1, m) @ (..., m, 1) calls BLAS's dot per pair with the
+        # operands' strides, as a lone dot does, and BLAS sums unit-stride pairs
+        # in another order than strided ones: the coefficients land in the C
+        # buffer, the sorted columns are copied contiguous, the values strided.
+        np.maximum(ranked[:, :, 1:], np.minimum.accumulate(ranked, axis=2)[:, :, :-1], out=coeffs[:, :, 1:])
+        sorted_x = x[order, cols].T.copy()
+        linear = np.matmul(values, (x.sum(axis=1) - x.T if monotone else x.T)[:, :, None])[:, 0]
+        gaps = np.matmul(coeffs[:, :, None, :], sorted_x[None, :, :, None])[:, :, 0, 0]
+        gaps += linear if monotone else -linear
+        return order, coeffs, gaps
+
+    def worst_pair(x: np.ndarray) -> tuple[float, np.ndarray]:
+        order, _, gaps = extensions(x, True)
+        gaps.put(diagonal, -np.inf)
+        i, j = divmod(int(gaps.argmax()), n)
+        grad = base[i].copy()
+        grad[order[:, j], j] += coeffs[i, j]
+        return float(gaps[i, j]), grad
+
+    def step(x: np.ndarray, grad: np.ndarray, s: float):
+        grad *= -s
+        grad += x  # x - s * grad bit for bit
+        return (_project_rows(grad, rows, ranks), *worst_pair(grad))
+
+    return extensions, worst_pair, step
 
 
 def _pair_extensions(inst: Instance, x: np.ndarray, monotone: bool = False):
@@ -43,27 +86,7 @@ def _pair_extensions(inst: Instance, x: np.ndarray, monotone: bool = False):
     ``monotone``, plus the value of every column other than i.  The
     diagonal is computed like any other entry.
     """
-    x = np.asarray(x, dtype=float)
-    n = inst.n
-    order = np.argsort(-x, axis=0, kind="stable")
-    ranked = inst.values.T[:, order.T]
-    # C-ordered, so each pair's coefficients are one contiguous row.
-    coeffs = np.zeros(ranked.shape)
-    coeffs[:, :, 1:] = np.maximum(
-        ranked[:, :, 1:], np.minimum.accumulate(ranked, axis=2)[:, :, :-1]
-    )
-    # Stacked (..., 1, m) @ (..., m, 1) calls BLAS's dot per pair with the
-    # operands' strides, as a lone dot does; BLAS sums unit-stride pairs in
-    # another order than strided ones, so the sorted columns are contiguous
-    # like the coefficients and the value columns stay strided views.
-    sorted_x = x[order, np.arange(n)].T.copy()
-    values = inst.values.T[:, None, :]
-    if monotone:
-        linear = np.matmul(values, (x.sum(axis=1) - x.T)[:, :, None])[:, 0]
-    else:
-        linear = -np.matmul(values, x.T[:, :, None])[:, 0]
-    gaps = np.matmul(coeffs[:, :, None, :], sorted_x[None, :, :, None])[:, :, 0, 0] + linear
-    return order, coeffs, gaps
+    return _descent_step(inst)[0](np.asarray(x, dtype=float), monotone)
 
 
 def envy_gap_extension(inst: Instance, i: int, j: int, x: np.ndarray) -> float:
@@ -91,12 +114,7 @@ def _worst_pair(inst: Instance, x: np.ndarray) -> tuple[float, np.ndarray]:
     worst pair (i, j) is i's values on every column but i, plus the pair's
     coefficients along the kernel's sort of column j.
     """
-    order, coeffs, gaps = _pair_extensions(inst, x, monotone=True)
-    np.fill_diagonal(gaps, -np.inf)
-    i, j = divmod(int(np.argmax(gaps)), inst.n)
-    grad = inst.values[:, i, None] * (np.arange(inst.n) != i)
-    grad[order[:, j], j] += coeffs[i, j]
-    return float(gaps[i, j]), grad
+    return _descent_step(inst)[1](np.asarray(x, dtype=float))
 
 
 def relaxation_objective(inst: Instance, x: np.ndarray) -> float:
@@ -121,21 +139,25 @@ def uniform_point(inst: Instance) -> np.ndarray:
     return np.full((inst.m, inst.n), 1.0 / inst.n)
 
 
+def _project_rows(y: np.ndarray, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Project each row of ``y`` onto the simplex in place, given ``arange(m)`` and ``arange(1, n + 1)``."""
+    sorted_desc = -np.sort(-y, axis=1)
+    shifts = (sorted_desc.cumsum(axis=1) - 1.0) / ranks
+    rho = ranks.size - 1 - (sorted_desc > shifts)[:, ::-1].argmax(axis=1)
+    y -= shifts[rows, rho][:, None]
+    return np.maximum(y, 0.0, out=y)
+
+
 def project_rows_to_simplex(x: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection of each row onto the probability simplex.
 
     Sort-and-shift: find the largest prefix of the descending sort whose
     shifted entries stay positive, subtract that prefix's threshold, and
-    clip the rest at zero.
+    clip the rest at zero.  Returns a new array and leaves x unchanged.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     m, n = x.shape
-    sorted_desc = -np.sort(-x, axis=1)
-    shifts = (np.cumsum(sorted_desc, axis=1) - 1.0) / np.arange(1, n + 1)
-    positive = sorted_desc > shifts
-    rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)
-    tau = shifts[np.arange(m), rho]
-    return np.maximum(x - tau[:, None], 0.0)
+    return _project_rows(x, np.arange(m), np.arange(1, n + 1))
 
 
 def minimize_relaxation(
@@ -149,23 +171,25 @@ def minimize_relaxation(
     Starts from the uniform point, steps with step0 / sqrt(t) along the
     subgradient of the worst pair (ties to the lexicographically first
     pair), projects every iterate's rows back onto the simplex, and keeps
-    the best iterate seen.  The loop is deterministic.
+    the best iterate seen.  The loop is deterministic: its step is built once, by
+    ``_descent_step``, with C-contiguous coefficients that keep the per-pair floats.
     Returns (best point, best value), plus the per-iterate value trace when
-    ``return_trace`` is set.  Raises ``ValueError`` unless step0 is positive and finite.
+    ``return_trace`` is set.  Raises ``ValueError`` on an instance that is not
+    normalized, a negative ``iters``, or a step0 that is not positive and finite.
     """
-    if not 0.0 < step0 < np.inf:
-        raise ValueError(f"step0 must be positive and finite, got {step0!r}")
-    x = uniform_point(inst)
-    best_value, grad = _worst_pair(inst, x)
-    best_x = x.copy()
+    if not inst.normalized:
+        raise ValueError("the relaxation objective requires a normalized instance")
+    if iters < 0 or not 0.0 < step0 < np.inf:
+        raise ValueError(f"iters must be nonnegative and step0 positive and finite, got {iters!r} and {step0!r}")
+    _, worst_pair, step = _descent_step(inst)
+    best_x = x = uniform_point(inst)
+    best_value, grad = worst_pair(x)
     trace = [best_value]
-    for t in range(1, iters + 1):
-        x = project_rows_to_simplex(x - (step0 / np.sqrt(t)) * grad)
-        value, grad = _worst_pair(inst, x)
+    for s in step0 / np.sqrt(np.arange(1, iters + 1)):
+        x, value, grad = step(x, grad, s)
         trace.append(value)
         if value < best_value:
-            best_value = value
-            best_x = x.copy()
+            best_value, best_x = value, x
     if return_trace:
         return best_x, float(best_value), trace
     return best_x, float(best_value)

@@ -196,6 +196,15 @@ def test_bound_at_efx_allocations():
         rounding_bound(inst, x, 0.0)
 
 
+def test_rounding_bound_rejects_a_point_of_the_wrong_shape(i0_norm):
+    # Too few columns would compare only some agents; too many index past them.
+    five = normalize(random_instance(1, 5, 3))
+    for inst, shape in ((five, (5, 2)), (five, (5, 4)), (five, (4, 3)), (i0_norm, (2, 2))):
+        x = np.full(shape, 1.0 / shape[1])
+        with pytest.raises(ValueError, match=r"must be an items-by-agents matrix of shape \(\d, \d\)"):
+            rounding_bound(inst, x, 1.0)
+
+
 def test_bound_cross_checked_against_direct_product(i0_norm):
     # direct (non-log-space) evaluation is safe at small temperature
     lam = 10.0

@@ -149,8 +149,11 @@ def test_relaxation_anchor_frozen(i0_norm):
 
 
 def test_relaxation_requires_normalized(i0_raw):
-    with pytest.raises(ValueError):
-        relaxation_objective(i0_raw, uniform_point(i0_raw))
+    for inst in (i0_raw, random_instance(1, 5, 3)):
+        with pytest.raises(ValueError, match="requires a normalized instance"):
+            relaxation_objective(inst, uniform_point(inst))
+        with pytest.raises(ValueError, match="requires a normalized instance"):
+            minimize_relaxation(inst, iters=5)
 
 
 def test_relaxation_not_convex_inside_polytope(capsys):
@@ -194,7 +197,9 @@ def test_projection_kkt_certificate():
     rng = np.random.default_rng(11)
     for _ in range(200):
         x = rng.normal(0.0, 2.0, size=(5, 4))
+        before = x.tobytes()
         p = project_rows_to_simplex(x)
+        assert x.tobytes() == before  # the projection is a copy
         assert in_partition_polytope(p, atol=1e-9)
         shift = x - p
         for row in range(5):
@@ -232,6 +237,13 @@ def test_minimize_is_deterministic(i0_norm):
 def test_minimize_rejects_a_step_that_is_not_positive_and_finite(i0_norm, step0):
     with pytest.raises(ValueError, match="step0"):
         minimize_relaxation(i0_norm, iters=5, step0=step0)
+
+
+@pytest.mark.parametrize("iters", [-1, -4])
+def test_minimize_rejects_a_negative_iteration_count(i0_norm, iters):
+    with pytest.raises(ValueError, match="iters must be nonnegative"):
+        minimize_relaxation(i0_norm, iters=iters)
+    assert minimize_relaxation(i0_norm, iters=0)[1] == relaxation_objective(i0_norm, uniform_point(i0_norm))
 
 
 def test_minimize_identical_agents_meets_threshold():

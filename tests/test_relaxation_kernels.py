@@ -15,7 +15,7 @@ from efxkit import (
     relaxation_objective,
     rounding_bound,
 )
-from efxkit.lovasz import _pair_extensions
+from efxkit.lovasz import DEFAULT_ITERS, _pair_extensions
 
 AGENT_COUNTS = (2, 3, 4, 6)
 LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
@@ -58,13 +58,17 @@ def test_pair_extensions_match_per_pair_reference_exactly(n):
 
 @pytest.mark.parametrize("n", AGENT_COUNTS)
 def test_descent_matches_per_pair_reference_exactly(n):
-    for seed in range(2):
-        for inst in _instances(seed, n):
-            best_x, value, trace = minimize_relaxation(inst, iters=120, return_trace=True)
-            ref_x, ref_value, ref_trace = ref.minimize_relaxation(inst, iters=120)
-            assert best_x.tobytes() == ref_x.tobytes()
-            assert value == ref_value
-            assert trace == ref_trace
+    runs = [(inst, 120) for seed in range(2) for inst in _instances(seed, n)]
+    # A compare-sized instance at the CLI's iteration count, and 20 items,
+    # which take OpenBLAS's unit-stride dot past its short-vector path.
+    runs.append((normalize(random_instance(3, 5, n)), DEFAULT_ITERS))
+    runs.append((normalize(generate_instance(20, n, "integer", 3, kmax=2)), 120))
+    for inst, iters in runs:
+        best_x, value, trace = minimize_relaxation(inst, iters=iters, return_trace=True)
+        ref_x, ref_value, ref_trace = ref.minimize_relaxation(inst, iters=iters)
+        assert best_x.tobytes() == ref_x.tobytes()
+        assert value == ref_value
+        assert trace == ref_trace
 
 
 def test_stacked_dots_match_lone_dots_past_the_short_vector_path():
