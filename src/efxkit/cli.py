@@ -78,10 +78,6 @@ def _emit(args, payload: dict, **resolved) -> None:
         sys.stdout.write(text)
 
 
-def _matrix_doc(x: np.ndarray) -> list[list[float]]:
-    return [[float(entry) for entry in row] for row in np.asarray(x, dtype=float)]
-
-
 def _load_matrix(path: str, key: str, inst: Instance) -> np.ndarray:
     doc = _read_document(path, key)
     if key not in doc:
@@ -197,7 +193,7 @@ def cmd_lovasz(args) -> int:
         "form": "monotone",
         "threshold": lovasz.MONOTONE_THRESHOLD,
         "objective": objective,
-        "x": _matrix_doc(x),
+        "x": x.tolist(),
         "iterations": args.iters,
         "removed_agents": removed,
         "rounding": {

@@ -10,10 +10,10 @@ convex (the reduced value loses submodularity at the empty set, and the
 midpoint inequality genuinely fails inside the polytope), so the
 minimizer keeps its best iterate rather than trusting descent to settle.
 Every pair's extension, the objective and the descent's worst-pair
-subgradient are read from one kernel, ``_pair_extensions``, which sorts
-each column once and builds all pairs' coefficients from that sort.
-``_descent_step`` builds it once per run with the in-place projected step,
-its coefficients in a C-contiguous buffer so BLAS sums as in a lone dot.
+subgradient are read from one builder, ``_relaxation``, which sorts each
+column once, builds all pairs' coefficients from that sort into one
+C-contiguous buffer so BLAS sums as in a lone dot, and is built once per
+descent run.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .extension import _require_box
 from .instance import Allocation, Instance
 
 ROW_SUM_TOL = 1e-10
@@ -30,18 +31,35 @@ DEFAULT_STEP0 = 0.5
 DEFAULT_ITERS = 500
 
 
-def _descent_step(inst: Instance):
-    """The kernel behind ``_pair_extensions``, the readout behind ``_worst_pair``
-    and ``step(x, grad, s)``, which moves x by s along -grad in grad's buffer,
-    projects it there and returns it with its worst pair's value and subgradient."""
+def _relaxation(inst: Instance):
+    """The relaxation's arithmetic on ``inst``, built once: ``gaps(x, monotone)``
+    and ``worst_pair(x)``.
+
+    ``gaps`` sorts each column of x once, descending with ties by item index,
+    and builds the reduced-value coefficients of every agent under every
+    column's sort with one running minimum along the sorted item axis:
+    rank 0 contributes nothing, rank k >= 1 its value plus the clipped drop
+    it causes in the running minimum, which is exactly an elementwise max.
+    It returns the column sorts ``order`` (m, n), the coefficients ``coeffs``
+    (n, n, m) with ``coeffs[i, j]`` for agent i under column j's sort, and
+    the (n, n) matrix whose entry (i, j) is the reduced part
+    ``coeffs[i, j] @ x[order[:, j], j]`` minus i's own value or, with
+    ``monotone``, plus the value of every column other than i.  The
+    diagonal is computed like any other entry.  ``coeffs`` is one reused
+    C-contiguous buffer whose rank-0 column stays zero.
+
+    ``worst_pair`` returns the worst monotone gap over ordered pairs, ties to
+    the first pair in i-major order, and its subgradient: i's values on every
+    column but i, plus the pair's coefficients along column j's sort.
+    """
     n = inst.n
     vt, values = inst.values.T.copy(), inst.values.T[:, None, :]
-    cols, rows, ranks = np.arange(n), np.arange(inst.m), np.arange(1, n + 1)
+    cols = np.arange(n)
     diagonal = cols * (n + 1)
     base = inst.values.T[:, :, None] * (cols != cols[:, None, None])
     coeffs = np.zeros((n, n, inst.m))
 
-    def extensions(x: np.ndarray, monotone: bool):
+    def gaps(x: np.ndarray, monotone: bool):
         order = (-x).argsort(axis=0, kind="stable")
         ranked = vt.take(order.T, axis=1)
         # Stacked (..., 1, m) @ (..., m, 1) calls BLAS's dot per pair with the
@@ -51,42 +69,19 @@ def _descent_step(inst: Instance):
         np.maximum(ranked[:, :, 1:], np.minimum.accumulate(ranked, axis=2)[:, :, :-1], out=coeffs[:, :, 1:])
         sorted_x = x[order, cols].T.copy()
         linear = np.matmul(values, (x.sum(axis=1) - x.T if monotone else x.T)[:, :, None])[:, 0]
-        gaps = np.matmul(coeffs[:, :, None, :], sorted_x[None, :, :, None])[:, :, 0, 0]
-        gaps += linear if monotone else -linear
-        return order, coeffs, gaps
+        pairs = np.matmul(coeffs[:, :, None, :], sorted_x[None, :, :, None])[:, :, 0, 0]
+        pairs += linear if monotone else -linear
+        return order, coeffs, pairs
 
     def worst_pair(x: np.ndarray) -> tuple[float, np.ndarray]:
-        order, _, gaps = extensions(x, True)
-        gaps.put(diagonal, -np.inf)
-        i, j = divmod(int(gaps.argmax()), n)
+        order, _, pairs = gaps(x, True)
+        pairs.put(diagonal, -np.inf)
+        i, j = divmod(int(pairs.argmax()), n)
         grad = base[i].copy()
         grad[order[:, j], j] += coeffs[i, j]
-        return float(gaps[i, j]), grad
+        return float(pairs[i, j]), grad
 
-    def step(x: np.ndarray, grad: np.ndarray, s: float):
-        grad *= -s
-        grad += x  # x - s * grad bit for bit
-        return (_project_rows(grad, rows, ranks), *worst_pair(grad))
-
-    return extensions, worst_pair, step
-
-
-def _pair_extensions(inst: Instance, x: np.ndarray, monotone: bool = False):
-    """Envy-gap extension of every ordered agent pair at x.
-
-    Sorts each column of x once, descending with ties by item index, and
-    builds the reduced-value coefficients of every agent under every
-    column's sort with one running minimum along the sorted item axis:
-    rank 0 contributes nothing, rank k >= 1 its value plus the clipped drop
-    it causes in the running minimum, which is exactly an elementwise max.
-    Returns the column sorts ``order`` (m, n), the coefficients ``coeffs``
-    (n, n, m) with ``coeffs[i, j]`` for agent i under column j's sort, and
-    the (n, n) matrix whose entry (i, j) is the reduced part
-    ``coeffs[i, j] @ x[order[:, j], j]`` minus i's own value or, with
-    ``monotone``, plus the value of every column other than i.  The
-    diagonal is computed like any other entry.
-    """
-    return _descent_step(inst)[0](np.asarray(x, dtype=float), monotone)
+    return gaps, worst_pair
 
 
 def envy_gap_extension(inst: Instance, i: int, j: int, x: np.ndarray) -> float:
@@ -97,31 +92,21 @@ def envy_gap_extension(inst: Instance, i: int, j: int, x: np.ndarray) -> float:
     term.  Agrees with the generic extension of the underlying set function
     on the full item-agent ground set.
     """
-    return float(_pair_extensions(inst, x)[2][i, j])
+    return float(_relaxation(inst)[0](_require_box(inst, x, None), False)[2][i, j])
 
 
 def monotone_envy_gap_extension(inst: Instance, i: int, j: int, x: np.ndarray) -> float:
     """Extension of the monotone envy gap: reduced part plus the linear
     value of all columns other than i.  Exceeds the raw extension by
     exactly one whenever rows of x sum to one."""
-    return float(_pair_extensions(inst, x, monotone=True)[2][i, j])
-
-
-def _worst_pair(inst: Instance, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Worst monotone extension over ordered pairs and its subgradient.
-
-    Ties go to the first pair in i-major order.  The subgradient of the
-    worst pair (i, j) is i's values on every column but i, plus the pair's
-    coefficients along the kernel's sort of column j.
-    """
-    return _descent_step(inst)[1](np.asarray(x, dtype=float))
+    return float(_relaxation(inst)[0](_require_box(inst, x, None), True)[2][i, j])
 
 
 def relaxation_objective(inst: Instance, x: np.ndarray) -> float:
     """Worst monotone envy-gap extension over ordered agent pairs."""
     if not inst.normalized:
         raise ValueError("the relaxation objective requires a normalized instance")
-    return _worst_pair(inst, x)[0]
+    return _relaxation(inst)[1](_require_box(inst, x, None))[0]
 
 
 def in_partition_polytope(x: np.ndarray, atol: float = ROW_SUM_TOL) -> bool:
@@ -171,8 +156,8 @@ def minimize_relaxation(
     Starts from the uniform point, steps with step0 / sqrt(t) along the
     subgradient of the worst pair (ties to the lexicographically first
     pair), projects every iterate's rows back onto the simplex, and keeps
-    the best iterate seen.  The loop is deterministic: its step is built once, by
-    ``_descent_step``, with C-contiguous coefficients that keep the per-pair floats.
+    the best iterate seen.  The loop is deterministic: it builds ``_relaxation``
+    once and projects each step in place in the subgradient's buffer.
     Returns (best point, best value), plus the per-iterate value trace when
     ``return_trace`` is set.  Raises ``ValueError`` on an instance that is not
     normalized, a negative ``iters``, or a step0 that is not positive and finite.
@@ -181,12 +166,16 @@ def minimize_relaxation(
         raise ValueError("the relaxation objective requires a normalized instance")
     if iters < 0 or not 0.0 < step0 < np.inf:
         raise ValueError(f"iters must be nonnegative and step0 positive and finite, got {iters!r} and {step0!r}")
-    _, worst_pair, step = _descent_step(inst)
+    _, worst_pair = _relaxation(inst)
+    rows, ranks = np.arange(inst.m), np.arange(1, inst.n + 1)
     best_x = x = uniform_point(inst)
     best_value, grad = worst_pair(x)
     trace = [best_value]
     for s in step0 / np.sqrt(np.arange(1, iters + 1)):
-        x, value, grad = step(x, grad, s)
+        grad *= -s
+        grad += x  # x - s * grad bit for bit
+        x = _project_rows(grad, rows, ranks)
+        value, grad = worst_pair(x)
         trace.append(value)
         if value < best_value:
             best_value, best_x = value, x

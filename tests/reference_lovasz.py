@@ -2,8 +2,9 @@
 
 Each ordered agent pair (i, j) sorts column j of the fractional point on
 its own and dots the pair's reduced-value coefficients with the sorted
-column; the descent picks its worst pair with a strict ``>`` loop and sorts
-again for the subgradient.  ``rounding_bound`` runs one log-sum-exp per
+column; the descent picks its worst pair with a strict ``>`` loop, sorts
+again for the subgradient and projects one row at a time, from its own
+uniform point.  ``rounding_bound`` runs one log-sum-exp per
 pair.  The kernels in ``efxkit.lovasz`` and ``efxkit.extension`` are
 checked for exact float equality against these loops.
 """
@@ -11,7 +12,23 @@ checked for exact float equality against these loops.
 import numpy as np
 from scipy.special import logsumexp
 
-from efxkit.lovasz import project_rows_to_simplex, uniform_point
+
+def project_rows_to_simplex(x: np.ndarray) -> np.ndarray:
+    """Sort-and-shift projection of each row onto the simplex, one row at a time.
+
+    The threshold is that of the last rank whose sorted entry stays above its
+    running shift (cumulative sum minus one, over the rank count).
+    """
+    out = np.empty_like(x)
+    for k, row in enumerate(x):
+        running, threshold = 0.0, 0.0
+        for rank, entry in enumerate(np.sort(row)[::-1], start=1):
+            running += entry
+            shift = (running - 1.0) / rank
+            if entry > shift:
+                threshold = shift
+        out[k] = np.maximum(row - threshold, 0.0)
+    return out
 
 
 def _reduced_value_coeffs(sorted_vals: np.ndarray) -> np.ndarray:
@@ -81,7 +98,7 @@ def _subgradient(inst, x: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def minimize_relaxation(inst, iters: int = 500, step0: float = 0.5):
     """Projected subgradient descent; returns (best point, best value, trace)."""
-    x = uniform_point(inst)
+    x = np.full((inst.m, inst.n), 1.0 / inst.n)
     best_value, i, j = _argmax_pair(inst, x)
     best_x = x.copy()
     trace = [best_value]

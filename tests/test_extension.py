@@ -15,9 +15,12 @@ from efxkit import (
     efx_slack,
     encode_allocation,
     enumerate_efx,
+    envy_gap_extension,
     make_instance,
+    monotone_envy_gap_extension,
     normalize,
     picard_iterate,
+    relaxation_objective,
     rounding_bound,
     rowwise_round,
     rowwise_round_many,
@@ -198,11 +201,19 @@ def test_bound_at_efx_allocations():
 
 def test_rounding_bound_rejects_a_point_of_the_wrong_shape(i0_norm):
     # Too few columns would compare only some agents; too many index past them.
+    # The Lovász readouts take their point through the same shape rule.
     five = normalize(random_instance(1, 5, 3))
-    for inst, shape in ((five, (5, 2)), (five, (5, 4)), (five, (4, 3)), (i0_norm, (2, 2))):
+    readouts = (
+        lambda inst, x: rounding_bound(inst, x, 1.0),
+        lambda inst, x: envy_gap_extension(inst, 0, 1, x),
+        lambda inst, x: monotone_envy_gap_extension(inst, 0, 1, x),
+        relaxation_objective,
+    )
+    for inst, shape in ((five, (5, 2)), (five, (5, 4)), (five, (4, 3)), (five, (6, 3)), (i0_norm, (2, 2))):
         x = np.full(shape, 1.0 / shape[1])
-        with pytest.raises(ValueError, match=r"must be an items-by-agents matrix of shape \(\d, \d\)"):
-            rounding_bound(inst, x, 1.0)
+        for readout in readouts:
+            with pytest.raises(ValueError, match=r"must be an items-by-agents matrix of shape \(\d, \d\)"):
+                readout(inst, x)
 
 
 def test_bound_cross_checked_against_direct_product(i0_norm):

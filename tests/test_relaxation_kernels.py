@@ -15,7 +15,7 @@ from efxkit import (
     relaxation_objective,
     rounding_bound,
 )
-from efxkit.lovasz import DEFAULT_ITERS, _pair_extensions
+from efxkit.lovasz import DEFAULT_ITERS, _relaxation
 
 AGENT_COUNTS = (2, 3, 4, 6)
 LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
@@ -87,7 +87,7 @@ def test_stacked_dots_match_lone_dots_past_the_short_vector_path():
                     (True, ref.monotone_envy_gap_extension),
                 ):
                     expected = np.array([[pair_ref(inst, i, j, x) for j in range(3)] for i in range(3)])
-                    assert _pair_extensions(inst, x, monotone=monotone)[2].tobytes() == expected.tobytes()
+                    assert _relaxation(inst)[0](x, monotone)[2].tobytes() == expected.tobytes()
             best_x, value, trace = minimize_relaxation(inst, iters=20, return_trace=True)
             ref_x, ref_value, ref_trace = ref.minimize_relaxation(inst, iters=20)
             assert best_x.tobytes() == ref_x.tobytes()
