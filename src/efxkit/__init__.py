@@ -13,9 +13,7 @@ from .extension import (
     encode_allocation,
     extract_allocation,
     rounding_bound,
-    rowwise_round,
     rowwise_round_many,
-    softmax_limit_gaps,
     softmax_map,
 )
 from .fixedpoint import (
@@ -23,7 +21,6 @@ from .fixedpoint import (
     SelfMapViolation,
     clamp_map,
     constraint_slacks,
-    picard_iterate,
     picard_iterate_many,
     rowmax_clamp_map,
     smooth_clamp_map,
@@ -38,13 +35,11 @@ from .instance import (
     InstanceFormatError,
     ZeroColumnError,
     allocation_to_doc,
-    efx_slack,
     generate_instance,
     instance_to_doc,
     is_efx,
     load_allocation,
     load_instance,
-    make_instance,
     normalize,
     total_mass,
 )

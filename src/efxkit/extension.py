@@ -25,14 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instance import Allocation, Instance, _ordered_pairs, total_mass
+from .instance import Allocation, Instance, _ordered_pairs, _validate_allocation, total_mass
 
 DEFAULT_LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
-
-
-def rowwise_round(x: np.ndarray, seed: int) -> Allocation:
-    """Sample one owner per item from the item's row distribution."""
-    return Allocation(rowwise_round_many(x, seed, 1)[0])
 
 
 def rowwise_round_many(x: np.ndarray, seed: int, count: int) -> np.ndarray:
@@ -232,8 +227,10 @@ def encode_allocation(inst: Instance, alloc: Allocation, m_const: float | None =
 
     M is ``box_radius(inst, m_const)``, strictly above twice the total mass,
     so that the objective at the encoding equals the allocation's exact EFX
-    slack.
+    slack.  Owners outside 0..n-1, or not one per item, raise
+    ``InstanceFormatError``.
     """
+    _validate_allocation(inst, alloc.owner[None, :])
     y = np.full((inst.m, inst.n), -box_radius(inst, m_const))
     y[np.arange(inst.m), alloc.owner] = 0.0
     return y
@@ -247,13 +244,3 @@ def greedy_allocation(inst: Instance) -> Allocation:
 def extract_allocation(y: np.ndarray) -> Allocation:
     """Row argmax extraction, ties to the smallest agent index."""
     return Allocation(np.argmax(np.asarray(y, dtype=float), axis=1))
-
-
-def softmax_limit_gaps(inst: Instance, y: np.ndarray, lams=DEFAULT_LAMBDAS) -> list[float]:
-    """Gaps between the smooth bound along the softmax path and the
-    piecewise-linear objective, for an increasing temperature ladder."""
-    lams = [float(l) for l in lams]
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("temperatures must be strictly increasing")
-    f = dc_objective(inst, y)
-    return [abs(rounding_bound(inst, softmax_map(y, lam), lam) - f) for lam in lams]

@@ -230,12 +230,6 @@ class FixedPointReport:
     y: np.ndarray | None = None
 
 
-def picard_iterate(inst: Instance, map_name: str = "Ttilde", y0: np.ndarray | None = None, **options) -> FixedPointReport:
-    """Damped Picard iteration of one of the clamp maps from one start,
-    with ``picard_iterate_many``'s keyword ``options``."""
-    return picard_iterate_many(inst, [y0], map_name, **options)[0]
-
-
 def picard_iterate_many(
     inst: Instance,
     y0s: Iterable[np.ndarray | None],

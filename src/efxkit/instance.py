@@ -5,12 +5,12 @@ agent i's value for item k, and every agent values a bundle by the sum of
 its item values.  An allocation assigns each item to exactly one agent.
 The allocation is EFX (envy-free up to any good) when no agent would prefer
 another agent's bundle even after removing that bundle's cheapest item
-from the comparison.  Every EFX slack in the package (``efx_slack``,
-``is_efx`` and the oracle's batched scan and its exact minimum slack) is
-read from one kernel, ``_reduced_values``, which yields agent i's reduced
-value for agent j's bundle.  It combines two half tables: the items split
-at ``m // 2`` into a prefix and a suffix, bundle sums add across the
-halves and bundle minima take the smaller, so one allocation costs O(n^2).
+from the comparison.  Every EFX slack in the package (``is_efx`` and the
+oracle's batched scan and its exact minimum slack) is read from one
+kernel, ``_reduced_values``, which yields agent i's reduced value for
+agent j's bundle.  It combines two half tables: the items split at
+``m // 2`` into a prefix and a suffix, bundle sums add across the halves
+and bundle minima take the smaller, so one allocation costs O(n^2).
 ``_envy_gaps`` clamps an empty bundle's -inf at zero and adds each agent's
 base term (minus its own bundle value) to every pair for ``is_efx``;
 ``_worst_gap``, the scan's readout, folds the rivals first, unclamped, and
@@ -110,10 +110,6 @@ class Allocation:
         if owner.ndim != 1:
             raise InstanceFormatError("owner must be a flat item -> agent vector")
 
-    def bundle(self, agent: int) -> np.ndarray:
-        """Indices of the items held by ``agent``."""
-        return np.flatnonzero(self.owner == agent)
-
 
 @dataclass(frozen=True)
 class EfxReport:
@@ -125,10 +121,6 @@ class EfxReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def make_instance(values, normalized: bool = False) -> Instance:
-    return Instance(np.asarray(values, dtype=float), normalized=normalized)
 
 
 def load_instance(source) -> Instance:
@@ -335,15 +327,6 @@ def _worst_gap(prefix, suffix) -> np.ndarray:
     worst = _reduced_values(prefix, suffix).max(axis=1)
     worst += prefix[2] + suffix[2]
     return worst.max(axis=0)
-
-
-def efx_slack(inst: Instance, alloc: Allocation) -> float:
-    """Largest EFX constraint violation over ordered agent pairs.
-
-    Nonpositive slack certifies the allocation is EFX; the sign is the
-    quantity every solver in this package tries to drive below zero.
-    """
-    return is_efx(inst, alloc).slack
 
 
 def is_efx(inst: Instance, alloc: Allocation, tol: float = DEFAULT_EFX_TOL) -> EfxReport:

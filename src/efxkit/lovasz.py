@@ -92,6 +92,8 @@ def envy_gap_extension(inst: Instance, i: int, j: int, x: np.ndarray) -> float:
     term.  Agrees with the generic extension of the underlying set function
     on the full item-agent ground set.
     """
+    if not (0 <= i < inst.n and 0 <= j < inst.n):
+        raise ValueError(f"agents ({i}, {j}) must lie in 0..{inst.n - 1}")
     return float(_relaxation(inst)[0](_require_box(inst, x, None), False)[2][i, j])
 
 
@@ -99,6 +101,8 @@ def monotone_envy_gap_extension(inst: Instance, i: int, j: int, x: np.ndarray) -
     """Extension of the monotone envy gap: reduced part plus the linear
     value of all columns other than i.  Exceeds the raw extension by
     exactly one whenever rows of x sum to one."""
+    if not (0 <= i < inst.n and 0 <= j < inst.n):
+        raise ValueError(f"agents ({i}, {j}) must lie in 0..{inst.n - 1}")
     return float(_relaxation(inst)[0](_require_box(inst, x, None), True)[2][i, j])
 
 

@@ -8,11 +8,11 @@ artificial per row with a negative right-hand side, which never enters.
 Phase 1 never reads c, so ``phase_one(A, b)`` returns a feasible tableau
 that any number of ``phase_two(c, start)`` calls copy and finish; the
 descent in ``dc`` solves every step's LP, whose feasible region depends only
-on the instance and the box, from one phase-1 start.  ``solve_standard`` is
-the two phases in a row.  Entering variables follow Dantzig's rule for a
-bounded number of pivots and then Bland's rule, which rules out cycling;
-ties go to the smallest variable index, and ratio-test ties to the smallest
-basis index, so each pivot and value is the full tableau's.
+on the instance and the box, from one phase-1 start.  Entering variables
+follow Dantzig's rule for a bounded number of pivots and then Bland's rule,
+which rules out cycling; ties go to the smallest variable index, and
+ratio-test ties to the smallest basis index, so each pivot and value is the
+full tableau's.
 
 The tableau is column-major, and a pivot updates only the columns where the
 pivot row is nonzero, plus the right-hand side, as one gather and one
@@ -188,8 +188,3 @@ def phase_two(c: np.ndarray, start: PhaseOne) -> SimplexResult:
     x[basis] = tableau[:-1, -1]
     x = x[:n_vars]
     return SimplexResult("optimal", x, float(c @ x), pivots)
-
-
-def solve_standard(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResult:
-    """Solve min c @ x subject to a_ub @ x <= b_ub, x >= 0."""
-    return phase_two(c, phase_one(a_ub, b_ub))

@@ -4,13 +4,13 @@ and a poisoned transfer gain that forces escapes from the score box."""
 import numpy as np
 import pytest
 
-from efxkit import Instance, fixedpoint, generate_instance, make_instance, normalize
+from efxkit import Instance, fixedpoint, generate_instance, normalize
 
 
 @pytest.fixture
 def i0_raw() -> Instance:
     """Three items, two agents; values chosen so agent sums are 8 and 4."""
-    return make_instance([[4.0, 1.0], [2.0, 1.0], [2.0, 2.0]])
+    return Instance([[4.0, 1.0], [2.0, 1.0], [2.0, 2.0]])
 
 
 @pytest.fixture

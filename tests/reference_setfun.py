@@ -39,7 +39,8 @@ def reduced_value(inst: Instance, agent: int, items) -> float:
 def envy_gap(inst: Instance, i: int, j: int, alloc: Allocation) -> float:
     """Agent i's envy toward agent j: reduced value of j's bundle minus
     the value of i's own bundle.  Nonpositive for every pair iff EFX."""
-    return reduced_value(inst, i, alloc.bundle(j)) - bundle_value(inst, i, alloc.bundle(i))
+    own, envied = (np.flatnonzero(alloc.owner == agent) for agent in (i, j))
+    return reduced_value(inst, i, envied) - bundle_value(inst, i, own)
 
 
 def monotone_envy_gap(inst: Instance, i: int, j: int, alloc: Allocation) -> float:
@@ -52,9 +53,9 @@ def monotone_envy_gap(inst: Instance, i: int, j: int, alloc: Allocation) -> floa
     if not inst.normalized:
         raise ValueError("monotone envy gap requires a normalized instance")
     others = sum(
-        bundle_value(inst, i, alloc.bundle(ell)) for ell in range(inst.n) if ell != i
+        bundle_value(inst, i, np.flatnonzero(alloc.owner == ell)) for ell in range(inst.n) if ell != i
     )
-    return reduced_value(inst, i, alloc.bundle(j)) + others
+    return reduced_value(inst, i, np.flatnonzero(alloc.owner == j)) + others
 
 
 def max_envy_gap(inst: Instance, alloc: Allocation, monotone: bool | None = None) -> float:

@@ -29,7 +29,7 @@ from efxkit import (
     envy_gap_extension,
     is_efx,
     normalize,
-    picard_iterate,
+    picard_iterate_many,
     relaxation_objective,
     rounding_bound,
     rowwise_round_many,
@@ -37,8 +37,7 @@ from efxkit import (
     transfer_gain,
     uniform_point,
 )
-from efxkit.instance import efx_slack
-from efxkit.simplex import solve_standard
+from efxkit.simplex import phase_one, phase_two
 from reference_lp import random_bounded_lp, vertex_minimize
 from reference_setfun import bundle_value, envy_gap, lovasz_extension, reduced_value
 
@@ -228,7 +227,7 @@ def test_06_objective_sign_at_encodings(capsys):
                 for owners in itertools.product(range(n), repeat=m):
                     alloc = Allocation(np.array(owners))
                     value = dc_objective(inst, encode_allocation(inst, alloc))
-                    slack = efx_slack(inst, alloc)
+                    slack = is_efx(inst, alloc).slack
                     worst = max(worst, abs(value - slack))
                     encodings += 1
                     if (value <= 0.0) != is_efx(inst, alloc, 0.0).ok:
@@ -256,7 +255,7 @@ def test_07_clamp_fixedness_at_encodings(capsys):
                     y = encode_allocation(inst, alloc)
                     fixed = np.array_equal(clamp_map(inst, y), y)
                     encodings += 1
-                    if fixed != (efx_slack(inst, alloc) <= 0.0):
+                    if fixed != (is_efx(inst, alloc).slack <= 0.0):
                         mismatches += 1
     ok = mismatches == 0
     _verdict(
@@ -369,7 +368,7 @@ def test_11_converged_fixed_points_meet_constraints(capsys):
             continue
         rng = np.random.default_rng(seed + 6000)
         y0 = rng.uniform(-box_radius(inst), 0.0, size=(m, n))
-        report = picard_iterate(inst, "Ttilde", y0=y0)
+        report = picard_iterate_many(inst, [y0], "Ttilde")[0]
         if not report.converged:
             continue
         converged += 1
@@ -420,7 +419,7 @@ def test_12_simplex_matches_vertex_oracle(capsys):
         n_vars = 3 + seed % 4
         n_rows = 4 + seed % 5
         c, a_ub, b_ub = random_bounded_lp(seed, n_vars, n_rows)
-        res = solve_standard(c, a_ub, b_ub)
+        res = phase_two(c, phase_one(a_ub, b_ub))
         ref_status, _, ref_objective = vertex_minimize(c, a_ub, b_ub)
         if res.status != ref_status:
             status_mismatches += 1

@@ -6,7 +6,7 @@ import pytest
 
 import reference_dca as ref
 from conftest import random_instance
-from efxkit import box_radius, build_lp, dca_solve, generate_instance, make_instance, normalize
+from efxkit import Instance, box_radius, build_lp, dca_solve, generate_instance, normalize
 
 # Items per agent count, small enough for the cold reference to stay quick.
 ITEMS = {2: 5, 3: 4, 4: 3}
@@ -67,7 +67,7 @@ def test_trace_counts_phase_two_pivots_and_zero_on_a_repeat():
 
 
 def test_dense_rows_match_the_sparse_reference_builder():
-    zero_value = make_instance([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    zero_value = Instance([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     negative_zeros = 0
     for inst in [zero_value, *(inst for n in sorted(ITEMS) for seed in range(2) for inst in _instances(seed, n))]:
         for box in (box_radius(inst), 3.5 * box_radius(inst)):

@@ -8,23 +8,21 @@ import pytest
 from conftest import random_instance, random_polytope_point
 from efxkit import (
     Allocation,
+    Instance,
     batch_efx_slack,
     box_radius,
     build_lp,
     dc_objective,
-    efx_slack,
     encode_allocation,
     enumerate_efx,
     envy_gap_extension,
-    make_instance,
+    is_efx,
     monotone_envy_gap_extension,
     normalize,
-    picard_iterate,
+    picard_iterate_many,
     relaxation_objective,
     rounding_bound,
-    rowwise_round,
     rowwise_round_many,
-    softmax_limit_gaps,
     softmax_map,
 )
 from reference_setfun import bundle_value, reduced_value
@@ -34,7 +32,7 @@ def test_rowwise_round_integral_is_degenerate():
     x = np.zeros((4, 3))
     x[np.arange(4), [2, 0, 1, 2]] = 1.0
     for seed in range(50):
-        assert rowwise_round(x, seed).owner.tolist() == [2, 0, 1, 2]
+        assert rowwise_round_many(x, seed, 1)[0].tolist() == [2, 0, 1, 2]
 
 
 def test_rowwise_round_marginals_and_independence():
@@ -55,7 +53,7 @@ def test_rowwise_round_many_matches_scalar():
     x = random_polytope_point(rng, 4, 3)
     batch = rowwise_round_many(x, seed=77, count=5)
     assert batch.shape == (5, 4)
-    assert rowwise_round(x, 77).owner.tolist() == batch[0].tolist()
+    assert rowwise_round_many(x, 77, 1)[0].tolist() == batch[0].tolist()
 
 
 def test_softmax_rows_frozen():
@@ -97,7 +95,7 @@ def test_objective_frozen_at_encoding(i0_norm):
 
 def test_objective_zero_matrix_identical_values():
     c = 0.7
-    inst = make_instance(np.full((4, 3), c))
+    inst = Instance(np.full((4, 3), c))
     assert dc_objective(inst, np.zeros((4, 3))) == pytest.approx((4 - 1) * c)
 
 
@@ -149,8 +147,8 @@ def test_every_box_user_rejects_a_bad_radius(i0_raw, m_const):
         lambda: box_radius(i0_raw, m_const),
         lambda: encode_allocation(i0_raw, Allocation(np.array([0, 1, 1])), m_const),
         lambda: build_lp(i0_raw, m_const),
-        lambda: picard_iterate(i0_raw, m_const=m_const),
-        lambda: picard_iterate(i0_raw, "T", m_const=m_const),
+        lambda: picard_iterate_many(i0_raw, [None], m_const=m_const)[0],
+        lambda: picard_iterate_many(i0_raw, [None], "T", m_const=m_const)[0],
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -161,12 +159,12 @@ def test_every_box_user_rejects_a_bad_radius(i0_raw, m_const):
 
 def test_default_radius_obeys_the_rule_it_checks(i0_raw, i0_norm):
     # Twice the total mass is above 2**53, where adding one rounds back to it.
-    big = make_instance([[1e16, 1.0], [2.0, 1.0], [2.0, 2.0]])
+    big = Instance([[1e16, 1.0], [2.0, 1.0], [2.0, 2.0]])
     calls = (
         lambda: box_radius(big),
         lambda: encode_allocation(big, Allocation(np.array([0, 1, 1]))),
         lambda: build_lp(big),
-        lambda: picard_iterate(big),
+        lambda: picard_iterate_many(big, [None])[0],
     )
     for call in calls:
         with pytest.raises(ValueError, match="overflows the float range or does not exceed twice the mass"):
@@ -253,10 +251,9 @@ def test_bound_dominates_sampled_envy():
         owners = rowwise_round_many(x, seed=trial, count=10_000)
         samples = np.empty(owners.shape[0])
         for row, owner_row in enumerate(owners):
-            alloc = Allocation(owner_row)
             samples[row] = max(
-                reduced_value(inst, i, alloc.bundle(j))
-                - bundle_value(inst, i, alloc.bundle(i))
+                reduced_value(inst, i, np.flatnonzero(owner_row == j))
+                - bundle_value(inst, i, np.flatnonzero(owner_row == i))
                 for i in range(2)
                 for j in range(2)
                 if i != j
@@ -266,26 +263,31 @@ def test_bound_dominates_sampled_envy():
             assert samples.mean() <= rounding_bound(inst, x, lam) + 3 * se
 
 
+def _limit_gaps(inst, y, lams):
+    """Gaps between the smooth bound along the softmax path and the
+    piecewise-linear objective, one per temperature."""
+    f = dc_objective(inst, y)
+    return [abs(rounding_bound(inst, softmax_map(y, lam), lam) - f) for lam in lams]
+
+
 def test_limit_gaps_shrink(i0_norm):
     rng = np.random.default_rng(2)
     y = rng.normal(-1.0, 1.0, size=(3, 2))
-    gaps = softmax_limit_gaps(i0_norm, y, lams=(1.0, 10.0, 100.0))
+    gaps = _limit_gaps(i0_norm, y, (1.0, 10.0, 100.0))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-2
 
 
 def test_limit_gaps_constant_rows(i0_norm):
-    gaps = softmax_limit_gaps(i0_norm, np.zeros((3, 2)), lams=(1.0, 10.0, 100.0, 1000.0))
+    gaps = _limit_gaps(i0_norm, np.zeros((3, 2)), (1.0, 10.0, 100.0, 1000.0))
     assert gaps[-1] < 5e-3
-    with pytest.raises(ValueError):
-        softmax_limit_gaps(i0_norm, np.zeros((3, 2)), lams=(10.0, 1.0))
 
 
 def test_limit_gap_envelope_at_encoding(i0_norm):
     alloc = Allocation(np.array([0, 1, 1]))
     y = encode_allocation(i0_norm, alloc)
     f = dc_objective(i0_norm, y)
-    assert efx_slack(i0_norm, alloc) == pytest.approx(f, abs=1e-12)
+    assert is_efx(i0_norm, alloc).slack == pytest.approx(f, abs=1e-12)
     lam = 1000.0
-    gap = softmax_limit_gaps(i0_norm, y, lams=(lam,))[0]
+    gap = _limit_gaps(i0_norm, y, (lam,))[0]
     assert gap <= np.log(i0_norm.n * i0_norm.m) / lam + abs(f) + 1e-9

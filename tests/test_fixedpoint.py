@@ -8,6 +8,7 @@ import pytest
 from conftest import poison_gain, random_instance
 from efxkit import (
     Allocation,
+    Instance,
     SelfMapViolation,
     batch_efx_slack,
     box_radius,
@@ -17,9 +18,8 @@ from efxkit import (
     encode_allocation,
     extract_allocation,
     generate_instance,
-    make_instance,
     normalize,
-    picard_iterate,
+    picard_iterate_many,
     rowmax_clamp_map,
     smooth_clamp_map,
     stuck_row_diagnostics,
@@ -43,7 +43,7 @@ def test_transfer_gain_frozen(i0_norm):
 
 
 def test_transfer_gain_zero_values():
-    inst = make_instance(np.zeros((3, 2)))
+    inst = Instance(np.zeros((3, 2)))
     rng = np.random.default_rng(0)
     for _ in range(5):
         y = rng.uniform(-4, 0, size=(3, 2))
@@ -146,10 +146,10 @@ def test_smooth_map_at_deep_corner(i0_norm):
 
 
 def test_zero_values_reach_fixed_point_fast():
-    inst = make_instance(np.zeros((4, 3)))
+    inst = Instance(np.zeros((4, 3)))
     rng = np.random.default_rng(1)
     y0 = rng.uniform(-5, 0, size=(4, 3))
-    report = picard_iterate(inst, "Ttilde", y0=y0, alpha=1.0, m_const=9.0)
+    report = picard_iterate_many(inst, [y0], "Ttilde", alpha=1.0, m_const=9.0)[0]
     assert report.converged
     assert report.iterations <= 2
     assert report.residual <= 1e-12
@@ -219,16 +219,16 @@ def test_picard_rejects_a_start_of_the_wrong_shape(map_name):
     inst = random_instance(0, 4, 3)
     for shape in ((1, 3), (4, 1), (3, 4)):
         with pytest.raises(ValueError, match="items-by-agents"):
-            picard_iterate(inst, map_name, y0=np.full(shape, -1.0))
+            picard_iterate_many(inst, [np.full(shape, -1.0)], map_name)
 
 
 def test_picard_checks_only_the_shape_of_a_start_for_map_T():
     # Map T is unboxed, so a start above the box is a valid point for it.
     inst = random_instance(0, 4, 3)
     y0 = np.ones((4, 3))
-    assert picard_iterate(inst, "T", y0=y0, max_iters=2).iterations <= 2
+    assert picard_iterate_many(inst, [y0], "T", max_iters=2)[0].iterations <= 2
     with pytest.raises(ValueError, match="box"):
-        picard_iterate(inst, "Ttilde", y0=y0, max_iters=2)
+        picard_iterate_many(inst, [y0], "Ttilde", max_iters=2)
 
 
 def test_score_readouts_reject_a_matrix_wider_than_the_agents(i0_raw):
@@ -304,7 +304,7 @@ def test_stuck_rows_require_negative_rowmax(i0_norm):
 
 
 def test_picard_default_start_solves_reference(i0_norm):
-    report = picard_iterate(i0_norm)
+    report = picard_iterate_many(i0_norm, [None])[0]
     assert report.converged
     assert report.iterations == 0
     assert report.residual == 0.0
@@ -316,8 +316,8 @@ def test_picard_default_start_solves_reference(i0_norm):
 def test_picard_is_deterministic(i0_norm):
     rng = np.random.default_rng(9)
     y0 = rng.uniform(-5, 0, size=(3, 2))
-    a = picard_iterate(i0_norm, "Ttilde", y0=y0.copy(), max_iters=50)
-    b = picard_iterate(i0_norm, "Ttilde", y0=y0.copy(), max_iters=50)
+    a = picard_iterate_many(i0_norm, [y0.copy()], "Ttilde", max_iters=50)[0]
+    b = picard_iterate_many(i0_norm, [y0.copy()], "Ttilde", max_iters=50)[0]
     assert np.array_equal(a.y, b.y)
     assert a.residual == b.residual and a.iterations == b.iterations
 
@@ -326,7 +326,7 @@ def test_picard_iteration_cap_is_graceful():
     inst = normalize(random_instance(2, 5, 3))
     rng = np.random.default_rng(31)
     y0 = rng.uniform(-box_radius(inst), 0, size=(5, 3))
-    report = picard_iterate(inst, "Ttilde", y0=y0, max_iters=1)
+    report = picard_iterate_many(inst, [y0], "Ttilde", max_iters=1)[0]
     assert report.iterations <= 1
     assert np.isfinite(report.residual)
     assert report.allocation.owner.size == 5
@@ -334,13 +334,13 @@ def test_picard_iteration_cap_is_graceful():
 
 def test_picard_rejects_bad_arguments(i0_norm):
     with pytest.raises(ValueError):
-        picard_iterate(i0_norm, "nope")
+        picard_iterate_many(i0_norm, [None], "nope")
     with pytest.raises(ValueError):
-        picard_iterate(i0_norm, alpha=0.0)
+        picard_iterate_many(i0_norm, [None], alpha=0.0)
     with pytest.raises(ValueError):
-        picard_iterate(i0_norm, alpha=1.5)
+        picard_iterate_many(i0_norm, [None], alpha=1.5)
     with pytest.raises(ValueError, match="iteration cap"):
-        picard_iterate(i0_norm, max_iters=-1)
+        picard_iterate_many(i0_norm, [None], max_iters=-1)
     assert sorted(MAPS) == ["T", "Tprime", "Ttilde"]
 
 
@@ -359,7 +359,7 @@ def test_converged_runs_harness(capsys):
         inst = normalize(random_instance(seed, 5, 3))
         rng = np.random.default_rng(seed + 9000)
         y0 = rng.uniform(-box_radius(inst), 0.0, size=(5, 3))
-        report = picard_iterate(inst, "Ttilde", y0=y0)
+        report = picard_iterate_many(inst, [y0], "Ttilde")[0]
         if report.converged:
             converged += 1
             if report.constraint_slack > 1e-6:

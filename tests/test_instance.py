@@ -12,13 +12,11 @@ from efxkit import (
     InstanceFormatError,
     ZeroColumnError,
     allocation_to_doc,
-    efx_slack,
     generate_instance,
     instance_to_doc,
     is_efx,
     load_allocation,
     load_instance,
-    make_instance,
     normalize,
     total_mass,
 )
@@ -45,20 +43,20 @@ def test_ordered_pairs_match_a_brute_force_enumeration(n):
 
 def test_shape_validation():
     with pytest.raises(InstanceFormatError):
-        make_instance([1.0, 2.0])
+        Instance([1.0, 2.0])
     with pytest.raises(InstanceFormatError):
-        make_instance(np.zeros((0, 2)))
+        Instance(np.zeros((0, 2)))
     with pytest.raises(InstanceFormatError):
-        make_instance([[1.0], [2.0]])  # one agent
+        Instance([[1.0], [2.0]])  # one agent
 
 
 def test_value_validation_reports_location():
     with pytest.raises(InstanceFormatError, match=r"\[1\]\[0\]"):
-        make_instance([[1.0, 2.0], [-0.5, 1.0]])
+        Instance([[1.0, 2.0], [-0.5, 1.0]])
     with pytest.raises(InstanceFormatError):
-        make_instance([[np.nan, 1.0], [1.0, 1.0]])
+        Instance([[np.nan, 1.0], [1.0, 1.0]])
     with pytest.raises(InstanceFormatError):
-        make_instance([[np.inf, 1.0], [1.0, 1.0]])
+        Instance([[np.inf, 1.0], [1.0, 1.0]])
 
 
 def test_normalized_flag_is_checked():
@@ -101,7 +99,7 @@ def test_total_mass_and_normalize(i0_raw):
 
 
 def test_normalize_zero_column_raises():
-    inst = make_instance([[1.0, 0.0], [2.0, 0.0]])
+    inst = Instance([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ZeroColumnError) as err:
         normalize(inst)
     assert err.value.agents == [1]
@@ -109,8 +107,8 @@ def test_normalize_zero_column_raises():
 
 def test_efx_slack_frozen(i0_raw, i0_norm):
     alloc = Allocation(np.array([0, 0, 1]))
-    assert efx_slack(i0_raw, alloc) == pytest.approx(-1.0)
-    assert efx_slack(i0_norm, alloc) == pytest.approx(-0.25)
+    assert is_efx(i0_raw, alloc).slack == pytest.approx(-1.0)
+    assert is_efx(i0_norm, alloc).slack == pytest.approx(-0.25)
     report = is_efx(i0_norm, alloc)
     assert report.ok and bool(report)
     assert report.violations == []
@@ -135,9 +133,9 @@ def test_empty_bundle_never_envied(i0_norm):
 
 def test_allocation_validation(i0_raw):
     with pytest.raises(InstanceFormatError):
-        efx_slack(i0_raw, Allocation(np.array([0, 1])))
+        is_efx(i0_raw, Allocation(np.array([0, 1]))).slack
     with pytest.raises(InstanceFormatError):
-        efx_slack(i0_raw, Allocation(np.array([0, 1, 2])))
+        is_efx(i0_raw, Allocation(np.array([0, 1, 2]))).slack
     with pytest.raises(InstanceFormatError, match="flat item -> agent vector"):
         Allocation(np.zeros((2, 3), dtype=int))
 
@@ -160,8 +158,8 @@ def test_rescaling_preserves_efx_verdicts():
         rng = np.random.default_rng(seed)
         for _ in range(10):
             alloc = Allocation(rng.integers(0, 2, size=4))
-            raw_ok = efx_slack(inst, alloc) <= 0
-            norm_ok = efx_slack(norm, alloc) <= 1e-12
+            raw_ok = is_efx(inst, alloc).slack <= 0
+            norm_ok = is_efx(norm, alloc).slack <= 1e-12
             assert raw_ok == norm_ok
 
 

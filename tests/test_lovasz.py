@@ -8,11 +8,11 @@ import pytest
 from conftest import random_instance, random_polytope_point
 from efxkit import (
     Allocation,
-    efx_slack,
+    Instance,
     enumerate_efx,
     envy_gap_extension,
     in_partition_polytope,
-    make_instance,
+    is_efx,
     minimize_relaxation,
     monotone_envy_gap_extension,
     normalize,
@@ -124,6 +124,16 @@ def test_monotone_extension_exceeds_raw_by_one_on_polytope():
                         assert mono == pytest.approx(raw + 1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("readout", [envy_gap_extension, monotone_envy_gap_extension])
+def test_pair_readouts_reject_agents_outside_the_instance(i0_norm, readout):
+    # A negative agent must not wrap around to agent n - 1; the diagonal stays readable.
+    x = uniform_point(i0_norm)
+    for i, j in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(ValueError, match="must lie in 0..1"):
+            readout(i0_norm, i, j, x)
+    assert np.isfinite(readout(i0_norm, 1, 1, x))
+
+
 def test_tie_heavy_vector_is_stable():
     inst = normalize(random_instance(3, 6, 2))
     setfn = _pair_setfn(inst, 0, 1)
@@ -160,7 +170,7 @@ def test_relaxation_not_convex_inside_polytope(capsys):
     # Frozen counterexample: the reduced value is not submodular at the
     # empty set, so the extension need not be convex.  On this 2x2 instance
     # the midpoint of two polytope vertices sits strictly above the chord.
-    inst = normalize(make_instance([[2.0, 1.0], [1.0, 1.0]]))
+    inst = normalize(Instance([[2.0, 1.0], [1.0, 1.0]]))
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([[0.0, 1.0], [1.0, 0.0]])
     fx = relaxation_objective(inst, x)
@@ -248,7 +258,7 @@ def test_minimize_rejects_a_negative_iteration_count(i0_norm, iters):
 
 def test_minimize_identical_agents_meets_threshold():
     values = np.tile(np.array([[3.0], [2.0], [1.0]]), (1, 3))
-    inst = normalize(make_instance(values))
+    inst = normalize(Instance(values))
     _, best = minimize_relaxation(inst, iters=400)
     assert best <= 1.0 + 1e-9
 
@@ -319,7 +329,7 @@ def test_efx_witness_scores_at_most_one():
         x = np.zeros((4, 2))
         x[np.arange(4), res.witnesses[0].owner] = 1.0
         assert relaxation_objective(inst, x) <= 1.0 + 1e-9
-        assert efx_slack(inst, res.witnesses[0]) <= 1e-9
+        assert is_efx(inst, res.witnesses[0]).slack <= 1e-9
 
 
 def test_partition_polytope_entries_are_nonnegative_exactly():

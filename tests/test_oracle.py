@@ -8,12 +8,13 @@ import pytest
 from conftest import random_instance
 from efxkit import (
     Allocation,
+    Instance,
     InstanceFormatError,
     OracleGuardError,
     batch_efx_slack,
-    efx_slack,
+    encode_allocation,
     enumerate_efx,
-    make_instance,
+    is_efx,
     normalize,
 )
 from reference_setfun import max_envy_gap
@@ -38,7 +39,7 @@ def test_witness_cap_keeps_exact_count(i0_raw):
 
 def test_single_item_always_solvable():
     for n in (2, 3, 4):
-        inst = make_instance(np.ones((1, n)))
+        inst = Instance(np.ones((1, n)))
         assert enumerate_efx(inst).exists
 
 
@@ -62,14 +63,14 @@ def test_batch_slack_matches_scalar_exactly():
         owners = rng.integers(0, 3, size=(25, 4))
         batch = batch_efx_slack(inst, owners)
         for row, got in zip(owners, batch):
-            assert got == efx_slack(inst, Allocation(row))
+            assert got == is_efx(inst, Allocation(row)).slack
 
 
 def test_scan_order_is_mixed_radix():
     # Item 0 is the most significant digit, so the all-EFX trivial
     # instance (a single zero-value column pair) streams witnesses in
     # plain counting order.
-    inst = make_instance([[0.0, 0.0], [0.0, 0.0]])
+    inst = Instance([[0.0, 0.0], [0.0, 0.0]])
     res = enumerate_efx(inst, cap=64)
     expected = [list(t) for t in itertools.product(range(2), repeat=2)]
     assert [w.owner.tolist() for w in res.witnesses] == expected
@@ -97,7 +98,11 @@ def test_min_slack_threshold_matches_existence():
     ids=["agent-n", "agent-minus-one", "two-items", "flat"],
 )
 def test_batch_slack_rejects_rows_that_are_not_allocations(owners):
-    # Each row must give the m items to agents 0..n-1, as is_efx demands.
-    inst = make_instance([[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]])
+    # Each row must give the m items to agents 0..n-1, as is_efx and
+    # encode_allocation demand.
+    inst = Instance([[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]])
     with pytest.raises(InstanceFormatError):
         batch_efx_slack(inst, np.asarray(owners))
+    if np.ndim(owners) == 2:
+        with pytest.raises(InstanceFormatError):
+            encode_allocation(inst, Allocation(owners[-1]))

@@ -8,12 +8,11 @@ import reference_oracle as ref
 from conftest import random_instance
 from efxkit import (
     Allocation,
+    Instance,
     batch_efx_slack,
-    efx_slack,
     enumerate_efx,
     generate_instance,
     is_efx,
-    make_instance,
     normalize,
 )
 from efxkit import oracle
@@ -32,11 +31,11 @@ def _kinds(m: int, n: int, seed: int):
     yield "identical", generate_instance(m, n, "identical", seed)
     values = np.random.default_rng(seed).random((m, n))
     values[:, n - 1] = 0.0
-    yield "zero-column", make_instance(values)
+    yield "zero-column", Instance(values)
     values = np.random.default_rng(seed + 1).random((m, n))
     values[np.random.default_rng(seed + 2).random((m, n)) < 0.4] = -0.0
     values[0, 0] = -0.0
-    yield "negative-zero", make_instance(values)
+    yield "negative-zero", Instance(values)
 
 
 def _owners(result):
@@ -92,7 +91,7 @@ def test_scan_slack_is_efx_slack_bit_for_bit():
     for inst in _identity_instances():
         slacks = []
         for owner, worst in _scanned(inst):
-            slacks.append(efx_slack(inst, Allocation(owner)))
+            slacks.append(is_efx(inst, Allocation(owner)).slack)
             assert worst == slacks[-1]
         assert len(slacks) == inst.n**inst.m
         # the oracle's minimum is the smallest of them, bit for bit
@@ -109,8 +108,8 @@ def test_min_max_envy_is_its_best_allocations_readout():
         min_slack = enumerate_efx(norm, cap=0).min_slack
         assert min_slack + 1.0 == pytest.approx(value, rel=0.0, abs=1e-12)
         owner, worst = min(_scanned(norm), key=lambda item: item[1])
-        assert min_slack == worst == efx_slack(norm, Allocation(owner))
-        assert efx_slack(norm, best) == pytest.approx(min_slack, rel=0.0, abs=1e-12)
+        assert min_slack == worst == is_efx(norm, Allocation(owner)).slack
+        assert is_efx(norm, best).slack == pytest.approx(min_slack, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("block, table_cap", [(1, 0), (7, 0), (7, 1 << 20), (50, 40)])
@@ -155,13 +154,13 @@ def test_folded_worst_gap_is_the_pair_maximum_byte_for_byte(monkeypatch, table_c
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_single_item_with_empty_prefix(n):
     # m = 1 leaves the prefix half without items; its minima start at inf.
-    inst = make_instance(np.linspace(1.0, 2.0, n)[None, :])
+    inst = Instance(np.linspace(1.0, 2.0, n)[None, :])
     owners = np.arange(n)[:, None]
     assert np.array_equal(batch_efx_slack(inst, owners), ref.batch_efx_slack(inst, owners))
     for agent in range(n):
         report = is_efx(inst, Allocation([agent]))
         assert report.ok and report.slack == 0.0
-        assert report.slack == efx_slack(inst, Allocation([agent]))
+        assert report.slack == is_efx(inst, Allocation([agent])).slack
     result = enumerate_efx(inst)
     assert (result.exists, result.witness_count) == (True, n)
     assert _owners(result) == [[agent] for agent in range(n)]

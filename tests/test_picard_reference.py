@@ -13,7 +13,6 @@ from efxkit import (
     enumerate_efx,
     generate_instance,
     normalize,
-    picard_iterate,
     picard_iterate_many,
     smooth_clamp_map,
 )
@@ -84,14 +83,7 @@ def test_stacked_picard_matches_one_start_reference_exactly(map_name):
     # The stacks held starts that stop at once, at different steps and at the cap.
     assert 0 in ends and "cap" in ends
     assert len(ends - {0, "cap"}) >= 2
-
-
-def test_one_start_is_the_stack_of_one(i0_norm):
-    y0 = np.random.default_rng(3).uniform(-box_radius(i0_norm), 0.0, size=(3, 2))
-    for start in (None, y0):
-        one = picard_iterate(i0_norm, "Ttilde", y0=start, max_iters=40)
-        assert _fingerprint(one) == _fingerprint(picard_iterate_many(i0_norm, [start], "Ttilde", max_iters=40)[0])
-    assert picard_iterate_many(i0_norm, []) == []
+    assert picard_iterate_many(inst, [], map_name) == []
 
 
 def _iterates(monkeypatch, inst, y0, steps: int) -> list[bytes]:

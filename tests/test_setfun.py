@@ -8,12 +8,11 @@ import pytest
 from conftest import random_instance
 from efxkit import (
     Allocation,
+    Instance,
     batch_efx_slack,
-    efx_slack,
     enumerate_efx,
     generate_instance,
     is_efx,
-    make_instance,
     normalize,
 )
 from reference_setfun import bundle_value, envy_gap, max_envy_gap, monotone_envy_gap, reduced_value
@@ -94,7 +93,7 @@ def test_reduced_value_empty_set_breaks_submodularity():
     # strictly below the marginal at any nonempty set.  The text-book
     # submodularity inequality with S = empty therefore fails whenever
     # an agent holds two positively valued items.
-    inst = make_instance([[4.0, 1.0], [2.0, 1.0]])
+    inst = Instance([[4.0, 1.0], [2.0, 1.0]])
     f_a = reduced_value(inst, 0, [0])
     f_b = reduced_value(inst, 0, [1])
     f_ab = reduced_value(inst, 0, [0, 1])
@@ -124,7 +123,7 @@ def test_efx_iff_all_gaps_nonpositive():
                 if i != j
             ]
             assert (max(gaps) <= 0) == bool(is_efx(inst, alloc, tol=0.0))
-            assert max(gaps) == pytest.approx(efx_slack(inst, alloc), abs=1e-12)
+            assert max(gaps) == pytest.approx(is_efx(inst, alloc).slack, abs=1e-12)
             assert max(gaps) == pytest.approx(batch[row], abs=1e-12)
         norm = normalize(inst)
         monotone = [max_envy_gap(norm, Allocation(owners)) for owners in all_owners]

@@ -15,11 +15,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from efxkit import (
+    Instance,
     clamp_map,
     dc_objective,
     encode_allocation,
     enumerate_efx,
-    make_instance,
     normalize,
     relaxation_objective,
 )
@@ -53,7 +53,7 @@ def identical_values(draw):
 
 def _assert_efx_anchored(values: np.ndarray) -> None:
     assume(np.all(values.sum(axis=0) > 0.0))
-    inst = normalize(make_instance(values))
+    inst = normalize(Instance(values))
     result = enumerate_efx(inst, tol=DEFAULT_EFX_TOL)
     assert result.exists
     for witness in result.witnesses:
