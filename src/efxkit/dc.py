@@ -141,7 +141,8 @@ def solve_lp(lp: DescentLP, selection: np.ndarray) -> LPSolution:
     the selected scores.  Only phase 2 runs, from ``lp.phase_one``; the
     pivot count includes phase 1's, as in one cold solve.  The returned
     point is verified against every row and bound rather than trusting the
-    solver status alone.
+    solver status alone, to ``RECHECK_TOL`` or 4096 ulps of the LP's
+    largest bound, whichever is larger, so that scaled-up values pass.
     """
     m, n = lp.inst.m, lp.inst.n
     selection = np.asarray(selection, dtype=int)
@@ -154,11 +155,8 @@ def solve_lp(lp: DescentLP, selection: np.ndarray) -> LPSolution:
     if result.status != "optimal":
         return LPSolution(result.status, None, None, None, None, result.pivots)
     point = result.x + lp.lower
-    if (
-        np.any(lp.a @ point > lp.b + RECHECK_TOL)
-        or np.any(point < lp.lower - RECHECK_TOL)
-        or np.any(point > lp.upper + RECHECK_TOL)
-    ):
+    tol = simplex._scaled_tol(RECHECK_TOL, max(np.abs(lp.lower).max(), np.abs(lp.upper).max()))
+    if np.any(lp.a @ point > lp.b + tol) or np.any(point < lp.lower - tol) or np.any(point > lp.upper + tol):
         return LPSolution("numeric-failure", None, None, None, None, result.pivots)
     y, z, w = point[: m * n].reshape(m, n), point[m * n : -1].reshape(m, -1), float(point[-1])
     return LPSolution("optimal", y, z, w, float(objective @ point), result.pivots)

@@ -8,7 +8,10 @@ artificial per row with a negative right-hand side, which never enters.
 Phase 1 never reads c, so ``phase_one(A, b)`` returns a feasible tableau
 that any number of ``phase_two(c, start)`` calls copy and finish; the
 descent in ``dc`` solves every step's LP, whose feasible region depends only
-on the instance and the box, from one phase-1 start.  Entering variables
+on the instance and the box, from one phase-1 start.  Phase 1 calls an LP
+infeasible when its artificials still sum to more than ``FEAS_TOL`` or 4096
+ulps of the largest |b|, whichever is larger, so scaling b by a power of
+two changes neither a pivot nor the verdict.  Entering variables
 follow Dantzig's rule for a bounded number of pivots and then Bland's rule,
 which rules out cycling; ties go to the smallest variable index, and
 ratio-test ties to the smallest basis index, so each pivot and value is the
@@ -45,6 +48,12 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float | None
     pivots: int
+
+
+def _scaled_tol(tol: float, magnitude: float) -> float:
+    """``tol``, or 4096 ulps of ``magnitude`` where that is larger: a check
+    against rounding error keeps its meaning when the LP is scaled up."""
+    return max(tol, 4096 * np.finfo(float).eps * magnitude)
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, pos: int) -> None:
@@ -145,7 +154,7 @@ def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
         status, pivots = _pivot_loop(tableau, basis, nonbasic, n_real, dantzig_budget, pivots)
         if status != "optimal":
             return PhaseOne("numeric-failure", None, None, None, n_vars, n_slacks, dantzig_budget, pivots)
-        if -tableau[-1, -1] > FEAS_TOL:
+        if -tableau[-1, -1] > _scaled_tol(FEAS_TOL, np.abs(b_ub).max()):
             return PhaseOne("infeasible", None, None, None, n_vars, n_slacks, dantzig_budget, pivots)
         # A row still basic in its artificial was never a pivot row, so its
         # slack column is still -e_row: some usable column drives it out.

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 from conftest import random_instance
 from efxkit import (
     Allocation,
+    Instance,
     InternalCheckError,
     build_lp,
     dc,
@@ -175,6 +176,21 @@ def test_dca_objective_non_increasing():
         out = dca_solve(build_lp(inst), y0=y0)
         objectives = [entry["objective"] for entry in out.trace]
         assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
+
+
+@pytest.mark.parametrize("dist", ["uniform01", "integer"])
+def test_dca_keeps_working_when_the_values_are_scaled_up(dist):
+    """Phase 1's feasibility check and the vertex recheck scale with the
+    LP: with absolute tolerances, phase 1 called some of these LPs
+    infeasible from x1e3 on, and from x1e6 on every vertex failed the
+    recheck by a few ulps of the box radius."""
+    for seed in range(2):
+        values = random_instance(seed, 6, 3, dist).values
+        for power in (0, 3, 4, 6, 9):
+            lp = build_lp(Instance(values * 10.0**power))
+            assert lp.phase_one.status == "feasible", (seed, power)
+            out = dca_solve(lp)
+            assert out.status == "converged", (seed, power)
 
 
 def test_dca_nonpositive_objective_implies_efx():

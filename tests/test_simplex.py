@@ -167,6 +167,22 @@ def _descent_lps(m, n, seeds):
         yield a, b, objectives
 
 
+def test_phase_one_verdict_does_not_depend_on_the_scale():
+    """Scaling b by a power of two scales every right-hand side of the
+    tableau exactly and changes no pivot, so phase 1's verdict and phase 2's
+    vertex must not change either.  Phase 1 of the second LP leaves a
+    residual of 8e-14, a third of an ulp of max |b|, which an absolute
+    feasibility tolerance called infeasible from 2**14 on."""
+    for a, b, objectives in _descent_lps(6, 3, [0, 1]):
+        start = phase_one(a, b)
+        result = phase_two(objectives[0], start)
+        assert start.status == "feasible" and result.status == "optimal"
+        for power in (10, 20, 30):
+            scaled = phase_one(a, b * 2.0**power)
+            assert scaled.status == "feasible" and scaled.pivots == start.pivots, power
+            assert phase_two(objectives[0], scaled).x.tobytes() == (result.x * 2.0**power).tobytes()
+
+
 def _branch_probe(monkeypatch):
     """Count, at each compact pivot, the branches where a column position
     and a variable index could pick differently."""
