@@ -20,12 +20,16 @@ full tableau's.
 The tableau is column-major, and a pivot updates only the columns where the
 pivot row is nonzero, plus the right-hand side, as one gather and one
 scatter of contiguous columns; a column whose pivot-row entry is zero would
-only subtract zeros.  When at least half of the row is nonzero, the whole
-array is updated instead.  Each updated entry is the same ``t - r * c``
-either way, and the right-hand side is always among them, so x keeps the
-whole-array update's signed zeros.  On the descent LPs of twenty (6, 3)
-instances, 90% of the phase-1 pivots take the row-sparse update (a median
-of 28 nonzeros in 187 columns) and 91% of the phase-2 pivots the whole one.
+only subtract zeros.  It also skips dead columns: once an artificial leaves
+the basis its column is never read again, since pricing and the drive-outs
+mask it and the end of phase 1 drops it.  When the columns to update are at
+least half of the row's width, the whole array is updated instead.  Each
+updated entry is the same ``t - r * c`` either way, and the right-hand side
+is always among them, so x keeps the whole-array update's signed zeros.  On
+the descent LPs of twenty (6, 3) integer instances, every phase-1 pivot
+takes the row-sparse update (a mean of 24 and a median of 21 columns of
+188, where updating dead columns too gave 47 and 29, and 10% of the pivots
+took the whole one) and 95% of the phase-2 pivots the whole one.
 Meant for hundreds of rows and columns, not for large models.
 """
 
@@ -56,7 +60,9 @@ def _scaled_tol(tol: float, magnitude: float) -> float:
     return max(tol, 4096 * np.finfo(float).eps * magnitude)
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, pos: int) -> None:
+def _pivot(
+    tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, pos: int, live: np.ndarray
+) -> None:
     # The leaving variable's unit column takes the entering one's place.
     column = tableau[:, pos].copy()
     tableau[:, pos] = 0.0
@@ -65,6 +71,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: in
     column[row] = 0.0
     pivot_row = tableau[row]
     update = pivot_row != 0.0
+    update[:-1] &= live  # a departed artificial's column is never read again
     update[-1] = True  # the right-hand side always, for the signed zeros of x
     cols = update.nonzero()[0]
     if 2 * cols.size < pivot_row.size:
@@ -79,23 +86,28 @@ def _pivot_loop(
 ) -> tuple[str, int]:
     """Run pivots until optimal; returns (status, total pivot count)."""
     enterable = nonbasic < enter_vars
+    reduced, rhs = tableau[-1, :-1], tableau[:-1, -1]
     while True:
-        reduced = tableau[-1, :-1]
         eligible = (reduced < -PIVOT_TOL) & enterable
-        if not eligible.any():
-            return "optimal", pivots
         if pivots < dantzig_budget:
-            eligible &= reduced == reduced.min(where=eligible, initial=0.0)
+            # Eligible entries are below -PIVOT_TOL, so 0.0 means none is.
+            least = reduced.min(where=eligible, initial=0.0)
+            if least == 0.0:
+                return "optimal", pivots
+            eligible &= reduced == least
         candidates = eligible.nonzero()[0]
-        pos = int(candidates[nonbasic[candidates].argmin()])  # Bland, or Dantzig's ties
+        if candidates.size == 0:
+            return "optimal", pivots
+        # Bland, or Dantzig's ties: the smallest variable index.
+        pos = int(candidates[nonbasic[candidates].argmin()] if candidates.size > 1 else candidates[0])
         body = tableau[:-1, pos]
         rows = (body > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded", pivots
-        ratios = tableau[rows, -1] / body[rows]
+        ratios = rhs[rows] / body[rows]
         ties = rows[ratios == ratios.min()]
-        row = int(ties[basis[ties].argmin()])
-        _pivot(tableau, basis, nonbasic, row, pos)
+        row = int(ties[basis[ties].argmin()] if ties.size > 1 else ties[0])
+        _pivot(tableau, basis, nonbasic, row, pos, enterable)
         enterable[pos] = nonbasic[pos] < enter_vars
         pivots += 1
         if pivots > MAX_PIVOTS:
@@ -149,8 +161,8 @@ def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
 
     pivots = 0
     if n_art:
-        for row in art_rows:
-            tableau[-1] -= tableau[row]
+        # Minus each artificial row in turn: the loop's sums, folded at once.
+        tableau[-1] = np.subtract.reduce(tableau[art_rows], axis=0, initial=0.0)
         status, pivots = _pivot_loop(tableau, basis, nonbasic, n_real, dantzig_budget, pivots)
         if status != "optimal":
             return PhaseOne("numeric-failure", None, None, None, n_vars, n_slacks, dantzig_budget, pivots)
@@ -158,9 +170,12 @@ def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
             return PhaseOne("infeasible", None, None, None, n_vars, n_slacks, dantzig_budget, pivots)
         # A row still basic in its artificial was never a pivot row, so its
         # slack column is still -e_row: some usable column drives it out.
+        live = nonbasic < n_real
         for row in np.flatnonzero(basis >= n_real):
-            usable = np.flatnonzero((np.abs(tableau[row, :-1]) > PIVOT_TOL) & (nonbasic < n_real))
-            _pivot(tableau, basis, nonbasic, row, int(usable[np.argmin(nonbasic[usable])]))
+            usable = np.flatnonzero((np.abs(tableau[row, :-1]) > PIVOT_TOL) & live)
+            pos = int(usable[np.argmin(nonbasic[usable])])
+            _pivot(tableau, basis, nonbasic, row, pos, live)
+            live[pos] = False
         cols = np.flatnonzero(nonbasic < n_real)
         tableau = tableau[:, np.append(cols, nonbasic.size)]
         nonbasic = nonbasic[cols]
@@ -186,9 +201,8 @@ def phase_two(c: np.ndarray, start: PhaseOne) -> SimplexResult:
     tableau, basis, nonbasic = start.tableau.copy(order="F"), start.basis.copy(), start.nonbasic.copy()
     cost = np.concatenate([c, np.zeros(n_slacks)])
     tableau[-1] = np.append(cost[nonbasic], 0.0)
-    for row, var in enumerate(basis):
-        if cost[var] != 0.0:
-            tableau[-1] -= cost[var] * tableau[row]
+    for row in np.flatnonzero(cost[basis]):
+        tableau[-1] -= cost[basis[row]] * tableau[row]
     status, pivots = _pivot_loop(tableau, basis, nonbasic, n_vars + n_slacks, start.dantzig_budget, start.pivots)
     if status != "optimal":
         return SimplexResult(status, None, None, pivots)

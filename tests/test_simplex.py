@@ -199,7 +199,7 @@ def _branch_probe(monkeypatch):
         finally:
             state[3] = False
 
-    def probe_pivot(tableau, basis, nonbasic, row, pos):
+    def probe_pivot(tableau, basis, nonbasic, row, pos, live):
         enter_vars, budget, count, in_loop = state
         if not in_loop:
             usable = np.flatnonzero((np.abs(tableau[row, :-1]) > simplex.PIVOT_TOL) & (nonbasic < enter_vars))
@@ -213,7 +213,7 @@ def _branch_probe(monkeypatch):
             else:
                 seen["bland pick off the first position"] += pos != eligible[0]
             state[2] += 1
-        pivot(tableau, basis, nonbasic, row, pos)
+        pivot(tableau, basis, nonbasic, row, pos, live)
 
     monkeypatch.setattr(simplex, "_pivot_loop", probe_loop)
     monkeypatch.setattr(simplex, "_pivot", probe_pivot)
@@ -255,10 +255,8 @@ def test_compact_tableau_matches_the_full_tableau_on_every_branch(monkeypatch):
             check(*case)
     ties = seen["dantzig tie off the first position"]
     check(BEALE[1], BEALE[2], [BEALE[0]])
-    # Artificials that end phase 1 basic at zero level.
-    check([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    check([[-1.0, -1.0, 0.0], [-1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]], [-1.0, -1.0, 1.0, -2.0],
-          [[1.0, 2.0, 1.0], [-1.0, 0.0, 1.0]])
+    for case in DRIVE_OUTS:  # artificials that end phase 1 basic at zero level
+        check(*case)
     check([[-1.0, -1.0], [1.0, 0.0]], [-1.0, -2.0], [[1.0, 0.0]])  # infeasible
     check([[-1.0, -1.0], [-1.0, 1.0]], [-1.0, 1.0], [[-1.0, 0.0], [1.0, 1.0]])  # unbounded for the first
     bland_beale = seen["bland pick off the first position"]
@@ -292,10 +290,10 @@ def _update_probe(monkeypatch):
 
     pivot = simplex._pivot
 
-    def probe_pivot(tableau, basis, nonbasic, row, pos):
+    def probe_pivot(tableau, basis, nonbasic, row, pos, live):
         assert tableau.flags.f_contiguous
         before = len(scattered)
-        pivot(tableau.view(Watched), basis, nonbasic, row, pos)
+        pivot(tableau.view(Watched), basis, nonbasic, row, pos, live)
         if len(scattered) > before:
             assert len(scattered) == before + 1 and 2 * scattered[-1] < tableau.shape[1]
             seen["row-sparse"] += 1
@@ -307,23 +305,133 @@ def _update_probe(monkeypatch):
 
 
 def test_row_sparse_and_dense_updates_match_the_full_tableau(monkeypatch):
-    """Phase 1 of the descent LPs takes both updates; every result is the
-    full tableau's, byte for byte, with and without the Dantzig opening,
-    and the shared column-major start is never written."""
+    """Phase 1 of the dense-row LPs of ``_phase_one_lp`` takes both updates,
+    and phase 1 of the descent LPs only the row-sparse one, since it skips
+    the columns of departed artificials; every result is the full
+    tableau's, byte for byte, with and without the Dantzig opening, and the
+    shared column-major start is never written."""
     seen = _update_probe(monkeypatch)
+    families = (
+        (list(_descent_lps(6, 3, [2, 3])), 3, {"row-sparse"}),
+        (list(_descent_lps(12, 3, [0])), 1, {"row-sparse"}),
+        ([_phase_one_lp(seed, 4, 20) for seed in (0, 2)], 4, {"row-sparse", "dense"}),
+    )
     for budget in (simplex.DANTZIG_PIVOTS_PER_DIM, 0):
         monkeypatch.setattr(simplex, "DANTZIG_PIVOTS_PER_DIM", budget)
         monkeypatch.setattr(reference_dca, "DANTZIG_PIVOTS_PER_DIM", budget)
-        for shape, seeds, n_objectives in (((6, 3), [2, 3], 3), ((12, 3), [0], 1)):
-            for a, b, objectives in _descent_lps(*shape, seeds):
+        for cases, n_objectives, updates in families:
+            for a, b, objectives in cases:
                 before = seen.copy()
                 start = phase_one(a, b)
-                assert (seen - before).keys() == {"row-sparse", "dense"}, (shape, budget)
+                assert (seen - before).keys() == updates, (a.shape, budget)
                 assert start.tableau.flags.f_contiguous and not start.tableau.flags.writeable
                 tableau = start.tableau.tobytes()
                 for c in objectives[:n_objectives]:
                     assert _same_result(phase_two(c, start), reference_dca.solve_standard(c, a, b))
                 assert start.tableau.tobytes() == tableau
+
+
+# LPs whose phase 1 drives artificials out after its pivot loop.
+DRIVE_OUTS = [
+    ([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+    ([[-1.0, -1.0, 0.0], [-1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]], [-1.0, -1.0, 1.0, -2.0],
+     [[1.0, 2.0, 1.0], [-1.0, 0.0, 1.0]]),
+]
+
+
+def test_departed_artificials_columns_are_never_read(monkeypatch):
+    """Once an artificial leaves the basis its column is dead: pivots no
+    longer update it, pricing and the drive-outs mask it and the end of
+    phase 1 drops it.  Overwriting every dead column with a finite
+    sentinel after each pivot, drive-outs included, changes neither a
+    result nor the final phase-1 tableau, and both stay the full
+    tableau's."""
+    cases = [*_descent_lps(6, 3, [0, 1]), *_descent_lps(3, 2, [1]), *DRIVE_OUTS, (*BEALE[1:], [BEALE[0]])]
+    cases += [_phase_one_lp(seed, 4, 20) for seed in (0, 2)]
+    poisoned = Counter()
+    state = [0, False]  # [structurals and slacks, inside the pivot loop]
+    pivot, pivot_loop = simplex._pivot, simplex._pivot_loop
+
+    def probe_loop(*args):
+        state[1] = True
+        try:
+            return pivot_loop(*args)
+        finally:
+            state[1] = False
+
+    def poisoning_pivot(tableau, basis, nonbasic, row, pos, live):
+        pivot(tableau, basis, nonbasic, row, pos, live)
+        dead = np.flatnonzero(nonbasic >= state[0])
+        tableau[:, dead] = -1e300
+        poisoned["in the loop" if state[1] else "drive-out"] += dead.size > 0
+
+    monkeypatch.setattr(simplex, "_pivot_loop", probe_loop)
+
+    def solve(a, b, objectives, poison):
+        state[0] = np.shape(a)[0] + np.shape(a)[1]
+        monkeypatch.setattr(simplex, "_pivot", poisoning_pivot if poison else pivot)
+        # The sentinel overflows inside dead columns only.
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = phase_one(a, b)
+            return start, [phase_two(c, start) for c in objectives]
+
+    for budget in (simplex.DANTZIG_PIVOTS_PER_DIM, 0):
+        monkeypatch.setattr(simplex, "DANTZIG_PIVOTS_PER_DIM", budget)
+        monkeypatch.setattr(reference_dca, "DANTZIG_PIVOTS_PER_DIM", budget)
+        for a, b, objectives in cases:
+            start, results = solve(a, b, objectives, poison=True)
+            clean_start, clean_results = solve(a, b, objectives, poison=False)
+            assert start.tableau.tobytes() == clean_start.tableau.tobytes()
+            for c, result, clean in zip(objectives, results, clean_results):
+                assert _same_result(result, clean) and _same_result(result, reference_dca.solve_standard(c, a, b))
+    assert poisoned["in the loop"] > 0 and poisoned["drive-out"] > 0
+
+
+def _loop_entries(monkeypatch):
+    """Copies of each pivot loop's tableau as the loop starts."""
+    entries = []
+    pivot_loop = simplex._pivot_loop
+
+    def probe_loop(tableau, *args):
+        entries.append(tableau.copy())
+        return pivot_loop(tableau, *args)
+
+    monkeypatch.setattr(simplex, "_pivot_loop", probe_loop)
+    return entries
+
+
+def test_objective_rows_are_the_row_by_row_sums(monkeypatch):
+    """Phase 1's objective row is minus each artificial row in turn and
+    phase 2's the cost row minus cost times each costed basis row in turn,
+    byte for byte as the loops that subtracted one row at a time built
+    them, signed zeros included."""
+    entries = _loop_entries(monkeypatch)
+    signed = (
+        [[-0.0, -1.0, 0.0], [-1.0, -0.0, -1.0], [-0.0, 1.0, -0.0], [0.0, -0.0, 1.0], [1.0, 1.0, 1.0]],
+        [-1.0, -1.0, 3.0, -0.0, 4.0],
+        [[0.0, -0.0, 1.0], [-0.0, -1.0, 0.0], [-1.0, 0.0, -0.0], [-0.0, -0.0, -0.0]],
+    )
+    cases = [*_descent_lps(6, 3, [0, 1]), *_descent_lps(3, 2, [1]), *DRIVE_OUTS, signed]
+    cases += [_phase_one_lp(seed, 6, 8) for seed in range(4)]  # rows whose sums round
+    for a, b, objectives in cases:
+        n_rows = np.shape(a)[0]
+        del entries[:]
+        start = phase_one(a, b)
+        (tableau,) = entries
+        expected = np.zeros(tableau.shape[1])
+        for row in np.flatnonzero(np.asarray(b) < 0):
+            expected -= tableau[row]
+        assert tableau[-1].tobytes() == expected.tobytes()
+        for c in objectives:
+            del entries[:]
+            phase_two(c, start)
+            (tableau,) = entries
+            cost = np.concatenate([c, np.zeros(n_rows)])
+            expected = np.append(cost[start.nonbasic], 0.0)
+            for row, var in enumerate(start.basis):
+                if cost[var] != 0.0:
+                    expected -= cost[var] * start.tableau[row]
+            assert tableau[-1].tobytes() == expected.tobytes()
 
 
 def test_row_sparse_update_keeps_the_signed_zeros_of_x():
