@@ -161,7 +161,7 @@ def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
 
     pivots = 0
     if n_art:
-        # Minus each artificial row in turn: the loop's sums, folded at once.
+        # 0.0 minus each artificial row in turn, in row order.
         tableau[-1] = np.subtract.reduce(tableau[art_rows], axis=0, initial=0.0)
         status, pivots = _pivot_loop(tableau, basis, nonbasic, n_real, dantzig_budget, pivots)
         if status != "optimal":
@@ -176,7 +176,7 @@ def phase_one(a_ub: np.ndarray, b_ub: np.ndarray) -> PhaseOne:
             pos = int(usable[np.argmin(nonbasic[usable])])
             _pivot(tableau, basis, nonbasic, row, pos, live)
             live[pos] = False
-        cols = np.flatnonzero(nonbasic < n_real)
+        cols = np.flatnonzero(live)
         tableau = tableau[:, np.append(cols, nonbasic.size)]
         nonbasic = nonbasic[cols]
 
