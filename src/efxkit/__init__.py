@@ -44,14 +44,12 @@ from .instance import (
     total_mass,
 )
 from .lovasz import (
-    ThresholdRounding,
     envy_gap_extension,
     in_partition_polytope,
     minimize_relaxation,
     monotone_envy_gap_extension,
     project_rows_to_simplex,
     relaxation_objective,
-    threshold_round,
     uniform_point,
 )
 from .oracle import OracleGuardError, OracleResult, batch_efx_slack, enumerate_efx

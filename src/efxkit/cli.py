@@ -4,7 +4,7 @@ Subcommands
     gen         draw a random instance document
     check       verify an allocation document against an instance
     oracle      exhaustive EFX scan with witnesses
-    lovasz      relaxation descent plus one threshold rounding
+    lovasz      relaxation descent plus row-wise rounding of its point
     extension   evaluate the smooth bound and the existence objective
     dca         LP-based descent on the existence objective
     fixedpoint  damped Picard iteration of a clamp map
@@ -36,6 +36,7 @@ import numpy as np
 from . import dc, extension, fixedpoint, lovasz, oracle
 from .instance import (
     DEFAULT_EFX_TOL,
+    Allocation,
     Instance,
     InstanceFormatError,
     _read_document,
@@ -51,6 +52,7 @@ from .instance import (
 
 SCHEMA_VERSION = 1
 FIXEDPOINT_STARTS = 8
+LOVASZ_DRAWS = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,16 +181,30 @@ def cmd_oracle(args) -> int:
 
 
 def _lovasz_run(inst: Instance, iters: int, step0: float, seed: int, tol: float) -> tuple:
-    """Relaxation descent and one seeded threshold rounding: x, the
-    objective, the rounding and its EFX verdict, rechecked with ``tol``."""
+    """Relaxation descent, then ``LOVASZ_DRAWS`` seeded row-wise roundings of
+    its point scored in one batch: x, the objective and the document's
+    ``rounding`` block, whose pick is the first draw with the smallest slack,
+    rechecked with ``tol``."""
     x, objective = lovasz.minimize_relaxation(inst, iters=iters, step0=step0)
-    rounding = lovasz.threshold_round(x, seed)
-    return x, objective, rounding, bool(rounding.feasible and is_efx(inst, rounding.allocation, tol).ok)
+    owners = extension.rowwise_round_many(x, seed, LOVASZ_DRAWS)
+    slacks = oracle.batch_efx_slack(inst, owners)
+    pick = int(slacks.argmin())
+    allocation = Allocation(owners[pick])
+    report = is_efx(inst, allocation, tol)
+    rounding = {
+        "draws": LOVASZ_DRAWS,
+        "pick": pick,
+        "slack": report.slack,
+        "efx_draws": int((slacks <= tol).sum()),
+        "owner": allocation_to_doc(allocation)["owner"],
+        "efx": report.ok,
+    }
+    return x, objective, rounding
 
 
 def cmd_lovasz(args) -> int:
     inst, removed = _prefiltered_normalized(load_instance(args.instance))
-    x, objective, rounding, rounded_efx = _lovasz_run(inst, args.iters, args.step0, args.seed, DEFAULT_EFX_TOL)
+    x, objective, rounding = _lovasz_run(inst, args.iters, args.step0, args.seed, DEFAULT_EFX_TOL)
     payload = {
         "form": "monotone",
         "threshold": lovasz.MONOTONE_THRESHOLD,
@@ -196,16 +212,8 @@ def cmd_lovasz(args) -> int:
         "x": x.tolist(),
         "iterations": args.iters,
         "removed_agents": removed,
-        "rounding": {
-            "sets": [[k + 1 for k in items] for items in rounding.sets],
-            "thetas": [float(t) for t in rounding.thetas],
-            "multiply_assigned": [k + 1 for k in rounding.multiply_assigned],
-            "unassigned": [k + 1 for k in rounding.unassigned],
-            "feasible": rounding.feasible,
-            "owner": allocation_to_doc(rounding.allocation)["owner"] if rounding.feasible else None,
-            "efx": rounded_efx,
-        },
-        "verdict": "efx-found" if rounded_efx else "inconclusive",
+        "rounding": rounding,
+        "verdict": "efx-found" if rounding["efx"] else "inconclusive",
     }
     _emit(args, payload)
     return 0
@@ -377,8 +385,8 @@ def cmd_compare(args) -> int:
 
     # The solver rows run the commands' runners at the commands' defaults.
     def run_lovasz():
-        _, objective, _, found = _lovasz_run(inst, lovasz.DEFAULT_ITERS, lovasz.DEFAULT_STEP0, args.seed, args.tol)
-        return found, objective, lovasz.DEFAULT_ITERS
+        _, objective, rounding = _lovasz_run(inst, lovasz.DEFAULT_ITERS, lovasz.DEFAULT_STEP0, args.seed, args.tol)
+        return rounding["efx"], objective, lovasz.DEFAULT_ITERS
 
     def run_dca():
         [run] = _dca_runs(dc.build_lp(inst), 1, args.seed, efx_tol=args.tol)
@@ -455,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--all", action="store_true", help="keep every witness instead of capping")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("lovasz", help="relaxation descent plus threshold rounding", parents=[instance, seed, output])
+    p = sub.add_parser("lovasz", help="relaxation descent plus row-wise rounding", parents=[instance, seed, output])
     p.add_argument("--iters", type=_positive_int, default=lovasz.DEFAULT_ITERS, help="subgradient steps, at least 1")
     p.add_argument("--step0", type=_positive_float, default=lovasz.DEFAULT_STEP0)
     p.set_defaults(func=cmd_lovasz)

