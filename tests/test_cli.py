@@ -395,9 +395,11 @@ def test_compare_lovasz_row_runs_the_lovasz_command(capsys, monkeypatch, shape):
     # Only the lovasz row is under test: the others skip their runs, which
     # take over 3 s on 10x5.
     compare_row = cli._compare_row
-    monkeypatch.setattr(
-        cli, "_compare_row", lambda method, runner: compare_row(method, runner if method == "lovasz" else lambda: (False, None, 0))
-    )
+
+    def lovasz_only(method, runner):
+        return compare_row(method, runner if method == "lovasz" else lambda: (False, None, 0))
+
+    monkeypatch.setattr(cli, "_compare_row", lovasz_only)
     inst = str(GOLDEN / f"gen-{shape}.json")
     code, doc = _run(capsys, ["compare", "--instance", inst])
     assert code == 0
