@@ -208,20 +208,15 @@ def _require_box(inst: Instance, y: np.ndarray, m_const: float | None, stacked: 
     them when ``stacked``, in the box [-m_const, 0] unless ``m_const`` is
     None.  Every public score readout takes its scores, and ``rounding_bound``
     and the Lovász readouts their point, through here: the shape is always
-    checked, the box only for the boxed maps and starts."""
+    checked, the box only for the boxed maps and starts, where every score
+    must lie in [-m_const, 0] (a NaN score lies in no box)."""
     y = np.asarray(y, dtype=float)
     if (y.shape[-2:] if stacked else y.shape) != (inst.m, inst.n):
         raise ValueError(f"scores must be an items-by-agents matrix of shape {(inst.m, inst.n)}, got {y.shape}")
     if m_const is not None:
-        _check_box(y, m_const)
+        if not (np.maximum.reduce(y, None, initial=-np.inf) <= 0.0 and np.minimum.reduce(y, None, initial=0.0) >= -m_const):
+            raise ValueError("scores must lie in the box [-M, 0]")
     return y
-
-
-def _check_box(y: np.ndarray, m_const: float) -> None:
-    """Raise unless every score of ``y`` lies in the box [-m_const, 0] (a
-    NaN score lies in no box)."""
-    if not (np.maximum.reduce(y, None, initial=-np.inf) <= 0.0 and np.minimum.reduce(y, None, initial=0.0) >= -m_const):
-        raise ValueError("scores must lie in the box [-M, 0]")
 
 
 def encode_allocation(inst: Instance, alloc: Allocation, m_const: float | None = None) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dc import InternalCheckError
-from .extension import _check_box, _pair_gather, _require_box, _shifted_rows, box_radius, encode_allocation
+from .extension import _pair_gather, _require_box, _shifted_rows, box_radius, encode_allocation
 from .extension import extract_allocation, greedy_allocation
 from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
 
@@ -60,11 +60,8 @@ def transfer_gain(inst: Instance, y: np.ndarray) -> np.ndarray:
     value for any scores whatsoever.  A (..., m, n) stack of score
     matrices gives the stack of their gains, laid out like ``y``.
     """
-    y = _require_box(inst, y, None, stacked=True)
-    yt = y.swapaxes(-1, -2)
-    out = np.empty_like(y)
-    _gain(yt, yt.max(axis=-2), *_pair_gather(inst), out.swapaxes(-1, -2))
-    return out
+    yt = _require_box(inst, y, None, stacked=True).swapaxes(-1, -2)
+    return _gain(yt, yt.max(axis=-2), *_pair_gather(inst), np.empty_like(yt)).swapaxes(-1, -2)
 
 
 def _gain(yt: np.ndarray, h: np.ndarray, index: np.ndarray, shift: np.ndarray, rivals: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -249,7 +246,8 @@ def picard_iterate_many(
     mapping every live start at once through one ``_clamp_step`` built for
     the run; a start leaves the stack when its undamped residual (max-norm
     distance between the point and its image) drops to ``tol``, and the
-    rest stop at ``max_iters``.  The box of every step's input is checked.
+    rest stop at ``max_iters``.  For the boxed maps each start's box is
+    checked once, and every damped update is clipped to the box.
     Each start keeps one record, its best residual and iterate, and
     reports it; every kernel treats the matrices of a stack apart, so a
     report equals that of a run from its start alone.
@@ -266,7 +264,7 @@ def picard_iterate_many(
     if max_iters < 0:
         raise ValueError("iteration cap must be nonnegative")
     m_const = box_radius(inst, m_const)
-    boxed = map_name in ("Tprime", "Ttilde")
+    box = None if map_name == "T" else m_const
     starts = [encode_allocation(inst, greedy_allocation(inst), m_const) if y0 is None else y0 for y0 in y0s]
     if not starts:
         return []
@@ -274,7 +272,7 @@ def picard_iterate_many(
     # The base: each start as an (n, m) agents-by-items matrix of one
     # C-contiguous (L, n, m) stack, so every step reduces and gathers whole
     # agent rows.  Map T is unboxed: only the shape of its start is checked.
-    yt = np.array([_require_box(inst, y0, m_const if boxed else None).T for y0 in starts])
+    yt = np.array([_require_box(inst, y0, box).T for y0 in starts])
 
     iterations = np.full(len(yt), max_iters)
     # The start behind each matrix of the live stack, and one record per
@@ -284,8 +282,6 @@ def picard_iterate_many(
     live_residual, live_best = np.full(len(yt), np.inf), yt.copy()
     best_residual, best_t = np.empty_like(live_residual), np.empty_like(yt)
     for it in range(max_iters + 1):
-        if boxed:
-            _check_box(yt, m_const)
         step_t = step(yt) - yt
         residual = np.abs(step_t).max(axis=(1, 2))
         better = residual < live_residual
@@ -302,9 +298,9 @@ def picard_iterate_many(
             break
         step_t *= alpha
         yt += step_t
-        if boxed:
+        if box is not None:
             # Damped combinations can leave the box by a rounding ulp.
-            yt.clip(-m_const, 0.0, out=yt)
+            yt.clip(-box, 0.0, out=yt)
     best_residual[live], best_t[live] = live_residual, live_best
 
     # A converged step is always a strict new best, so the record is the
