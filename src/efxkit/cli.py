@@ -88,22 +88,17 @@ def _load_matrix(path: str, key: str, inst: Instance) -> np.ndarray:
 
 
 def _prefiltered_normalized(inst: Instance) -> tuple[Instance, list[int]]:
-    """Drop agents who value every item at zero, then normalize.
+    """Drop agents who value every item at zero, then normalize; also
+    return the kept agents' 0-based indices.
 
     Such agents are never envious and receive nothing, so removing them
     keeps the EFX question unchanged; the removal is recorded in the
     certificate.
     """
-    sums = inst.values.sum(axis=0)
-    removed = [int(a) + 1 for a in np.flatnonzero(sums == 0.0)]
-    if removed:
-        keep = np.flatnonzero(sums > 0.0)
-        if keep.size < 2:
-            raise InstanceFormatError(
-                "fewer than two agents with positive total value remain after the zero-column pre-filter"
-            )
-        inst = Instance(inst.values[:, keep])
-    return normalize(inst), removed
+    keep = np.flatnonzero(inst.values.sum(axis=0) > 0.0).tolist()
+    if len(keep) < 2:
+        raise InstanceFormatError("fewer than two agents with positive total value remain after the zero-column pre-filter")
+    return normalize(Instance(inst.values[:, keep])), keep
 
 
 def _bounded(cast, ok, expected: str):
@@ -203,7 +198,8 @@ def _lovasz_run(inst: Instance, iters: int, step0: float, seed: int, tol: float)
 
 
 def cmd_lovasz(args) -> int:
-    inst, removed = _prefiltered_normalized(load_instance(args.instance))
+    loaded = load_instance(args.instance)
+    inst, keep = _prefiltered_normalized(loaded)
     x, objective, rounding = _lovasz_run(inst, args.iters, args.step0, args.seed, DEFAULT_EFX_TOL)
     payload = {
         "form": "monotone",
@@ -211,8 +207,9 @@ def cmd_lovasz(args) -> int:
         "objective": objective,
         "x": x.tolist(),
         "iterations": args.iters,
-        "removed_agents": removed,
-        "rounding": rounding,
+        "removed_agents": [a + 1 for a in range(loaded.n) if a not in keep],
+        # The draws number the kept agents; the document numbers the loaded ones.
+        "rounding": {**rounding, "owner": [keep[a - 1] + 1 for a in rounding["owner"]]},
         "verdict": "efx-found" if rounding["efx"] else "inconclusive",
     }
     _emit(args, payload)
@@ -377,7 +374,8 @@ def _compare_row(method: str, runner) -> dict:
 
 
 def cmd_compare(args) -> int:
-    inst, removed = _prefiltered_normalized(load_instance(args.instance))
+    loaded = load_instance(args.instance)
+    inst, keep = _prefiltered_normalized(loaded)
 
     def run_oracle():
         result = oracle.enumerate_efx(inst, cap=0, tol=args.tol)
@@ -416,7 +414,7 @@ def cmd_compare(args) -> int:
 
     payload = {
         "oracle_exists": oracle_exists,
-        "removed_agents": removed,
+        "removed_agents": [a + 1 for a in range(loaded.n) if a not in keep],
         "rows": rows,
         "findings": [{"method": row["method"], "flag": row["flag"]} for row in rows if row["flag"]],
     }

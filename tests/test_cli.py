@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efxkit import batch_efx_slack, cli, fixedpoint, load_instance, normalize, oracle, rowwise_round_many
+from efxkit import Allocation, batch_efx_slack, cli, fixedpoint, is_efx, load_instance, normalize, oracle, rowwise_round_many
 from efxkit.fixedpoint import SelfMapViolation
 from efxkit.instance import DEFAULT_EFX_TOL
 
@@ -176,6 +176,13 @@ def test_lovasz_prefilters_zero_value_agents(tmp_path, capsys):
     assert code == 0
     assert doc["removed_agents"] == [3]
     assert len(doc["x"][0]) == 2  # solved on the two agents that remain
+    # With the middle agent dropped, the owners still number the loaded agents.
+    inst = _instance_file(tmp_path, [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 5.0]])
+    code, doc = _run(capsys, ["lovasz", "--instance", inst])
+    assert code == 0 and doc["removed_agents"] == [2]
+    owner = doc["rounding"]["owner"]
+    assert set(owner) <= {1, 3}
+    assert is_efx(load_instance(inst), Allocation(np.array(owner) - 1)).ok == doc["rounding"]["efx"]
 
 
 def test_lovasz_needs_two_positive_agents(tmp_path, capsys):
