@@ -7,6 +7,7 @@ import pytest
 import reference_picard as ref
 from conftest import poison_gain, random_instance
 from efxkit import (
+    Allocation,
     SelfMapViolation,
     box_radius,
     encode_allocation,
@@ -15,6 +16,7 @@ from efxkit import (
     normalize,
     picard_iterate_many,
     smooth_clamp_map,
+    total_mass,
 )
 from efxkit import fixedpoint
 from efxkit.fixedpoint import MAPS
@@ -131,3 +133,44 @@ def test_the_lowest_escaping_start_raises(monkeypatch):
     assert str(stacked.value) == escapes[3]
     # Steps 0-2 map all five starts; nothing is mapped after the escape.
     assert calls == [5, 5, 5]
+
+
+def test_the_clip_keeps_every_step_input_in_the_box(monkeypatch):
+    # The boxed maps check each start's box once; every later step input is
+    # a damped update clipped to [-M, 0], even after an image below the box.
+    build = fixedpoint._clamp_step
+    inputs, images = [], []
+
+    def checking(inst_, map_name, m_const):
+        step = build(inst_, map_name, m_const)
+
+        def checked(yt):
+            inputs.append(bool(yt.max(initial=-np.inf) <= 0.0 and yt.min(initial=0.0) >= -m_const))
+            image = step(yt)
+            images.append(float(image.min(initial=0.0)) / m_const)
+            return image
+
+        return checked
+
+    monkeypatch.setattr(fixedpoint, "_clamp_step", checking)
+    for m, n in ((6, 3), (5, 4)):
+        inst = normalize(random_instance(m * n, m, n))
+        rng = np.random.default_rng(m * n)
+        for radius in (None, np.nextafter(2.0 * total_mass(inst), np.inf)):
+            box = box_radius(inst, radius)
+            encodings = [encode_allocation(inst, Allocation(owner), radius) for owner in rng.integers(0, n, size=(2, m))]
+            starts = [None, *encodings, *rng.uniform(-box, 0.0, size=(3, m, n))]
+            for map_name in ("Tprime", "Ttilde"):
+                picard_iterate_many(inst, starts, map_name, max_iters=200, m_const=radius)
+    assert len(inputs) > 100 and all(inputs)
+    assert min(images) >= -1.0
+
+    # With its gain raised by 10 M at the greedy encoding, T-prime's image
+    # there falls below -2 M, so the half-damped update leaves the box; the
+    # clip brings that input and every later one back inside.
+    inst = normalize(random_instance(7, 6, 3))
+    poison_gain(monkeypatch, [encode_allocation(inst, fixedpoint.greedy_allocation(inst))], 10.0 * box_radius(inst))
+    inputs.clear()
+    images.clear()
+    picard_iterate_many(inst, [None], "Tprime")
+    assert images[0] < -2.0 and len(inputs) > 2 and all(inputs)
