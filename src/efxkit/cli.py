@@ -98,7 +98,7 @@ def _prefiltered_normalized(inst: Instance) -> tuple[Instance, list[int]]:
     keep = np.flatnonzero(inst.values.sum(axis=0) > 0.0).tolist()
     if len(keep) < 2:
         raise InstanceFormatError("fewer than two agents with positive total value remain after the zero-column pre-filter")
-    return normalize(Instance(inst.values[:, keep])), keep
+    return normalize(Instance(inst.values.take(keep, axis=1))), keep
 
 
 def _bounded(cast, ok, expected: str):

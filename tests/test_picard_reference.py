@@ -1,5 +1,6 @@
 """The stacked Picard driver against the one-start reference loop, byte for
-byte, and the step at which it reports an escape from the box."""
+byte, the step at which it reports an escape from the box, and the clip that
+keeps every step's input inside it."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from efxkit import (
     total_mass,
 )
 from efxkit import fixedpoint
+from efxkit.extension import greedy_allocation
 from efxkit.fixedpoint import MAPS
 
 # Shapes (items, agents) from n = 2 to the (10,5) shape of the bench; the
@@ -169,7 +171,7 @@ def test_the_clip_keeps_every_step_input_in_the_box(monkeypatch):
     # there falls below -2 M, so the half-damped update leaves the box; the
     # clip brings that input and every later one back inside.
     inst = normalize(random_instance(7, 6, 3))
-    poison_gain(monkeypatch, [encode_allocation(inst, fixedpoint.greedy_allocation(inst))], 10.0 * box_radius(inst))
+    poison_gain(monkeypatch, [encode_allocation(inst, greedy_allocation(inst))], 10.0 * box_radius(inst))
     inputs.clear()
     images.clear()
     picard_iterate_many(inst, [None], "Tprime")
