@@ -208,8 +208,8 @@ def _require_box(inst: Instance, y: np.ndarray, m_const: float | None, stacked: 
     them when ``stacked``, in the box [-m_const, 0] unless ``m_const`` is
     None.  Every public score readout takes its scores, and ``rounding_bound``
     and the Lovász readouts their point, through here: the shape is always
-    checked, the box only for the boxed maps and starts, where every score
-    must lie in [-m_const, 0] (a NaN score lies in no box)."""
+    checked, the box only for the boxed maps and starts (a NaN score lies
+    in no box)."""
     y = np.asarray(y, dtype=float)
     if (y.shape[-2:] if stacked else y.shape) != (inst.m, inst.n):
         raise ValueError(f"scores must be an items-by-agents matrix of shape {(inst.m, inst.n)}, got {y.shape}")
