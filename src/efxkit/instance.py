@@ -61,7 +61,8 @@ class Instance:
     normalized: bool = False
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        # C order: the solvers' sums follow the memory layout, so every input gives the same floats.
+        values = np.array(self.values, dtype=float, order="C")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.ndim != 2:

@@ -7,19 +7,22 @@ prefix (the most significant digits) and a suffix, a meet-in-the-middle
 split: both halves' owner rows are read off ``np.indices`` and their pair
 tables built once (per block when n is so large that they would not fit),
 and each block of prefix rows is combined with suffix rows by broadcast,
-O(n^2) per allocation.  Each allocation's worst gap folds the rivals
-before adding the envious agent's base term and skips the clamp of an
-empty bundle's reduced value at zero, which the worst gap never needs;
-both are exact (see ``instance._worst_gap``).  Once the witness list is
-full the scan only counts.  The scan stays single-threaded and
-prefix-major, so results and witness order are deterministic.  A guard
-caps the search at 10^7 owner vectors; nothing in this package concludes
-"no EFX allocation exists" except this scan, run within the guard.  The EFX
-slack is read from ``instance._reduced_values``, the kernel behind
-``is_efx``, so the scan and the single-allocation check agree bit for bit
-by construction.  The smallest worst-pair slack over the scan is the exact
-integral minimum of the existence objective: an EFX allocation exists
-exactly when it is nonpositive.
+O(n^2) per allocation.  A block of several prefix rows reads suffix
+tables copied once per scan to its prefix-row count, so only the prefix
+side broadcasts: numpy runs an elementwise op broadcast on both sides
+markedly slower than one with a side materialized.  Each allocation's
+worst gap folds the rivals before adding the envious agent's base term
+and skips the clamp of an empty bundle's reduced value at zero, which the
+worst gap never needs; both are exact (see ``instance._worst_gap``).
+Once the witness list is full the scan only counts.  The scan stays
+single-threaded and prefix-major, so results and witness order are
+deterministic.  A guard caps the search at 10^7 owner vectors; nothing in
+this package concludes "no EFX allocation exists" except this scan, run
+within the guard.  The EFX slack is read from ``instance._reduced_values``,
+the kernel behind ``is_efx``, so the scan and the single-allocation check
+agree bit for bit by construction.  The smallest worst-pair slack over the
+scan is the exact integral minimum of the existence objective: an EFX
+allocation exists exactly when it is nonpositive.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ def _scan(inst: Instance, guard: int):
     the scan order.  Both halves' owner rows are built once.  Their
     tables are built once too when the suffix tables hold at most
     ``_TABLE_CAP`` entries (the prefix half is never the larger), and per
-    block otherwise.
+    block otherwise.  With cached tables, blocks of several prefix rows
+    read the suffix tables repeated once per scan to that many rows.
     """
     m, n = inst.m, inst.n
     size = n**m
@@ -90,12 +94,23 @@ def _scan(inst: Instance, guard: int):
             return _half_tables(values[half], owners[half][rows])
         return [table[..., rows] for table in cached[half]]
 
+    # A block of several prefix rows spans every suffix row.  Its suffix
+    # tables are materialized, at most about _BLOCK entries each, because
+    # numpy runs an op broadcast on both sides markedly slower.
+    tiled = None
+    height = min(prefix_step, n**p)
+    if cached is not None and height > 1:
+        tiled = [np.repeat(table[..., None, :], height, axis=-2) for table in cached[1]]
+
     for start in range(0, n**p, prefix_step):
         rows = slice(start, start + prefix_step)
         prefix = [table[..., None] for table in tables(0, rows)]
         for cut in range(0, suffix_size, suffix_step):
             cols = slice(cut, cut + suffix_step)
-            suffix = [table[..., None, :] for table in tables(1, cols)]
+            if tiled is None:
+                suffix = [table[..., None, :] for table in tables(1, cols)]
+            else:
+                suffix = [table[..., : prefix[0].shape[-2], :] for table in tiled]
             yield owners[0][rows], owners[1][cols], _worst_gap(prefix, suffix)
 
 

@@ -17,6 +17,7 @@ from efxkit import (
     is_efx,
     load_allocation,
     load_instance,
+    minimize_relaxation,
     normalize,
     total_mass,
 )
@@ -87,6 +88,19 @@ def test_load_instance_errors(tmp_path):
         load_instance(bad)
     with pytest.raises(InstanceFormatError):
         load_instance(tmp_path / "missing.json")
+
+
+def test_values_are_stored_c_ordered():
+    # The Lovász descent's sums follow the memory layout, so a Fortran-ordered
+    # input gave other floats in the last bits before the values were copied
+    # in C order.
+    values = np.random.default_rng(5).random((9, 4))
+    fortran = Instance(np.asfortranarray(values))
+    assert fortran.values.flags.c_contiguous
+    want = minimize_relaxation(normalize(Instance(values)))
+    got = minimize_relaxation(normalize(fortran))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 
 
 def test_total_mass_and_normalize(i0_raw):

@@ -131,6 +131,33 @@ def test_block_sizes_leave_results_unchanged(monkeypatch, block, table_cap):
             assert got.min_slack == scan.min_slack
 
 
+def test_blocks_of_several_prefix_rows_broadcast_only_the_prefix(monkeypatch):
+    # A block of several prefix rows reads suffix tables already shaped
+    # like its result, so only the prefix tables broadcast.  (8, 3) has 81
+    # prefix rows at 67 per block, and (6, 4) 64 at 42, so each scan ends
+    # on a partial block.
+    heights = []
+
+    def checked(prefix, suffix):
+        got = _worst_gap(prefix, suffix)
+        if got.shape[0] > 1:
+            assert [table.shape[-2:] for table in suffix] == [got.shape] * 3
+            heights.append(got.shape[0])
+        return got
+
+    monkeypatch.setattr(oracle, "_worst_gap", checked)
+    for m, n in ((8, 3), (6, 4)):
+        for kind, inst in _kinds(m, n, seed=m + n):
+            want_min = min(worst.min() for _, worst in ref._scan(inst, oracle.SCAN_GUARD))
+            for cap in CAPS:
+                heights.clear()
+                got = enumerate_efx(inst, cap=cap)
+                want = ref.enumerate_efx(inst, cap=cap)
+                assert heights == ([67, 14] if n == 3 else [42, 22]), (kind, cap)
+                assert (got.witness_count, _owners(got)) == (want.witness_count, _owners(want)), (kind, cap)
+                assert got.min_slack == pytest.approx(want_min, rel=0.0, abs=1e-12), (kind, cap)
+
+
 @pytest.mark.parametrize("table_cap", [oracle._TABLE_CAP, 0])
 def test_folded_worst_gap_is_the_pair_maximum_byte_for_byte(monkeypatch, table_cap):
     # The scan folds the rivals before adding the base term.  Comparing
