@@ -61,8 +61,7 @@ class Instance:
     normalized: bool = False
 
     def __post_init__(self):
-        # C order: the solvers' sums follow the memory layout, so every input gives the same floats.
-        values = np.array(self.values, dtype=float, order="C")
+        values = np.array(self.values, dtype=float, order="C")  # the solvers' sums follow the layout
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.ndim != 2:

@@ -68,8 +68,7 @@ def _scan(inst: Instance, guard: int):
     the scan order.  Both halves' owner rows are built once.  Their
     tables are built once too when the suffix tables hold at most
     ``_TABLE_CAP`` entries (the prefix half is never the larger), and per
-    block otherwise.  With cached tables, blocks of several prefix rows
-    read the suffix tables repeated once per scan to that many rows.
+    block otherwise.
     """
     m, n = inst.m, inst.n
     size = n**m

@@ -92,8 +92,7 @@ def test_load_instance_errors(tmp_path):
 
 def test_values_are_stored_c_ordered():
     # The Lovász descent's sums follow the memory layout, so a Fortran-ordered
-    # input gave other floats in the last bits before the values were copied
-    # in C order.
+    # input gives the same floats only once it is stored in C order.
     values = np.random.default_rng(5).random((9, 4))
     fortran = Instance(np.asfortranarray(values))
     assert fortran.values.flags.c_contiguous
