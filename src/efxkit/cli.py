@@ -4,7 +4,7 @@ Subcommands
     gen         draw a random instance document
     check       verify an allocation document against an instance
     oracle      exhaustive EFX scan with witnesses
-    lovasz      relaxation descent plus row-wise rounding of its point
+    lovasz      relaxation descent, rounding its point at checkpoints
     extension   evaluate the smooth bound and the existence objective
     dca         LP-based descent on the existence objective
     fixedpoint  damped Picard iteration of a clamp map
@@ -176,18 +176,16 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _lovasz_run(inst: Instance, iters: int, step0: float, seed: int, tol: float) -> tuple:
-    """Relaxation descent, then ``LOVASZ_DRAWS`` seeded row-wise roundings of
-    its point scored in one batch: x, the objective and the document's
-    ``rounding`` block, whose pick is the first draw with the smallest slack,
-    rechecked with ``tol``."""
-    x, objective = lovasz.minimize_relaxation(inst, iters=iters, step0=step0)
+def _round_draws(inst: Instance, x: np.ndarray, seed: int, tol: float) -> dict:
+    """``LOVASZ_DRAWS`` seeded row-wise roundings of x scored in one batch:
+    the document's ``rounding`` block, whose pick is the first draw with the
+    smallest slack, rechecked with ``tol``."""
     owners = extension.rowwise_round_many(x, seed, LOVASZ_DRAWS)
     slacks = oracle.batch_efx_slack(inst, owners)
     pick = int(slacks.argmin())
     allocation = Allocation(owners[pick])
     report = is_efx(inst, allocation, tol)
-    rounding = {
+    return {
         "draws": LOVASZ_DRAWS,
         "pick": pick,
         "slack": report.slack,
@@ -195,19 +193,36 @@ def _lovasz_run(inst: Instance, iters: int, step0: float, seed: int, tol: float)
         "owner": allocation_to_doc(allocation)["owner"],
         "efx": report.ok,
     }
-    return x, objective, rounding
+
+
+def _lovasz_run(inst: Instance, budget: int, step0: float, seed: int, tol: float) -> tuple:
+    """Anytime relaxation descent: at every checkpoint of
+    ``lovasz.checkpoints(budget)`` the best iterate so far is rounded by
+    ``_round_draws``, with the same ``seed`` at every checkpoint, and the run
+    stops at the first rechecked EFX draw or at the budget.  Returns that
+    iterate, its objective, the document's ``iterations`` (steps taken),
+    ``stopped_at`` (the stopping checkpoint, or None without an EFX draw)
+    and ``checkpoints`` (how many were run), and the last ``rounding``."""
+    ladder = lovasz.checkpoints(budget)
+    for step, _, x, objective in lovasz._descent(inst, step0):
+        if step in ladder:
+            rounding = _round_draws(inst, x, seed, tol)
+            if rounding["efx"] or step == budget:
+                break
+    run = {"iterations": step, "stopped_at": step if rounding["efx"] else None, "checkpoints": ladder.index(step) + 1}
+    return x, objective, run, rounding
 
 
 def cmd_lovasz(args) -> int:
     loaded = load_instance(args.instance)
     inst, keep = _prefiltered_normalized(loaded)
-    x, objective, rounding = _lovasz_run(inst, args.iters, args.step0, args.seed, DEFAULT_EFX_TOL)
+    x, objective, run, rounding = _lovasz_run(inst, args.iters, args.step0, args.seed, DEFAULT_EFX_TOL)
     payload = {
+        **run,
         "form": "monotone",
         "threshold": lovasz.MONOTONE_THRESHOLD,
         "objective": objective,
         "x": x.tolist(),
-        "iterations": args.iters,
         "removed_agents": [a + 1 for a in range(loaded.n) if a not in keep],
         # The draws number the kept agents; the document numbers the loaded ones.
         "rounding": {**rounding, "owner": [keep[a - 1] + 1 for a in rounding["owner"]]},
@@ -384,8 +399,8 @@ def cmd_compare(args) -> int:
 
     # The solver rows run the commands' runners at the commands' defaults.
     def run_lovasz():
-        _, objective, rounding = _lovasz_run(inst, lovasz.DEFAULT_ITERS, lovasz.DEFAULT_STEP0, args.seed, args.tol)
-        return rounding["efx"], objective, lovasz.DEFAULT_ITERS
+        _, objective, run, rounding = _lovasz_run(inst, lovasz.ANYTIME_BUDGET, lovasz.ANYTIME_STEP0, args.seed, args.tol)
+        return rounding["efx"], objective, run["iterations"]
 
     def run_dca():
         [run] = _dca_runs(dc.build_lp(inst), 1, args.seed, efx_tol=args.tol)
@@ -463,8 +478,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("lovasz", help="relaxation descent plus row-wise rounding", parents=[instance, seed, output])
-    p.add_argument("--iters", type=_positive_int, default=lovasz.DEFAULT_ITERS, help="subgradient steps, at least 1")
-    p.add_argument("--step0", type=_positive_float, default=lovasz.DEFAULT_STEP0)
+    p.add_argument("--iters", type=_positive_int, default=lovasz.ANYTIME_BUDGET, help="subgradient step budget, at least 1")
+    p.add_argument("--step0", type=_positive_float, default=lovasz.ANYTIME_STEP0)
     p.set_defaults(func=cmd_lovasz)
 
     p = sub.add_parser("extension", help="evaluate the smooth bound")

@@ -133,6 +133,11 @@ def build_lp(inst: Instance, m_const: float | None = None) -> DescentLP:
     return DescentLP(inst, m_const, a, np.concatenate([np.zeros(n_pairs * m), rhs.ravel()]), lower, upper)
 
 
+def _magnitude(lp: DescentLP) -> float:
+    """The LP's largest bound, the magnitude its rounding-level checks scale with."""
+    return max(np.abs(lp.lower).max(), np.abs(lp.upper).max())
+
+
 def solve_lp(lp: DescentLP, selection: np.ndarray) -> LPSolution:
     """Solve one descent step's LP and recheck the vertex.
 
@@ -155,7 +160,7 @@ def solve_lp(lp: DescentLP, selection: np.ndarray) -> LPSolution:
     if result.status != "optimal":
         return LPSolution(result.status, None, None, None, None, result.pivots)
     point = result.x + lp.lower
-    tol = simplex._scaled_tol(RECHECK_TOL, max(np.abs(lp.lower).max(), np.abs(lp.upper).max()))
+    tol = simplex._scaled_tol(RECHECK_TOL, _magnitude(lp))
     if np.any(lp.a @ point > lp.b + tol) or np.any(point < lp.lower - tol) or np.any(point > lp.upper + tol):
         return LPSolution("numeric-failure", None, None, None, None, result.pivots)
     y, z, w = point[: m * n].reshape(m, n), point[m * n : -1].reshape(m, -1), float(point[-1])
@@ -191,7 +196,8 @@ def dca_solve(
     agent), solves the LP from ``lp.phase_one``, which descents from many
     starts may share, and stops once the iterate moves by at most ``delta``
     in the max norm; a repeated selection reuses the previous solution.  LP
-    objective values are checked to be non-increasing; the extracted
+    objective values are checked to be non-increasing, to ``DESCENT_SLACK``
+    or 4096 ulps of the LP's largest bound, as ``solve_lp`` rechecks; the extracted
     allocation is the row argmax of the final scores and its EFX verdict is
     checked independently.
     """
@@ -202,6 +208,7 @@ def dca_solve(
 
     trace: list[dict] = []
     previous_objective = np.inf
+    descent_slack = simplex._scaled_tol(DESCENT_SLACK, _magnitude(lp))
     status = "max-iters"
     solved = None  # (selection, LPSolution) of the last LP solved
     for t in range(max_iters):
@@ -215,7 +222,7 @@ def dca_solve(
         if sol.status != "optimal":
             status = "lp-failure"
             break
-        if sol.objective > previous_objective + DESCENT_SLACK:
+        if sol.objective > previous_objective + descent_slack:
             raise InternalCheckError(
                 f"descent violated at step {t}: {previous_objective} -> {sol.objective}"
             )

@@ -13,12 +13,18 @@ Every pair's extension, the objective and the descent's worst-pair
 subgradient are read from one builder, ``_relaxation``, which sorts each
 column once, builds all pairs' coefficients from that sort into one
 C-contiguous buffer so BLAS sums as in a lone dot, and is built once per
-descent run.  The module returns fractional points only: the ``lovasz``
-command rounds the descent's point with the paper's row-wise rounding,
-``extension.rowwise_round_many``, and rechecks the best draw exactly.
+descent run.  The descent is one generator, ``_descent``, which yields the
+best iterate after every step: ``minimize_relaxation`` takes a fixed number
+of steps, and the ``lovasz`` command walks it anytime, up to a step budget,
+rounding the best iterate at each step of ``checkpoints`` with the paper's
+row-wise rounding, ``extension.rowwise_round_many``, and stopping at the
+first draw that an exact recheck calls EFX.  The module itself returns
+fractional points only.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,6 +35,11 @@ ROW_SUM_TOL = 1e-10
 MONOTONE_THRESHOLD = 1.0
 DEFAULT_STEP0 = 0.5
 DEFAULT_ITERS = 500
+# The lovasz command's anytime runner: its step budget, step0 and rounding ladder.
+ANYTIME_BUDGET = 2000
+ANYTIME_STEP0 = 1.0
+CHECKPOINTS = (0, 25, 50, 100, 200)
+CHECKPOINT_STRIDE = 400
 
 
 def _relaxation(inst: Instance):
@@ -149,40 +160,64 @@ def project_rows_to_simplex(x: np.ndarray) -> np.ndarray:
     return _project_rows(x, np.arange(m), np.arange(1, n + 1))
 
 
+def checkpoints(budget: int) -> list[int]:
+    """The steps at which the ``lovasz`` runner rounds under a step budget:
+    ``CHECKPOINTS``, then every ``CHECKPOINT_STRIDE`` steps, each below the
+    budget, and last the budget itself."""
+    ladder = [k for k in CHECKPOINTS if k < budget]
+    return ladder + list(range(CHECKPOINT_STRIDE, budget, CHECKPOINT_STRIDE)) + [budget]
+
+
+def _descent(inst: Instance, step0: float):
+    """Projected subgradient descent from the uniform point, without end.
+
+    Yields ``(step, value, best_x, best_value)`` after step 0 and after every
+    step: the current iterate's value and the best iterate so far.  Step t
+    moves along the subgradient of the worst pair (ties to the
+    lexicographically first pair) by step0 / sqrt(t) and projects the rows
+    back onto the simplex in place in the subgradient's buffer, so a yielded
+    point is never written again.  ``_relaxation`` is built once.  Callers
+    check that ``inst`` is normalized and step0 positive and finite.
+    """
+    _, worst_pair = _relaxation(inst)
+    rows, ranks = np.arange(inst.m), np.arange(1, inst.n + 1)
+    best_x = x = uniform_point(inst)
+    best_value, grad = worst_pair(x)
+    value, step = best_value, 0
+    while True:
+        yield step, value, best_x, best_value
+        step += 1
+        grad *= -(step0 / math.sqrt(step))
+        grad += x  # x - s * grad bit for bit
+        x = _project_rows(grad, rows, ranks)
+        value, grad = worst_pair(x)
+        if value < best_value:
+            best_value, best_x = value, x
+
+
 def minimize_relaxation(
     inst: Instance,
     iters: int = DEFAULT_ITERS,
     step0: float = DEFAULT_STEP0,
     return_trace: bool = False,
 ):
-    """Projected subgradient descent on the relaxation objective.
+    """The best iterate of ``iters`` steps of ``_descent``, which the
+    ``lovasz`` command's runner walks too.
 
-    Starts from the uniform point, steps with step0 / sqrt(t) along the
-    subgradient of the worst pair (ties to the lexicographically first
-    pair), projects every iterate's rows back onto the simplex, and keeps
-    the best iterate seen.  The loop is deterministic: it builds ``_relaxation``
-    once and projects each step in place in the subgradient's buffer.
-    Returns (best point, best value), plus the per-iterate value trace when
-    ``return_trace`` is set.  Raises ``ValueError`` on an instance that is not
-    normalized, a negative ``iters``, or a step0 that is not positive and finite.
+    The loop is deterministic.  Returns (best point, best value), plus the
+    per-iterate value trace when ``return_trace`` is set.  Raises
+    ``ValueError`` on an instance that is not normalized, a negative
+    ``iters``, or a step0 that is not positive and finite.
     """
     if not inst.normalized:
         raise ValueError("the relaxation objective requires a normalized instance")
     if iters < 0 or not 0.0 < step0 < np.inf:
         raise ValueError(f"iters must be nonnegative and step0 positive and finite, got {iters!r} and {step0!r}")
-    _, worst_pair = _relaxation(inst)
-    rows, ranks = np.arange(inst.m), np.arange(1, inst.n + 1)
-    best_x = x = uniform_point(inst)
-    best_value, grad = worst_pair(x)
-    trace = [best_value]
-    for s in step0 / np.sqrt(np.arange(1, iters + 1)):
-        grad *= -s
-        grad += x  # x - s * grad bit for bit
-        x = _project_rows(grad, rows, ranks)
-        value, grad = worst_pair(x)
+    trace = []
+    for step, value, best_x, best_value in _descent(inst, step0):
         trace.append(value)
-        if value < best_value:
-            best_value, best_x = value, x
+        if step == iters:
+            break
     if return_trace:
         return best_x, float(best_value), trace
     return best_x, float(best_value)

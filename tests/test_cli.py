@@ -13,7 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efxkit import Allocation, batch_efx_slack, cli, fixedpoint, is_efx, load_instance, normalize, oracle, rowwise_round_many
+from efxkit import (
+    Allocation,
+    batch_efx_slack,
+    cli,
+    fixedpoint,
+    generate_instance,
+    is_efx,
+    load_instance,
+    lovasz,
+    minimize_relaxation,
+    normalize,
+    oracle,
+    rowwise_round_many,
+)
 from efxkit.fixedpoint import SelfMapViolation
 from efxkit.instance import DEFAULT_EFX_TOL
 
@@ -169,6 +182,53 @@ def test_lovasz_picks_the_first_best_of_its_draws(capsys, shape):
     assert rounding["slack"] == slacks.min()
 
 
+def _gen(tmp_path, m, n, seed):
+    path = str(tmp_path / f"gen-{m}x{n}-{seed}.json")
+    assert cli.main(["gen", "--m", str(m), "--n", str(n), "--seed", str(seed), "--output", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("seed, stop, checkpoints", [(4, 0, 1), (1, 25, 2), (5, 50, 3), (6, 100, 4)])
+def test_lovasz_stops_at_a_checkpoint_with_the_point_of_that_many_steps(tmp_path, capsys, seed, stop, checkpoints):
+    # (12,4) uniform01 instances whose first EFX draw comes at different checkpoints.
+    path = _gen(tmp_path, 12, 4, seed)
+    code, doc = _run(capsys, ["lovasz", "--instance", path])
+    assert code == 0 and doc["verdict"] == "efx-found"
+    assert (doc["stopped_at"], doc["iterations"], doc["checkpoints"]) == (stop, stop, checkpoints)
+    x, objective = minimize_relaxation(normalize(load_instance(path)), iters=stop, step0=doc["config"]["step0"])
+    assert np.array(doc["x"]).tobytes() == x.tobytes()
+    assert doc["objective"] == objective
+
+
+def test_lovasz_budget_cuts_the_ladder_and_rounds_at_the_budget(tmp_path, capsys):
+    assert lovasz.checkpoints(2000) == [0, 25, 50, 100, 200, 400, 800, 1200, 1600, 2000]
+    assert lovasz.checkpoints(400) == [0, 25, 50, 100, 200, 400]
+    assert lovasz.checkpoints(30) == [0, 25, 30]
+    assert lovasz.checkpoints(1) == [0, 1]
+    # This instance's first EFX draw comes at checkpoint 50 under the full
+    # budget; a budget of 40 rounds at 0, 25 and 40, and finds one at 40.
+    path = _gen(tmp_path, 12, 4, 5)
+    code, doc = _run(capsys, ["lovasz", "--instance", path, "--iters", "40"])
+    assert code == 0 and doc["verdict"] == "efx-found"
+    assert (doc["stopped_at"], doc["iterations"], doc["checkpoints"]) == (40, 40, 3)
+    inst = normalize(load_instance(path))
+    x, objective = minimize_relaxation(inst, iters=40, step0=doc["config"]["step0"])
+    assert np.array(doc["x"]).tobytes() == x.tobytes() and doc["objective"] == objective
+    owners = rowwise_round_many(x, doc["config"]["seed"], 64)
+    assert doc["rounding"]["owner"] == (owners[batch_efx_slack(inst, owners).argmin()] + 1).tolist()
+
+
+def test_lovasz_without_an_efx_draw_spends_its_budget(tmp_path, capsys):
+    # No draw at (24,6) seed 0 is EFX in the first 60 steps, step 0's included.
+    path = _gen(tmp_path, 24, 6, 0)
+    code, doc = _run(capsys, ["lovasz", "--instance", path, "--iters", "60"])
+    assert code == 0 and doc["verdict"] == "inconclusive"
+    assert (doc["stopped_at"], doc["iterations"], doc["checkpoints"]) == (None, 60, 4)
+    assert doc["rounding"]["efx"] is False and doc["rounding"]["efx_draws"] == 0
+    x, objective = minimize_relaxation(normalize(load_instance(path)), iters=60, step0=doc["config"]["step0"])
+    assert np.array(doc["x"]).tobytes() == x.tobytes() and doc["objective"] == objective
+
+
 def test_lovasz_prefilters_zero_value_agents(tmp_path, capsys):
     values = [[4.0, 1.0, 0.0], [2.0, 1.0, 0.0], [2.0, 2.0, 0.0]]
     inst = _instance_file(tmp_path, values)
@@ -280,6 +340,16 @@ def test_dca_multi_start_is_deterministic(tmp_path):
     assert len(doc["starts"]) == 3
 
 
+def test_dca_descent_check_scales_with_the_values(tmp_path, capsys):
+    # At 1.3e7 a start's LP objective rose by 4.8e-7, rounding error at that
+    # magnitude, which an absolute 1e-9 slack called a violated descent.
+    values = generate_instance(7, 4, "integer", 4).values * 1e6
+    inst = _instance_file(tmp_path, values)
+    code, doc = _run(capsys, ["dca", "--instance", inst, "--starts", "4"])
+    assert code == 0, capsys.readouterr().err
+    assert len(doc["starts"]) == 4
+
+
 def test_fixedpoint_reports_all_starts(tmp_path, capsys):
     inst = _instance_file(tmp_path, I0_NORM)
     code, doc = _run(
@@ -375,9 +445,10 @@ def test_compare_rows_run_what_the_commands_run(tmp_path, capsys, seed):
     rows = {row["method"]: row for row in doc["rows"]}
     code, lovasz_doc = _run(capsys, ["lovasz", "--instance", inst, "--seed", seed])
     assert code == 0
-    assert (rows["lovasz"]["found_efx"], rows["lovasz"]["objective"]) == (
+    assert (rows["lovasz"]["found_efx"], rows["lovasz"]["objective"], rows["lovasz"]["iterations"]) == (
         lovasz_doc["rounding"]["efx"],
         lovasz_doc["objective"],
+        lovasz_doc["iterations"],
     )
     code, dca_doc = _run(capsys, ["dca", "--instance", inst])
     assert code == 0
