@@ -46,7 +46,6 @@ from .instance import (
 from .lovasz import (
     envy_gap_extension,
     in_partition_polytope,
-    minimize_relaxation,
     monotone_envy_gap_extension,
     project_rows_to_simplex,
     relaxation_objective,

@@ -204,12 +204,15 @@ def _lovasz_run(inst: Instance, budget: int, step0: float, seed: int, tol: float
     ``stopped_at`` (the stopping checkpoint, or None without an EFX draw)
     and ``checkpoints`` (how many were run), and the last ``rounding``."""
     ladder = lovasz.checkpoints(budget)
-    for step, _, x, objective in lovasz._descent(inst, step0):
-        if step in ladder:
+    due, rounds = next(ladder), 0
+    for step, _, x, objective in lovasz.descend(inst, step0):
+        if step == due:
             rounding = _round_draws(inst, x, seed, tol)
+            rounds += 1
             if rounding["efx"] or step == budget:
                 break
-    run = {"iterations": step, "stopped_at": step if rounding["efx"] else None, "checkpoints": ladder.index(step) + 1}
+            due = next(ladder)
+    run = {"iterations": step, "stopped_at": step if rounding["efx"] else None, "checkpoints": rounds}
     return x, objective, run, rounding
 
 

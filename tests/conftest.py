@@ -1,10 +1,11 @@
 """Shared fixtures: the worked 3-item/2-agent instance, random factories,
-and a poisoned transfer gain that forces escapes from the score box."""
+a fixed-length walk of the Lovász descent, and a poisoned transfer gain
+that forces escapes from the score box."""
 
 import numpy as np
 import pytest
 
-from efxkit import Instance, fixedpoint, generate_instance, normalize
+from efxkit import Instance, fixedpoint, generate_instance, lovasz, normalize
 
 
 @pytest.fixture
@@ -27,6 +28,17 @@ def random_polytope_point(rng: np.random.Generator, m: int, n: int) -> np.ndarra
     """A random fractional allocation with rows on the simplex."""
     x = rng.random((m, n)) + 1e-3
     return x / x.sum(axis=1, keepdims=True)
+
+
+def descend_to(inst: Instance, iters: int, step0: float) -> tuple[np.ndarray, float, list[float]]:
+    """Walk ``lovasz.descend`` to step ``iters`` and return the best point,
+    its value and every iterate's value, as the per-pair reference's
+    ``minimize_relaxation`` does."""
+    trace = []
+    for step, value, best_x, best_value in lovasz.descend(inst, step0):
+        trace.append(value)
+        if step == iters:
+            return best_x, best_value, trace
 
 
 def poison_gain(monkeypatch, points, amount: float) -> list[int]:

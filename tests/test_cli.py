@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import descend_to
 from efxkit import (
     Allocation,
     batch_efx_slack,
@@ -22,7 +23,6 @@ from efxkit import (
     is_efx,
     load_instance,
     lovasz,
-    minimize_relaxation,
     normalize,
     oracle,
     rowwise_round_many,
@@ -195,16 +195,16 @@ def test_lovasz_stops_at_a_checkpoint_with_the_point_of_that_many_steps(tmp_path
     code, doc = _run(capsys, ["lovasz", "--instance", path])
     assert code == 0 and doc["verdict"] == "efx-found"
     assert (doc["stopped_at"], doc["iterations"], doc["checkpoints"]) == (stop, stop, checkpoints)
-    x, objective = minimize_relaxation(normalize(load_instance(path)), iters=stop, step0=doc["config"]["step0"])
+    x, objective, _ = descend_to(normalize(load_instance(path)), stop, doc["config"]["step0"])
     assert np.array(doc["x"]).tobytes() == x.tobytes()
     assert doc["objective"] == objective
 
 
 def test_lovasz_budget_cuts_the_ladder_and_rounds_at_the_budget(tmp_path, capsys):
-    assert lovasz.checkpoints(2000) == [0, 25, 50, 100, 200, 400, 800, 1200, 1600, 2000]
-    assert lovasz.checkpoints(400) == [0, 25, 50, 100, 200, 400]
-    assert lovasz.checkpoints(30) == [0, 25, 30]
-    assert lovasz.checkpoints(1) == [0, 1]
+    assert list(lovasz.checkpoints(2000)) == [0, 25, 50, 100, 200, 400, 800, 1200, 1600, 2000]
+    assert list(lovasz.checkpoints(400)) == [0, 25, 50, 100, 200, 400]
+    assert list(lovasz.checkpoints(30)) == [0, 25, 30]
+    assert list(lovasz.checkpoints(1)) == [0, 1]
     # This instance's first EFX draw comes at checkpoint 50 under the full
     # budget; a budget of 40 rounds at 0, 25 and 40, and finds one at 40.
     path = _gen(tmp_path, 12, 4, 5)
@@ -212,10 +212,18 @@ def test_lovasz_budget_cuts_the_ladder_and_rounds_at_the_budget(tmp_path, capsys
     assert code == 0 and doc["verdict"] == "efx-found"
     assert (doc["stopped_at"], doc["iterations"], doc["checkpoints"]) == (40, 40, 3)
     inst = normalize(load_instance(path))
-    x, objective = minimize_relaxation(inst, iters=40, step0=doc["config"]["step0"])
+    x, objective, _ = descend_to(inst, 40, doc["config"]["step0"])
     assert np.array(doc["x"]).tobytes() == x.tobytes() and doc["objective"] == objective
     owners = rowwise_round_many(x, doc["config"]["seed"], 64)
     assert doc["rounding"]["owner"] == (owners[batch_efx_slack(inst, owners).argmin()] + 1).tolist()
+
+
+def test_lovasz_takes_a_budget_far_past_memory_without_building_its_ladder(capsys):
+    # The ladder is walked lazily, so a budget of 10**18 steps costs nothing
+    # until its checkpoints are due; this instance's first draws find EFX.
+    code, doc = _run(capsys, ["lovasz", "--instance", str(GOLDEN / "gen-6x3.json"), "--iters", str(10**18)])
+    assert code == 0 and doc["verdict"] == "efx-found"
+    assert (doc["stopped_at"], doc["iterations"], doc["checkpoints"]) == (0, 0, 1)
 
 
 def test_lovasz_without_an_efx_draw_spends_its_budget(tmp_path, capsys):
@@ -225,7 +233,7 @@ def test_lovasz_without_an_efx_draw_spends_its_budget(tmp_path, capsys):
     assert code == 0 and doc["verdict"] == "inconclusive"
     assert (doc["stopped_at"], doc["iterations"], doc["checkpoints"]) == (None, 60, 4)
     assert doc["rounding"]["efx"] is False and doc["rounding"]["efx_draws"] == 0
-    x, objective = minimize_relaxation(normalize(load_instance(path)), iters=60, step0=doc["config"]["step0"])
+    x, objective, _ = descend_to(normalize(load_instance(path)), 60, doc["config"]["step0"])
     assert np.array(doc["x"]).tobytes() == x.tobytes() and doc["objective"] == objective
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import descend_to, random_instance
 from efxkit import (
     Allocation,
     Instance,
@@ -17,7 +17,6 @@ from efxkit import (
     is_efx,
     load_allocation,
     load_instance,
-    minimize_relaxation,
     normalize,
     total_mass,
 )
@@ -96,8 +95,8 @@ def test_values_are_stored_c_ordered():
     values = np.random.default_rng(5).random((9, 4))
     fortran = Instance(np.asfortranarray(values))
     assert fortran.values.flags.c_contiguous
-    want = minimize_relaxation(normalize(Instance(values)))
-    got = minimize_relaxation(normalize(fortran))
+    want = descend_to(normalize(Instance(values)), 500, 0.5)
+    got = descend_to(normalize(fortran), 500, 0.5)
     assert got[0].tobytes() == want[0].tobytes()
     assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 

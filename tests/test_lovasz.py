@@ -5,15 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_polytope_point
+from conftest import descend_to, random_instance, random_polytope_point
 from efxkit import (
     Allocation,
     Instance,
     enumerate_efx,
     envy_gap_extension,
+    generate_instance,
     in_partition_polytope,
     is_efx,
-    minimize_relaxation,
+    lovasz,
     monotone_envy_gap_extension,
     normalize,
     project_rows_to_simplex,
@@ -163,7 +164,7 @@ def test_relaxation_requires_normalized(i0_raw):
         with pytest.raises(ValueError, match="requires a normalized instance"):
             relaxation_objective(inst, uniform_point(inst))
         with pytest.raises(ValueError, match="requires a normalized instance"):
-            minimize_relaxation(inst, iters=5)
+            next(lovasz.descend(inst, 0.5))
 
 
 def test_relaxation_not_convex_inside_polytope(capsys):
@@ -228,7 +229,7 @@ def test_projection_frozen_rows():
 
 
 def test_minimize_descends_and_stays_feasible(i0_norm):
-    best_x, best, trace = minimize_relaxation(i0_norm, iters=500, return_trace=True)
+    best_x, best, trace = descend_to(i0_norm, 500, 0.5)
     assert best <= trace[0]
     assert best == pytest.approx(min(trace))
     assert best <= 0.875 + 1e-6
@@ -237,8 +238,8 @@ def test_minimize_descends_and_stays_feasible(i0_norm):
 
 
 def test_minimize_is_deterministic(i0_norm):
-    a = minimize_relaxation(i0_norm, iters=120)
-    b = minimize_relaxation(i0_norm, iters=120)
+    a = descend_to(i0_norm, 120, 0.5)
+    b = descend_to(i0_norm, 120, 0.5)
     assert np.array_equal(a[0], b[0])
     assert a[1] == b[1]
 
@@ -246,20 +247,36 @@ def test_minimize_is_deterministic(i0_norm):
 @pytest.mark.parametrize("step0", [0.0, -0.5, np.nan, np.inf])
 def test_minimize_rejects_a_step_that_is_not_positive_and_finite(i0_norm, step0):
     with pytest.raises(ValueError, match="step0"):
-        minimize_relaxation(i0_norm, iters=5, step0=step0)
+        next(lovasz.descend(i0_norm, step0))
 
 
-@pytest.mark.parametrize("iters", [-1, -4])
-def test_minimize_rejects_a_negative_iteration_count(i0_norm, iters):
-    with pytest.raises(ValueError, match="iters must be nonnegative"):
-        minimize_relaxation(i0_norm, iters=iters)
-    assert minimize_relaxation(i0_norm, iters=0)[1] == relaxation_objective(i0_norm, uniform_point(i0_norm))
+def test_descend_starts_at_the_uniform_point(i0_norm):
+    step, value, best_x, best_value = next(lovasz.descend(i0_norm, 0.5))
+    start = uniform_point(i0_norm)
+    objective = relaxation_objective(i0_norm, start)
+    assert (step, value, best_value) == (0, objective, objective)
+    assert best_x.tobytes() == start.tobytes()
+
+
+def test_descend_never_writes_a_yielded_point_again():
+    for inst in (
+        generate_instance(6, 3, "integer", 0),
+        random_instance(1, 16, 5),
+        random_instance(2, 24, 6),
+        generate_instance(5, 3, "identical", 3),
+    ):
+        yielded = []
+        for step, _, best_x, _ in lovasz.descend(normalize(inst), 1.0):
+            yielded.append((best_x, best_x.tobytes()))
+            if step == 300:
+                break
+        assert all(x.tobytes() == snapshot for x, snapshot in yielded)
 
 
 def test_minimize_identical_agents_meets_threshold():
     values = np.tile(np.array([[3.0], [2.0], [1.0]]), (1, 3))
     inst = normalize(Instance(values))
-    _, best = minimize_relaxation(inst, iters=400)
+    _, best, _ = descend_to(inst, 400, 0.5)
     assert best <= 1.0 + 1e-9
 
 
@@ -269,7 +286,7 @@ def test_relaxation_value_sandwich():
     # EFX witness the oracle returns
     for seed in (0, 1, 2):
         inst = normalize(random_instance(seed, 4, 2))
-        _, best = minimize_relaxation(inst, iters=1500)
+        _, best, _ = descend_to(inst, 1500, 0.5)
         res = enumerate_efx(inst)
         value = res.min_slack + 1.0  # the monotone form's exact minimum
         assert best <= value + 0.05

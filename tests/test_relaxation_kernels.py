@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 import reference_lovasz as ref
-from conftest import random_instance, random_polytope_point
+from conftest import descend_to, random_instance, random_polytope_point
 from efxkit import (
     envy_gap_extension,
     generate_instance,
-    minimize_relaxation,
     monotone_envy_gap_extension,
     normalize,
     relaxation_objective,
     rounding_bound,
 )
-from efxkit.lovasz import DEFAULT_ITERS, _relaxation
+from efxkit.lovasz import ANYTIME_STEP0, _relaxation
 
 AGENT_COUNTS = (2, 3, 4, 6)
 LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
@@ -58,14 +57,15 @@ def test_pair_extensions_match_per_pair_reference_exactly(n):
 
 @pytest.mark.parametrize("n", AGENT_COUNTS)
 def test_descent_matches_per_pair_reference_exactly(n):
-    runs = [(inst, 120) for seed in range(2) for inst in _instances(seed, n)]
-    # A compare-sized instance at the CLI's iteration count, and 20 items,
-    # which take OpenBLAS's unit-stride dot past its short-vector path.
-    runs.append((normalize(random_instance(3, 5, n)), DEFAULT_ITERS))
-    runs.append((normalize(generate_instance(20, n, "integer", 3, kmax=2)), 120))
-    for inst, iters in runs:
-        best_x, value, trace = minimize_relaxation(inst, iters=iters, return_trace=True)
-        ref_x, ref_value, ref_trace = ref.minimize_relaxation(inst, iters=iters)
+    runs = [(inst, 120, 0.5) for seed in range(2) for inst in _instances(seed, n)]
+    # A compare-sized instance at the lovasz command's step0, for 500 of its
+    # budget's steps, and 20 items, which take OpenBLAS's unit-stride dot
+    # past its short-vector path.
+    runs.append((normalize(random_instance(3, 5, n)), 500, ANYTIME_STEP0))
+    runs.append((normalize(generate_instance(20, n, "integer", 3, kmax=2)), 120, 0.5))
+    for inst, iters, step0 in runs:
+        best_x, value, trace = descend_to(inst, iters, step0)
+        ref_x, ref_value, ref_trace = ref.minimize_relaxation(inst, iters=iters, step0=step0)
         assert best_x.tobytes() == ref_x.tobytes()
         assert value == ref_value
         assert trace == ref_trace
@@ -88,7 +88,7 @@ def test_stacked_dots_match_lone_dots_past_the_short_vector_path():
                 ):
                     expected = np.array([[pair_ref(inst, i, j, x) for j in range(3)] for i in range(3)])
                     assert _relaxation(inst)[0](x, monotone)[2].tobytes() == expected.tobytes()
-            best_x, value, trace = minimize_relaxation(inst, iters=20, return_trace=True)
+            best_x, value, trace = descend_to(inst, 20, 0.5)
             ref_x, ref_value, ref_trace = ref.minimize_relaxation(inst, iters=20)
             assert best_x.tobytes() == ref_x.tobytes()
             assert value == ref_value
