@@ -174,13 +174,13 @@ def descend(inst: Instance, step0: float):
 
     Yields ``(step, value, best_x, best_value)`` after step 0 and after every
     step: the current iterate's value and the best iterate so far, so step 0
-    yields the uniform point with its objective as both values.  Step t moves along
-    the subgradient of the worst pair (ties to the lexicographically first
-    pair) by step0 / sqrt(t) and projects the rows back onto the simplex in
-    place in the subgradient's buffer, so a yielded point is never written
-    again.  ``_relaxation`` is built once.  The first ``next`` raises
-    ``ValueError`` on an instance that is not normalized or a step0 that is
-    not positive and finite.
+    yields the uniform point with its objective as both values.  Step t
+    moves along the subgradient of the worst pair (ties to the
+    lexicographically first pair) by step0 / sqrt(t) and projects the rows
+    back onto the simplex in place in the subgradient's buffer, so a yielded
+    point is never written again.  ``_relaxation`` is built once.  The first
+    ``next`` raises ``ValueError`` on an instance that is not normalized or
+    a step0 that is not positive and finite.
     """
     if not inst.normalized:
         raise ValueError("the relaxation objective requires a normalized instance")
