@@ -12,6 +12,9 @@ Subcommands
 
 compare's solver rows call the commands' own runners and best-start ranks,
 at the commands' defaults and with compare's --tol as their EFX tolerance.
+They run on the prefiltered, normalized instance, so the dca and
+fixedpoint rows can find EFX where those commands, which read the raw
+values, do not (ROADMAP item N).
 
 Exit codes: 0 ran to completion, 1 usage error, 2 input error, 3 internal
 check failure.  Documents are JSON with sorted keys; agents and items are
@@ -51,8 +54,18 @@ from .instance import (
 )
 
 SCHEMA_VERSION = 1
+EXTENSION_LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
+# Command defaults that compare's solver rows read too.
+DCA_STARTS = 1
 FIXEDPOINT_STARTS = 8
+FIXEDPOINT_MAP = "Ttilde"
+# The lovasz command's anytime runner: its step budget, step0, draws per
+# rounding and rounding ladder.
+ANYTIME_BUDGET = 2000
+ANYTIME_STEP0 = 1.0
 LOVASZ_DRAWS = 64
+CHECKPOINTS = (0, 25, 50, 100, 200)
+CHECKPOINT_STRIDE = 400
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,22 +209,22 @@ def _round_draws(inst: Instance, x: np.ndarray, seed: int, tol: float) -> dict:
 
 
 def _lovasz_run(inst: Instance, budget: int, step0: float, seed: int, tol: float) -> tuple:
-    """Anytime relaxation descent: at every checkpoint of
-    ``lovasz.checkpoints(budget)`` the best iterate so far is rounded by
-    ``_round_draws``, with the same ``seed`` at every checkpoint, and the run
-    stops at the first rechecked EFX draw or at the budget.  Returns that
-    iterate, its objective, the document's ``iterations`` (steps taken),
-    ``stopped_at`` (the stopping checkpoint, or None without an EFX draw)
-    and ``checkpoints`` (how many were run), and the last ``rounding``."""
-    ladder = lovasz.checkpoints(budget)
-    due, rounds = next(ladder), 0
+    """Anytime relaxation descent: the best iterate so far is rounded by
+    ``_round_draws``, with the same ``seed`` each time, at the checkpoints
+    ``CHECKPOINTS``, every ``CHECKPOINT_STRIDE`` steps and the budget, and
+    the run stops at the first rechecked EFX draw or at the budget.  The
+    step is tested, so no ladder is built, however large the budget.
+    Returns that iterate, its objective, the document's ``iterations``
+    (steps taken), ``stopped_at`` (the stopping checkpoint, or None without
+    an EFX draw) and ``checkpoints`` (how many were run), and the last
+    ``rounding``."""
+    rounds = 0
     for step, _, x, objective in lovasz.descend(inst, step0):
-        if step == due:
+        if step in CHECKPOINTS or step % CHECKPOINT_STRIDE == 0 or step == budget:
             rounding = _round_draws(inst, x, seed, tol)
             rounds += 1
             if rounding["efx"] or step == budget:
                 break
-            due = next(ladder)
     run = {"iterations": step, "stopped_at": step if rounding["efx"] else None, "checkpoints": rounds}
     return x, objective, run, rounding
 
@@ -402,16 +415,16 @@ def cmd_compare(args) -> int:
 
     # The solver rows run the commands' runners at the commands' defaults.
     def run_lovasz():
-        _, objective, run, rounding = _lovasz_run(inst, lovasz.ANYTIME_BUDGET, lovasz.ANYTIME_STEP0, args.seed, args.tol)
+        _, objective, run, rounding = _lovasz_run(inst, ANYTIME_BUDGET, ANYTIME_STEP0, args.seed, args.tol)
         return rounding["efx"], objective, run["iterations"]
 
     def run_dca():
-        [run] = _dca_runs(dc.build_lp(inst), 1, args.seed, efx_tol=args.tol)
+        [run] = _dca_runs(dc.build_lp(inst), DCA_STARTS, args.seed, efx_tol=args.tol)
         return run.efx, run.objective, run.iterations
 
     def run_fixedpoint():
         box = extension.box_radius(inst)
-        runs = _fixedpoint_runs(inst, FIXEDPOINT_STARTS, args.seed, box, map_name="Ttilde", efx_tol=args.tol)
+        runs = _fixedpoint_runs(inst, FIXEDPOINT_STARTS, args.seed, box, map_name=FIXEDPOINT_MAP, efx_tol=args.tol)
         best = min(runs, key=_fixedpoint_rank)
         return best.efx, best.constraint_slack, best.iterations
 
@@ -419,7 +432,7 @@ def cmd_compare(args) -> int:
         _compare_row("oracle", run_oracle),
         _compare_row("lovasz", run_lovasz),
         _compare_row("dca", run_dca),
-        _compare_row("fixedpoint-Ttilde", run_fixedpoint),
+        _compare_row(f"fixedpoint-{FIXEDPOINT_MAP}", run_fixedpoint),
     ]
 
     # An oracle that could not run (say, past its scan guard) gives no
@@ -481,8 +494,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("lovasz", help="relaxation descent plus row-wise rounding", parents=[instance, seed, output])
-    p.add_argument("--iters", type=_positive_int, default=lovasz.ANYTIME_BUDGET, help="subgradient step budget, at least 1")
-    p.add_argument("--step0", type=_positive_float, default=lovasz.ANYTIME_STEP0)
+    p.add_argument("--iters", type=_positive_int, default=ANYTIME_BUDGET, help="subgradient step budget, at least 1")
+    p.add_argument("--step0", type=_positive_float, default=ANYTIME_STEP0)
     p.set_defaults(func=cmd_lovasz)
 
     p = sub.add_parser("extension", help="evaluate the smooth bound")
@@ -490,17 +503,17 @@ def build_parser() -> _Parser:
     q = ext_sub.add_parser("eval", help="bound and objective at a point", parents=[instance, output])
     q.add_argument("--y", default=None, help="score document {'y': [[..]]}")
     q.add_argument("--x", default=None, help="fractional document {'x': [[..]]}")
-    q.add_argument("--lambdas", default=",".join(map(repr, extension.DEFAULT_LAMBDAS)))
+    q.add_argument("--lambdas", default=",".join(map(repr, EXTENSION_LAMBDAS)))
     q.set_defaults(func=cmd_extension)
 
     p = sub.add_parser("dca", help="LP-based descent on the existence objective", parents=[instance, seed, m_const, output])
     p.add_argument("--delta", type=_nonnegative_float, default=dc.DCA_STEP_TOL)
     p.add_argument("--max-iters", type=_positive_int, default=dc.DCA_MAX_ITERS, help="LP steps per start, at least 1")
-    p.add_argument("--starts", type=_positive_int, default=1)
+    p.add_argument("--starts", type=_positive_int, default=DCA_STARTS)
     p.set_defaults(func=cmd_dca)
 
     p = sub.add_parser("fixedpoint", help="damped Picard iteration of a clamp map", parents=[instance, seed, m_const, output])
-    p.add_argument("--map", choices=sorted(fixedpoint.MAPS), default="Ttilde")
+    p.add_argument("--map", choices=sorted(fixedpoint.MAPS), default=FIXEDPOINT_MAP)
     p.add_argument("--alpha", type=_damping, default=fixedpoint.DEFAULT_ALPHA)
     # A residual tolerance, not the EFX one of check, oracle and compare.
     p.add_argument("--tol", type=_nonnegative_float, default=fixedpoint.RESIDUAL_TOL)

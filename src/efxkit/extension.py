@@ -27,8 +27,6 @@ import numpy as np
 
 from .instance import Allocation, Instance, _ordered_pairs, _validate_allocation, total_mass
 
-DEFAULT_LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
-
 
 def rowwise_round_many(x: np.ndarray, seed: int, count: int) -> np.ndarray:
     """Draw ``count`` independent row-wise roundings as a (count, m) owner array.

@@ -15,17 +15,12 @@ column once, builds all pairs' coefficients from that sort into one
 C-contiguous buffer so BLAS sums as in a lone dot, and is built once per
 descent run.  The package has one descent, the generator ``descend``,
 which yields the best iterate after every step and never ends: callers
-stop it where they want.  The ``lovasz`` command walks it anytime, up to a
-step budget, rounding the best iterate at each step of ``checkpoints``
-with the paper's row-wise rounding, ``extension.rowwise_round_many``, and
-stopping at the first draw that an exact recheck calls EFX.  The module
-itself returns fractional points only.
+stop it where they want.  The module returns fractional points only.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -34,11 +29,6 @@ from .instance import Instance
 
 ROW_SUM_TOL = 1e-10
 MONOTONE_THRESHOLD = 1.0
-# The lovasz command's anytime runner: its step budget, step0 and rounding ladder.
-ANYTIME_BUDGET = 2000
-ANYTIME_STEP0 = 1.0
-CHECKPOINTS = (0, 25, 50, 100, 200)
-CHECKPOINT_STRIDE = 400
 
 
 def _relaxation(inst: Instance):
@@ -157,15 +147,6 @@ def project_rows_to_simplex(x: np.ndarray) -> np.ndarray:
     x = np.array(x, dtype=float)
     m, n = x.shape
     return _project_rows(x, np.arange(m), np.arange(1, n + 1))
-
-
-def checkpoints(budget: int) -> Iterator[int]:
-    """The steps at which the ``lovasz`` runner rounds under a step budget,
-    in order and lazily: ``CHECKPOINTS``, then every ``CHECKPOINT_STRIDE``
-    steps, each below the budget, and last the budget itself."""
-    yield from (k for k in CHECKPOINTS if k < budget)
-    yield from range(CHECKPOINT_STRIDE, budget, CHECKPOINT_STRIDE)
-    yield budget
 
 
 def descend(inst: Instance, step0: float):

@@ -201,10 +201,22 @@ def test_lovasz_stops_at_a_checkpoint_with_the_point_of_that_many_steps(tmp_path
 
 
 def test_lovasz_budget_cuts_the_ladder_and_rounds_at_the_budget(tmp_path, capsys):
-    assert list(lovasz.checkpoints(2000)) == [0, 25, 50, 100, 200, 400, 800, 1200, 1600, 2000]
-    assert list(lovasz.checkpoints(400)) == [0, 25, 50, 100, 200, 400]
-    assert list(lovasz.checkpoints(30)) == [0, 25, 30]
-    assert list(lovasz.checkpoints(1)) == [0, 1]
+    # The steps at which the runner rounds when no draw is EFX: under a stub
+    # descent whose point is its step, each rounding records the step.  The
+    # stub ends after 4000 steps, so a runner that misses its budget fails.
+    rounded = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lovasz, "descend", lambda inst, step0: ((k, 0.0, k, 0.0) for k in range(4000)))
+        patch.setattr(cli, "_round_draws", lambda inst, x, seed, tol: rounded.append(x) or {"efx": False})
+        for budget, ladder in [
+            (2000, [0, 25, 50, 100, 200, 400, 800, 1200, 1600, 2000]),
+            (400, [0, 25, 50, 100, 200, 400]),
+            (30, [0, 25, 30]),
+            (1, [0, 1]),
+        ]:
+            rounded.clear()
+            _, _, run, _ = cli._lovasz_run(None, budget, 1.0, 0, DEFAULT_EFX_TOL)
+            assert (rounded, run["iterations"], run["checkpoints"]) == (ladder, budget, len(ladder))
     # This instance's first EFX draw comes at checkpoint 50 under the full
     # budget; a budget of 40 rounds at 0, 25 and 40, and finds one at 40.
     path = _gen(tmp_path, 12, 4, 5)

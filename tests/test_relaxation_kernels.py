@@ -14,7 +14,8 @@ from efxkit import (
     relaxation_objective,
     rounding_bound,
 )
-from efxkit.lovasz import ANYTIME_STEP0, _relaxation
+from efxkit.cli import ANYTIME_STEP0
+from efxkit.lovasz import _relaxation
 
 AGENT_COUNTS = (2, 3, 4, 6)
 LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
