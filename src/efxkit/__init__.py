@@ -6,7 +6,7 @@ LP-based difference-of-convex descent, and the clamp-map fixed-point
 iterations, plus instance and allocation documents shared by all of them.
 """
 
-from .dc import DCAResult, DescentLP, InternalCheckError, build_lp, dca_solve, solve_lp
+from .dc import DCAResult, DescentLP, build_lp, dca_solve, solve_lp
 from .extension import (
     box_radius,
     dc_objective,
@@ -33,6 +33,7 @@ from .instance import (
     EfxReport,
     Instance,
     InstanceFormatError,
+    InternalCheckError,
     ZeroColumnError,
     allocation_to_doc,
     generate_instance,

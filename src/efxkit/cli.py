@@ -10,8 +10,9 @@ Subcommands
     fixedpoint  damped Picard iteration of a clamp map
     compare     run oracle and solvers side by side, optionally to CSV
 
-compare's solver rows call the commands' own runners and best-start ranks,
-at the commands' defaults and with compare's --tol as their EFX tolerance.
+compare's solver rows run the lovasz command's runner and the dca and
+fixedpoint commands' document builders, at the commands' defaults and with
+compare's --tol as their EFX tolerance.
 They run on the prefiltered, normalized instance, so the dca and
 fixedpoint rows can find EFX where those commands, which read the raw
 values, do not (ROADMAP item N).
@@ -42,6 +43,7 @@ from .instance import (
     Allocation,
     Instance,
     InstanceFormatError,
+    InternalCheckError,
     _read_document,
     _read_matrix,
     allocation_to_doc,
@@ -86,7 +88,7 @@ def _emit(args, payload: dict, **resolved) -> None:
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise dc.InternalCheckError(f"document holds a non-finite number: {exc}") from exc
+        raise InternalCheckError(f"document holds a non-finite number: {exc}") from exc
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -307,34 +309,30 @@ def _multistart(runs: list, rank, summary) -> tuple:
     return runs[best_index], core
 
 
-def _dca_runs(lp: dc.DescentLP, starts: int, seed: int, **options) -> list[dc.DCAResult]:
-    """DCA runs with ``options`` from the greedy encoding (start 0) and
-    ``starts - 1`` random starts in ``lp``'s box.  Every start's LPs share
-    ``lp``'s rows and bounds, so phase 1 runs once."""
-    return [dc.dca_solve(lp, y0=y0, **options) for y0 in [None, *_random_starts(lp.inst, seed, starts - 1, lp.m_const)]]
-
-
-def _dca_rank(run: dc.DCAResult) -> tuple:
-    """Best-start order: EFX extractions first, then the smaller objective."""
-    return (not run.efx, run.objective)
-
-
-def cmd_dca(args) -> int:
-    inst = load_instance(args.instance)
-    lp = _with_m_const(dc.build_lp, inst, args.m_const)
-    runs = _dca_runs(lp, args.starts, args.seed, delta=args.delta, max_iters=args.max_iters)
+def _dca_doc(inst: Instance, m_const: float | None, starts: int, seed: int, **options) -> dict:
+    """The dca document's payload: DCA runs with ``options`` from the
+    greedy encoding (start 0) and ``starts - 1`` random starts in the box
+    of ``m_const``, best first by EFX extraction, then the smaller
+    objective.  Every start's LPs share one ``build_lp``'s rows and bounds,
+    so phase 1 runs once."""
+    lp = _with_m_const(dc.build_lp, inst, m_const)
     best, core = _multistart(
-        runs,
-        _dca_rank,
+        [dc.dca_solve(lp, y0=y0, **options) for y0 in [None, *_random_starts(inst, seed, starts - 1, lp.m_const)]],
+        lambda run: (not run.efx, run.objective),
         lambda run: {
             "objective": run.objective,
             "iterations": run.iterations,
             "status": run.status,
             "efx": run.efx,
-            "lp_phase1_pivots": run.phase1_pivots,
+            "lp_phase1_pivots": lp.phase_one.pivots,
         },
     )
-    _emit(args, {**core, "owner": allocation_to_doc(best.allocation)["owner"], "trace": best.trace})
+    return {**core, "owner": allocation_to_doc(best.allocation)["owner"], "trace": best.trace}
+
+
+def cmd_dca(args) -> int:
+    inst = load_instance(args.instance)
+    _emit(args, _dca_doc(inst, args.m_const, args.starts, args.seed, delta=args.delta, max_iters=args.max_iters))
     return 0
 
 
@@ -350,28 +348,17 @@ def _stuck_rows_doc(rows: list[dict]) -> list[dict]:
     ]
 
 
-def _fixedpoint_runs(
-    inst: Instance, starts: int, seed: int, box: float, **options
-) -> list[fixedpoint.FixedPointReport]:
-    """Picard runs with ``options`` from every random start, stepped as one stack."""
-    return fixedpoint.picard_iterate_many(inst, _random_starts(inst, seed, starts, box), m_const=box, **options)
-
-
-def _fixedpoint_rank(run: fixedpoint.FixedPointReport) -> tuple:
-    """Best-start order: EFX extractions first, then converged runs, then
-    the smaller constraint slack."""
-    return (not run.efx, not run.converged, run.constraint_slack)
-
-
-def cmd_fixedpoint(args) -> int:
-    inst = load_instance(args.instance)
-    box = _with_m_const(extension.box_radius, inst, args.m_const)
-    runs = _fixedpoint_runs(
-        inst, args.starts, args.seed, box, map_name=args.map, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters
-    )
+def _fixedpoint_doc(inst: Instance, m_const: float | None, starts: int, seed: int, map_name: str, **options) -> dict:
+    """The fixedpoint document's payload: Picard runs of ``map_name`` with
+    ``options`` from every random start in the box of ``m_const``, stepped
+    as one stack, best first by EFX extraction, then convergence, then the
+    smaller constraint slack."""
+    box = _with_m_const(extension.box_radius, inst, m_const)
     best, core = _multistart(
-        runs,
-        _fixedpoint_rank,
+        fixedpoint.picard_iterate_many(
+            inst, _random_starts(inst, seed, starts, box), map_name=map_name, m_const=box, **options
+        ),
+        lambda run: (not run.efx, not run.converged, run.constraint_slack),
         lambda run: {
             "converged": run.converged,
             "iterations": run.iterations,
@@ -382,13 +369,20 @@ def cmd_fixedpoint(args) -> int:
         },
     )
     del core["stuck_row_count"]  # the top level lists the stuck rows themselves
-    payload = {
+    return {
         **core,
-        "map": args.map,
+        "map": map_name,
         "violations": [{"item": k + 1, "agent": j + 1, "slack": s} for k, j, s in best.violations],
         "owner": allocation_to_doc(best.allocation)["owner"],
         "stuck_rows": _stuck_rows_doc(best.stuck_rows),
     }
+
+
+def cmd_fixedpoint(args) -> int:
+    inst = load_instance(args.instance)
+    payload = _fixedpoint_doc(
+        inst, args.m_const, args.starts, args.seed, args.map, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters
+    )
     _emit(args, payload)
     return 0
 
@@ -400,7 +394,7 @@ def _compare_row(method: str, runner) -> dict:
     error = None
     try:
         row["found_efx"], row["objective"], row["iterations"] = runner()
-    except (dc.InternalCheckError, ValueError) as exc:
+    except (InternalCheckError, ValueError) as exc:
         error = str(exc)
     return {**row, "wall_time_s": time.perf_counter() - start_time, "flag": None, "error": error}
 
@@ -419,14 +413,12 @@ def cmd_compare(args) -> int:
         return rounding["efx"], objective, run["iterations"]
 
     def run_dca():
-        [run] = _dca_runs(dc.build_lp(inst), DCA_STARTS, args.seed, efx_tol=args.tol)
-        return run.efx, run.objective, run.iterations
+        doc = _dca_doc(inst, None, DCA_STARTS, args.seed, efx_tol=args.tol)
+        return doc["efx"], doc["objective"], doc["iterations"]
 
     def run_fixedpoint():
-        box = extension.box_radius(inst)
-        runs = _fixedpoint_runs(inst, FIXEDPOINT_STARTS, args.seed, box, map_name=FIXEDPOINT_MAP, efx_tol=args.tol)
-        best = min(runs, key=_fixedpoint_rank)
-        return best.efx, best.constraint_slack, best.iterations
+        doc = _fixedpoint_doc(inst, None, FIXEDPOINT_STARTS, args.seed, FIXEDPOINT_MAP, efx_tol=args.tol)
+        return doc["efx"], doc["constraint_slack"], doc["iterations"]
 
     rows = [
         _compare_row("oracle", run_oracle),
@@ -540,7 +532,7 @@ def main(argv=None) -> int:
         # output paths that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except dc.InternalCheckError as exc:
+    except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
 

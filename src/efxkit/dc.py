@@ -29,16 +29,12 @@ import numpy as np
 
 from . import simplex
 from .extension import _require_box, box_radius, dc_objective, encode_allocation, extract_allocation, greedy_allocation
-from .instance import DEFAULT_EFX_TOL, Allocation, Instance, _ordered_pairs, is_efx, total_mass
+from .instance import DEFAULT_EFX_TOL, Allocation, Instance, InternalCheckError, _ordered_pairs, is_efx, total_mass
 
 DCA_STEP_TOL = 1e-8
 DCA_MAX_ITERS = 200
 DESCENT_SLACK = 1e-9
 RECHECK_TOL = 1e-8
-
-
-class InternalCheckError(RuntimeError):
-    """An invariant the solvers rely on failed at run time."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,6 @@ class DCAResult:
     trace: list = field(default_factory=list)
     allocation: Allocation | None = None
     efx: bool = False
-    phase1_pivots: int = 0  # of the shared phase 1; trace entries count their phase-2 lp_pivots
 
 
 def dca_solve(
@@ -254,5 +249,4 @@ def dca_solve(
         trace=trace,
         allocation=allocation,
         efx=report.ok,
-        phase1_pivots=lp.phase_one.pivots,
     )

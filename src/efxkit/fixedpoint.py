@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dc import InternalCheckError
 from .extension import _pair_gather, _require_box, _shifted_rows, box_radius, encode_allocation
 from .extension import extract_allocation, greedy_allocation
-from .instance import DEFAULT_EFX_TOL, Allocation, Instance, is_efx, total_mass
+from .instance import DEFAULT_EFX_TOL, Allocation, Instance, InternalCheckError, is_efx, total_mass
 
 RESIDUAL_TOL = 1e-8
 DEFAULT_ALPHA = 0.5

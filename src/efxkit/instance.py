@@ -41,6 +41,10 @@ class InstanceFormatError(ValueError):
     """Raised when an instance or allocation document is malformed."""
 
 
+class InternalCheckError(RuntimeError):
+    """An invariant the solvers rely on failed at run time."""
+
+
 class ZeroColumnError(ValueError):
     """Raised when normalization meets an agent whose values are all zero."""
 

@@ -457,8 +457,20 @@ def test_compare_csv_header_order(tmp_path):
 DYADIC = [[0.5, 0.25, 0.125], [0.25, 0.25, 0.375], [0.125, 0.25, 0.25], [0.125, 0.25, 0.25]]
 
 
-@pytest.mark.parametrize("seed", ["0", "2"])  # both round to the same EFX allocation, from draws 1 and 2
-def test_compare_rows_run_what_the_commands_run(tmp_path, capsys, seed):
+@pytest.mark.parametrize(
+    "seed, starts",
+    [
+        # Both seeds round to the same EFX allocation, from draws 1 and 2.
+        pytest.param("0", (cli.DCA_STARTS, cli.FIXEDPOINT_STARTS), id="0"),
+        pytest.param("2", (cli.DCA_STARTS, cli.FIXEDPOINT_STARTS), id="2"),
+        # The rows read the commands' start counts, whatever they are.
+        pytest.param("0", (2, 3), id="0-starts-2-3"),
+    ],
+)
+def test_compare_rows_run_what_the_commands_run(tmp_path, capsys, monkeypatch, seed, starts):
+    dca_starts, fixedpoint_starts = starts
+    monkeypatch.setattr(cli, "DCA_STARTS", dca_starts)
+    monkeypatch.setattr(cli, "FIXEDPOINT_STARTS", fixedpoint_starts)
     inst = _instance_file(tmp_path, DYADIC)
     code, doc = _run(capsys, ["compare", "--instance", inst, "--seed", seed])
     assert code == 0
@@ -470,14 +482,16 @@ def test_compare_rows_run_what_the_commands_run(tmp_path, capsys, seed):
         lovasz_doc["objective"],
         lovasz_doc["iterations"],
     )
-    code, dca_doc = _run(capsys, ["dca", "--instance", inst])
+    code, dca_doc = _run(capsys, ["dca", "--instance", inst, "--seed", seed, "--starts", str(dca_starts)])
     assert code == 0
     assert (rows["dca"]["found_efx"], rows["dca"]["objective"], rows["dca"]["iterations"]) == (
         dca_doc["efx"],
         dca_doc["objective"],
         dca_doc["iterations"],
     )
-    code, fixedpoint_doc = _run(capsys, ["fixedpoint", "--instance", inst, "--seed", seed])
+    code, fixedpoint_doc = _run(
+        capsys, ["fixedpoint", "--instance", inst, "--seed", seed, "--starts", str(fixedpoint_starts)]
+    )
     assert code == 0
     row = rows["fixedpoint-Ttilde"]
     assert (row["found_efx"], row["objective"], row["iterations"]) == (

@@ -52,7 +52,6 @@ def test_trace_counts_phase_two_pivots_and_zero_on_a_repeat():
             phase1 = lp.phase_one.pivots
             y0 = np.random.default_rng(n).uniform(-box, 0.0, size=(inst.m, n))
             out = dca_solve(lp, y0=y0)
-            assert out.phase1_pivots == phase1
             y, previous = y0, None
             for entry in out.trace:
                 selection = np.argmax(y, axis=1)
