@@ -407,7 +407,7 @@ def cmd_compare(args) -> int:
         result = oracle.enumerate_efx(inst, cap=0, tol=args.tol)
         return result.exists, result.min_slack, result.allocations_scanned
 
-    # The solver rows run the commands' runners at the commands' defaults.
+    # The solver rows make their commands' runs at the commands' defaults.
     def run_lovasz():
         _, objective, run, rounding = _lovasz_run(inst, ANYTIME_BUDGET, ANYTIME_STEP0, args.seed, args.tol)
         return rounding["efx"], objective, run["iterations"]
