@@ -279,16 +279,6 @@ def cmd_extension(args) -> int:
     return 0
 
 
-def _with_m_const(build, inst: Instance, m_const: float | None):
-    """``build(inst, m_const)``, naming ``--m-const`` when it rejects the radius."""
-    try:
-        return build(inst, m_const)
-    except ValueError as exc:
-        if m_const is None:
-            raise
-        raise ValueError(f"--m-const: {exc}") from None
-
-
 def _random_starts(inst: Instance, seed: int, count: int, box: float) -> list[np.ndarray]:
     """``count`` seeded uniform score matrices in the box [-box, 0]; start
     k is drawn from child k of the seed, whatever ``count`` is."""
@@ -309,13 +299,14 @@ def _multistart(runs: list, rank, summary) -> tuple:
     return runs[best_index], core
 
 
-def _dca_doc(inst: Instance, m_const: float | None, starts: int, seed: int, **options) -> dict:
+def _dca_doc(inst: Instance, starts: int, seed: int, **options) -> dict:
     """The dca document's payload: DCA runs with ``options`` from the
-    greedy encoding (start 0) and ``starts - 1`` random starts in the box
-    of ``m_const``, best first by EFX extraction, then the smaller
-    objective.  Every start's LPs share one ``build_lp``'s rows and bounds,
-    so phase 1 runs once."""
-    lp = _with_m_const(dc.build_lp, inst, m_const)
+    greedy encoding (start 0) and ``starts - 1`` random starts in the
+    default box of ``extension.box_radius``, best first by EFX extraction,
+    then the smaller objective.  Every start's LPs share one ``build_lp``'s
+    rows and bounds, so phase 1 runs once; each start reports its phase-2
+    pivots summed over its steps."""
+    lp = dc.build_lp(inst)
     best, core = _multistart(
         [dc.dca_solve(lp, y0=y0, **options) for y0 in [None, *_random_starts(inst, seed, starts - 1, lp.m_const)]],
         lambda run: (not run.efx, run.objective),
@@ -325,6 +316,7 @@ def _dca_doc(inst: Instance, m_const: float | None, starts: int, seed: int, **op
             "status": run.status,
             "efx": run.efx,
             "lp_phase1_pivots": lp.phase_one.pivots,
+            "lp_phase2_pivots": sum(entry["lp_pivots"] for entry in run.trace),
         },
     )
     return {**core, "owner": allocation_to_doc(best.allocation)["owner"], "trace": best.trace}
@@ -332,7 +324,7 @@ def _dca_doc(inst: Instance, m_const: float | None, starts: int, seed: int, **op
 
 def cmd_dca(args) -> int:
     inst = load_instance(args.instance)
-    _emit(args, _dca_doc(inst, args.m_const, args.starts, args.seed, delta=args.delta, max_iters=args.max_iters))
+    _emit(args, _dca_doc(inst, args.starts, args.seed, delta=args.delta, max_iters=args.max_iters))
     return 0
 
 
@@ -348,12 +340,12 @@ def _stuck_rows_doc(rows: list[dict]) -> list[dict]:
     ]
 
 
-def _fixedpoint_doc(inst: Instance, m_const: float | None, starts: int, seed: int, map_name: str, **options) -> dict:
+def _fixedpoint_doc(inst: Instance, starts: int, seed: int, map_name: str, **options) -> dict:
     """The fixedpoint document's payload: Picard runs of ``map_name`` with
-    ``options`` from every random start in the box of ``m_const``, stepped
-    as one stack, best first by EFX extraction, then convergence, then the
-    smaller constraint slack."""
-    box = _with_m_const(extension.box_radius, inst, m_const)
+    ``options`` from every random start in the default box of
+    ``extension.box_radius``, stepped as one stack, best first by EFX
+    extraction, then convergence, then the smaller constraint slack."""
+    box = extension.box_radius(inst)
     best, core = _multistart(
         fixedpoint.picard_iterate_many(
             inst, _random_starts(inst, seed, starts, box), map_name=map_name, m_const=box, **options
@@ -380,9 +372,7 @@ def _fixedpoint_doc(inst: Instance, m_const: float | None, starts: int, seed: in
 
 def cmd_fixedpoint(args) -> int:
     inst = load_instance(args.instance)
-    payload = _fixedpoint_doc(
-        inst, args.m_const, args.starts, args.seed, args.map, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters
-    )
+    payload = _fixedpoint_doc(inst, args.starts, args.seed, args.map, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters)
     _emit(args, payload)
     return 0
 
@@ -413,11 +403,11 @@ def cmd_compare(args) -> int:
         return rounding["efx"], objective, run["iterations"]
 
     def run_dca():
-        doc = _dca_doc(inst, None, DCA_STARTS, args.seed, efx_tol=args.tol)
+        doc = _dca_doc(inst, DCA_STARTS, args.seed, efx_tol=args.tol)
         return doc["efx"], doc["objective"], doc["iterations"]
 
     def run_fixedpoint():
-        doc = _fixedpoint_doc(inst, None, FIXEDPOINT_STARTS, args.seed, FIXEDPOINT_MAP, efx_tol=args.tol)
+        doc = _fixedpoint_doc(inst, FIXEDPOINT_STARTS, args.seed, FIXEDPOINT_MAP, efx_tol=args.tol)
         return doc["efx"], doc["constraint_slack"], doc["iterations"]
 
     rows = [
@@ -465,7 +455,6 @@ def build_parser() -> _Parser:
 
     instance = shared("--instance", required=True)
     seed = shared("--seed", type=_nonnegative_int, default=0)
-    m_const = shared("--m-const", type=float, default=None)
     efx_tol = shared("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
     output = shared("--output", default=None)
 
@@ -498,13 +487,13 @@ def build_parser() -> _Parser:
     q.add_argument("--lambdas", default=",".join(map(repr, EXTENSION_LAMBDAS)))
     q.set_defaults(func=cmd_extension)
 
-    p = sub.add_parser("dca", help="LP-based descent on the existence objective", parents=[instance, seed, m_const, output])
+    p = sub.add_parser("dca", help="LP-based descent on the existence objective", parents=[instance, seed, output])
     p.add_argument("--delta", type=_nonnegative_float, default=dc.DCA_STEP_TOL)
     p.add_argument("--max-iters", type=_positive_int, default=dc.DCA_MAX_ITERS, help="LP steps per start, at least 1")
     p.add_argument("--starts", type=_positive_int, default=DCA_STARTS)
     p.set_defaults(func=cmd_dca)
 
-    p = sub.add_parser("fixedpoint", help="damped Picard iteration of a clamp map", parents=[instance, seed, m_const, output])
+    p = sub.add_parser("fixedpoint", help="damped Picard iteration of a clamp map", parents=[instance, seed, output])
     p.add_argument("--map", choices=sorted(fixedpoint.MAPS), default=FIXEDPOINT_MAP)
     p.add_argument("--alpha", type=_damping, default=fixedpoint.DEFAULT_ALPHA)
     # A residual tolerance, not the EFX one of check, oracle and compare.

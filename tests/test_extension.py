@@ -157,6 +157,18 @@ def test_every_box_user_rejects_a_bad_radius(i0_raw, m_const):
                 call()
 
 
+def test_radius_whose_lp_bounds_overflow_is_an_input_error(i0_raw):
+    # The descent LP bounds its epigraph variable by (m + 1) * M plus the
+    # mass, beyond the float range at M = 1e308; the Picard box stays in it.
+    start = np.random.default_rng(0).uniform(-1e308, 0.0, size=(i0_raw.m, i0_raw.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="box radius 1e\\+308 takes the descent LP's bounds beyond the float range"):
+            build_lp(i0_raw, 1e308)
+        reports = picard_iterate_many(i0_raw, [None, start], m_const=1e308)
+    assert len(reports) == 2
+
+
 def test_default_radius_obeys_the_rule_it_checks(i0_raw, i0_norm):
     # Twice the total mass is above 2**53, where adding one rounds back to it.
     big = Instance([[1e16, 1.0], [2.0, 1.0], [2.0, 2.0]])
