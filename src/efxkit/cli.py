@@ -10,9 +10,9 @@ Subcommands
     fixedpoint  damped Picard iteration of a clamp map
     compare     run oracle and solvers side by side, optionally to CSV
 
-compare's solver rows run the lovasz command's runner and the dca and
-fixedpoint commands' document builders, at the commands' defaults and with
-compare's --tol as their EFX tolerance.
+compare's solver rows run the HUNTERS table: the lovasz, dca and fixedpoint
+commands' document builders, at the commands' defaults and with compare's
+--tol as their EFX tolerance.
 They run on the prefiltered, normalized instance, so the dca and
 fixedpoint rows can find EFX where those commands, which read the raw
 values, do not (ROADMAP item N).
@@ -102,9 +102,10 @@ def _load_matrix(path: str, key: str, inst: Instance) -> np.ndarray:
     return _read_matrix(doc[key], inst.m, inst.n, key)
 
 
-def _prefiltered_normalized(inst: Instance) -> tuple[Instance, list[int]]:
+def _prefiltered_normalized(inst: Instance) -> tuple[Instance, list[int], list[int]]:
     """Drop agents who value every item at zero, then normalize; also
-    return the kept agents' 0-based indices.
+    return the kept agents' 0-based indices and the documents'
+    ``removed_agents``, the dropped agents' 1-based numbers.
 
     Such agents are never envious and receive nothing, so removing them
     keeps the EFX question unchanged; the removal is recorded in the
@@ -113,7 +114,7 @@ def _prefiltered_normalized(inst: Instance) -> tuple[Instance, list[int]]:
     keep = np.flatnonzero(inst.values.sum(axis=0) > 0.0).tolist()
     if len(keep) < 2:
         raise InstanceFormatError("fewer than two agents with positive total value remain after the zero-column pre-filter")
-    return normalize(Instance(inst.values.take(keep, axis=1))), keep
+    return normalize(Instance(inst.values.take(keep, axis=1))), keep, [a + 1 for a in range(inst.n) if a not in keep]
 
 
 def _bounded(cast, ok, expected: str):
@@ -210,16 +211,13 @@ def _round_draws(inst: Instance, x: np.ndarray, seed: int, tol: float) -> dict:
     }
 
 
-def _lovasz_run(inst: Instance, budget: int, step0: float, seed: int, tol: float) -> tuple:
-    """Anytime relaxation descent: the best iterate so far is rounded by
-    ``_round_draws``, with the same ``seed`` each time, at the checkpoints
-    ``CHECKPOINTS``, every ``CHECKPOINT_STRIDE`` steps and the budget, and
-    the run stops at the first rechecked EFX draw or at the budget.  The
-    step is tested, so no ladder is built, however large the budget.
-    Returns that iterate, its objective, the document's ``iterations``
-    (steps taken), ``stopped_at`` (the stopping checkpoint, or None without
-    an EFX draw) and ``checkpoints`` (how many were run), and the last
-    ``rounding``."""
+def _lovasz_doc(inst: Instance, budget: int, step0: float, seed: int, tol: float) -> dict:
+    """The lovasz document's payload, owners numbering ``inst``'s agents:
+    anytime relaxation descent whose best iterate so far is rounded by
+    ``_round_draws``, with the same ``seed`` each time, at ``CHECKPOINTS``,
+    every ``CHECKPOINT_STRIDE`` steps and the budget, stopping at the first
+    rechecked EFX draw or at the budget.  The step is tested, so no ladder
+    is built, however large the budget."""
     rounds = 0
     for step, _, x, objective in lovasz.descend(inst, step0):
         if step in CHECKPOINTS or step % CHECKPOINT_STRIDE == 0 or step == budget:
@@ -227,26 +225,25 @@ def _lovasz_run(inst: Instance, budget: int, step0: float, seed: int, tol: float
             rounds += 1
             if rounding["efx"] or step == budget:
                 break
-    run = {"iterations": step, "stopped_at": step if rounding["efx"] else None, "checkpoints": rounds}
-    return x, objective, run, rounding
-
-
-def cmd_lovasz(args) -> int:
-    loaded = load_instance(args.instance)
-    inst, keep = _prefiltered_normalized(loaded)
-    x, objective, run, rounding = _lovasz_run(inst, args.iters, args.step0, args.seed, DEFAULT_EFX_TOL)
-    payload = {
-        **run,
+    return {
+        "iterations": step,
+        "stopped_at": step if rounding["efx"] else None,
+        "checkpoints": rounds,
         "form": "monotone",
         "threshold": lovasz.MONOTONE_THRESHOLD,
         "objective": objective,
         "x": x.tolist(),
-        "removed_agents": [a + 1 for a in range(loaded.n) if a not in keep],
-        # The draws number the kept agents; the document numbers the loaded ones.
-        "rounding": {**rounding, "owner": [keep[a - 1] + 1 for a in rounding["owner"]]},
+        "rounding": rounding,
         "verdict": "efx-found" if rounding["efx"] else "inconclusive",
     }
-    _emit(args, payload)
+
+
+def cmd_lovasz(args) -> int:
+    inst, keep, removed = _prefiltered_normalized(load_instance(args.instance))
+    payload = _lovasz_doc(inst, args.iters, args.step0, args.seed, DEFAULT_EFX_TOL)
+    # The draws number the kept agents; the document numbers the loaded ones.
+    payload["rounding"]["owner"] = [keep[a - 1] + 1 for a in payload["rounding"]["owner"]]
+    _emit(args, {**payload, "removed_agents": removed})
     return 0
 
 
@@ -377,6 +374,22 @@ def cmd_fixedpoint(args) -> int:
     return 0
 
 
+# compare's solver rows in row order: the method; its command's builder at
+# the command defaults, called as (inst, seed, EFX tolerance), which reads
+# the defaults when it runs; and the EFX verdict and objective of its payload.
+HUNTERS = (
+    ("lovasz",
+     lambda inst, seed, tol: _lovasz_doc(inst, ANYTIME_BUDGET, ANYTIME_STEP0, seed, tol),
+     lambda doc: (doc["rounding"]["efx"], doc["objective"])),
+    ("dca",
+     lambda inst, seed, tol: _dca_doc(inst, DCA_STARTS, seed, efx_tol=tol),
+     lambda doc: (doc["efx"], doc["objective"])),
+    (f"fixedpoint-{FIXEDPOINT_MAP}",
+     lambda inst, seed, tol: _fixedpoint_doc(inst, FIXEDPOINT_STARTS, seed, FIXEDPOINT_MAP, efx_tol=tol),
+     lambda doc: (doc["efx"], doc["constraint_slack"])),
+)
+
+
 def _compare_row(method: str, runner) -> dict:
     """Run one method, recording failures instead of aborting the harness."""
     start_time = time.perf_counter()
@@ -390,32 +403,18 @@ def _compare_row(method: str, runner) -> dict:
 
 
 def cmd_compare(args) -> int:
-    loaded = load_instance(args.instance)
-    inst, keep = _prefiltered_normalized(loaded)
+    inst, _, removed = _prefiltered_normalized(load_instance(args.instance))
 
     def run_oracle():
         result = oracle.enumerate_efx(inst, cap=0, tol=args.tol)
         return result.exists, result.min_slack, result.allocations_scanned
 
-    # The solver rows make their commands' runs at the commands' defaults.
-    def run_lovasz():
-        _, objective, run, rounding = _lovasz_run(inst, ANYTIME_BUDGET, ANYTIME_STEP0, args.seed, args.tol)
-        return rounding["efx"], objective, run["iterations"]
+    def run_hunter(build, read):
+        doc = build(inst, args.seed, args.tol)
+        return *read(doc), doc["iterations"]
 
-    def run_dca():
-        doc = _dca_doc(inst, DCA_STARTS, args.seed, efx_tol=args.tol)
-        return doc["efx"], doc["objective"], doc["iterations"]
-
-    def run_fixedpoint():
-        doc = _fixedpoint_doc(inst, FIXEDPOINT_STARTS, args.seed, FIXEDPOINT_MAP, efx_tol=args.tol)
-        return doc["efx"], doc["constraint_slack"], doc["iterations"]
-
-    rows = [
-        _compare_row("oracle", run_oracle),
-        _compare_row("lovasz", run_lovasz),
-        _compare_row("dca", run_dca),
-        _compare_row(f"fixedpoint-{FIXEDPOINT_MAP}", run_fixedpoint),
-    ]
+    rows = [_compare_row("oracle", run_oracle)]
+    rows += [_compare_row(method, functools.partial(run_hunter, build, read)) for method, build, read in HUNTERS]
 
     # An oracle that could not run (say, past its scan guard) gives no
     # verdict, so the solver rows are not judged against one.
@@ -428,7 +427,7 @@ def cmd_compare(args) -> int:
 
     payload = {
         "oracle_exists": oracle_exists,
-        "removed_agents": [a + 1 for a in range(loaded.n) if a not in keep],
+        "removed_agents": removed,
         "rows": rows,
         "findings": [{"method": row["method"], "flag": row["flag"]} for row in rows if row["flag"]],
     }

@@ -204,8 +204,8 @@ def _read_document(source, kind: str) -> dict:
             raise InstanceFormatError(f"cannot read {kind} file {path}: {exc}") from exc
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # json.loads recurses once per nesting level
+            raise InstanceFormatError(f"cannot parse {kind} file {path} as JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise InstanceFormatError(f"{kind} document must be a JSON object")
         return doc

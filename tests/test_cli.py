@@ -201,12 +201,12 @@ def test_lovasz_stops_at_a_checkpoint_with_the_point_of_that_many_steps(tmp_path
 
 
 def test_lovasz_budget_cuts_the_ladder_and_rounds_at_the_budget(tmp_path, capsys):
-    # The steps at which the runner rounds when no draw is EFX: under a stub
+    # The steps at which the builder rounds when no draw is EFX: under a stub
     # descent whose point is its step, each rounding records the step.  The
-    # stub ends after 4000 steps, so a runner that misses its budget fails.
+    # stub ends after 4000 steps, so a builder that misses its budget fails.
     rounded = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lovasz, "descend", lambda inst, step0: ((k, 0.0, k, 0.0) for k in range(4000)))
+        patch.setattr(lovasz, "descend", lambda inst, step0: ((k, 0.0, np.int64(k), 0.0) for k in range(4000)))
         patch.setattr(cli, "_round_draws", lambda inst, x, seed, tol: rounded.append(x) or {"efx": False})
         for budget, ladder in [
             (2000, [0, 25, 50, 100, 200, 400, 800, 1200, 1600, 2000]),
@@ -215,7 +215,7 @@ def test_lovasz_budget_cuts_the_ladder_and_rounds_at_the_budget(tmp_path, capsys
             (1, [0, 1]),
         ]:
             rounded.clear()
-            _, _, run, _ = cli._lovasz_run(None, budget, 1.0, 0, DEFAULT_EFX_TOL)
+            run = cli._lovasz_doc(None, budget, 1.0, 0, DEFAULT_EFX_TOL)
             assert (rounded, run["iterations"], run["checkpoints"]) == (ladder, budget, len(ladder))
     # This instance's first EFX draw comes at checkpoint 50 under the full
     # budget; a budget of 40 rounds at 0, 25 and 40, and finds one at 40.
@@ -504,21 +504,53 @@ def test_compare_rows_run_what_the_commands_run(tmp_path, capsys, monkeypatch, s
 @pytest.mark.parametrize("shape", GOLDEN_SHAPES)
 def test_compare_lovasz_row_runs_the_lovasz_command(capsys, monkeypatch, shape):
     # Both commands normalize, so the row sees the instance the command solves.
-    # Only the lovasz row is under test: the others skip their runs, which
-    # take over 3 s on 10x5.
-    compare_row = cli._compare_row
-
-    def lovasz_only(method, runner):
-        return compare_row(method, runner if method == "lovasz" else lambda: (False, None, 0))
-
-    monkeypatch.setattr(cli, "_compare_row", lovasz_only)
+    # Only the lovasz row is under test: the table is narrowed to it, since
+    # the other hunters take over 3 s on 10x5.
+    monkeypatch.setattr(cli, "HUNTERS", [hunter for hunter in cli.HUNTERS if hunter[0] == "lovasz"])
     inst = str(GOLDEN / f"gen-{shape}.json")
     code, doc = _run(capsys, ["compare", "--instance", inst])
     assert code == 0
     [row] = [row for row in doc["rows"] if row["method"] == "lovasz"]
     code, lovasz_doc = _run(capsys, ["lovasz", "--instance", inst])
     assert code == 0
-    assert (row["found_efx"], row["objective"]) == (lovasz_doc["rounding"]["efx"], lovasz_doc["objective"])
+    assert (row["found_efx"], row["objective"], row["iterations"]) == (
+        lovasz_doc["rounding"]["efx"],
+        lovasz_doc["objective"],
+        lovasz_doc["iterations"],
+    )
+
+
+def test_a_compare_row_is_one_hunters_entry(tmp_path, capsys, monkeypatch):
+    # Stub hunters placed in the table become rows in its order, read where
+    # their entries say, judged against the oracle and written to the CSV.
+    calls = []
+
+    def stub(method, found):
+        def build(inst, seed, tol):
+            calls.append((inst.m, seed, tol))
+            return {"verdict": {"ok": found}, "score": 0.5, "iterations": 7}
+
+        return method, build, lambda doc: (doc["verdict"]["ok"], doc["score"])
+
+    lovasz_entry, *others = cli.HUNTERS
+    monkeypatch.setattr(cli, "HUNTERS", (lovasz_entry, stub("stub-miss", False), *others, stub("stub-find", True)))
+    inst = _instance_file(tmp_path, I0_RAW)
+    csv_path = tmp_path / "rows.csv"
+    code, doc = _run(capsys, ["compare", "--instance", inst, "--seed", "5", "--tol", "0.25", "--csv", str(csv_path)])
+    assert code == 0 and doc["oracle_exists"] is True
+    methods = ["oracle", "lovasz", "stub-miss", "dca", "fixedpoint-Ttilde", "stub-find"]
+    assert [row["method"] for row in doc["rows"]] == methods
+    rows = {row["method"]: row for row in doc["rows"]}
+    for method, found, flag in [("stub-miss", False, "stationary-miss"), ("stub-find", True, None)]:
+        expected = {"method": method, "found_efx": found, "objective": 0.5, "iterations": 7, "flag": flag, "error": None}
+        assert {**rows[method], "wall_time_s": 0} == {**expected, "wall_time_s": 0}
+    assert {"method": "stub-miss", "flag": "stationary-miss"} in doc["findings"]
+    assert "stub-find" not in {finding["method"] for finding in doc["findings"]}
+    assert calls == [(3, 5, 0.25)] * 2
+    with open(csv_path, newline="") as handle:
+        table = list(csv.DictReader(handle))
+    assert [r["method"] for r in table] == methods
+    assert [(r["found_efx"], r["flag"]) for r in table[2::3]] == [("False", "stationary-miss"), ("True", "")]
 
 
 def test_compare_scans_every_allocation_once(tmp_path, capsys, monkeypatch):
@@ -600,6 +632,38 @@ def test_input_errors_exit_two(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check --instance NESTED --allocation allocation",
+        "check --instance instance --allocation NESTED",
+        "oracle --instance NESTED",
+        "lovasz --instance NESTED",
+        "extension eval --instance NESTED --x x",
+        "extension eval --instance instance --y NESTED",
+        "extension eval --instance instance --x NESTED",
+        "dca --instance NESTED",
+        "fixedpoint --instance NESTED",
+        "compare --instance NESTED",
+    ],
+)
+def test_a_document_nested_past_the_recursion_limit_is_an_input_error(tmp_path, capsys, argv):
+    # json.loads recurses once per level, so 200 000 levels overflow Python's stack.
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    files = {
+        "NESTED": str(nested),
+        "instance": _instance_file(tmp_path, I0_NORM),
+        "allocation": _write_doc(tmp_path / "allocation.json", {"owner": [1, 2, 1]}),
+        "x": _write_doc(tmp_path / "x.json", {"x": [[0.5, 0.5]] * 3}),
+    }
+    assert cli.main([files.get(word, word) for word in argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse ") and str(nested) in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_extension_eval_rejects_non_finite_scores(tmp_path, capsys):
