@@ -137,9 +137,6 @@ _nonnegative_int = _bounded(int, lambda v: v >= 0, "a nonnegative integer")
 _agent_count = _bounded(int, lambda v: v >= 2, "an integer of at least 2")
 _kmax = _bounded(int, lambda v: 1 <= v <= np.iinfo(np.int64).max, "a positive integer of at most 2**63 - 1")
 _finite_float = _bounded(float, np.isfinite, "a finite number")
-_nonnegative_float = _bounded(float, lambda v: 0.0 <= v < np.inf, "a nonnegative finite number")
-_positive_float = _bounded(float, lambda v: 0.0 < v < np.inf, "a positive finite number")
-_damping = _bounded(float, lambda v: 0.0 < v <= 1.0, "a damping factor in (0, 1]")
 
 
 def _parse_lambdas(text: str) -> list[float]:
@@ -179,7 +176,7 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
-    cap = inst.n**inst.m if args.all else args.cap
+    cap = inst.n**inst.m if args.all else (oracle.WITNESS_CAP if args.cap is None else args.cap)
     result = oracle.enumerate_efx(inst, cap=cap, tol=args.tol)
     payload = {
         "exists": result.exists,
@@ -211,19 +208,19 @@ def _round_draws(inst: Instance, x: np.ndarray, seed: int, tol: float) -> dict:
     }
 
 
-def _lovasz_doc(inst: Instance, budget: int, step0: float, seed: int, tol: float) -> dict:
+def _lovasz_doc(inst: Instance, seed: int, tol: float) -> dict:
     """The lovasz document's payload, owners numbering ``inst``'s agents:
-    anytime relaxation descent whose best iterate so far is rounded by
-    ``_round_draws``, with the same ``seed`` each time, at ``CHECKPOINTS``,
-    every ``CHECKPOINT_STRIDE`` steps and the budget, stopping at the first
-    rechecked EFX draw or at the budget.  The step is tested, so no ladder
-    is built, however large the budget."""
+    anytime descent from ``ANYTIME_STEP0`` whose best iterate so far is
+    rounded by ``_round_draws``, with the same ``seed`` each time, at
+    ``CHECKPOINTS``, every ``CHECKPOINT_STRIDE`` steps and ``ANYTIME_BUDGET``,
+    stopping at the first rechecked EFX draw or at the budget.  The step is
+    tested, so no ladder is built, however large the budget."""
     rounds = 0
-    for step, _, x, objective in lovasz.descend(inst, step0):
-        if step in CHECKPOINTS or step % CHECKPOINT_STRIDE == 0 or step == budget:
+    for step, _, x, objective in lovasz.descend(inst, ANYTIME_STEP0):
+        if step in CHECKPOINTS or step % CHECKPOINT_STRIDE == 0 or step == ANYTIME_BUDGET:
             rounding = _round_draws(inst, x, seed, tol)
             rounds += 1
-            if rounding["efx"] or step == budget:
+            if rounding["efx"] or step == ANYTIME_BUDGET:
                 break
     return {
         "iterations": step,
@@ -240,10 +237,10 @@ def _lovasz_doc(inst: Instance, budget: int, step0: float, seed: int, tol: float
 
 def cmd_lovasz(args) -> int:
     inst, keep, removed = _prefiltered_normalized(load_instance(args.instance))
-    payload = _lovasz_doc(inst, args.iters, args.step0, args.seed, DEFAULT_EFX_TOL)
+    payload = _lovasz_doc(inst, args.seed, DEFAULT_EFX_TOL)
     # The draws number the kept agents; the document numbers the loaded ones.
     payload["rounding"]["owner"] = [keep[a - 1] + 1 for a in payload["rounding"]["owner"]]
-    _emit(args, {**payload, "removed_agents": removed})
+    _emit(args, {**payload, "removed_agents": removed}, iters=ANYTIME_BUDGET, step0=ANYTIME_STEP0)
     return 0
 
 
@@ -296,16 +293,16 @@ def _multistart(runs: list, rank, summary) -> tuple:
     return runs[best_index], core
 
 
-def _dca_doc(inst: Instance, starts: int, seed: int, **options) -> dict:
-    """The dca document's payload: DCA runs with ``options`` from the
-    greedy encoding (start 0) and ``starts - 1`` random starts in the
-    default box of ``extension.box_radius``, best first by EFX extraction,
-    then the smaller objective.  Every start's LPs share one ``build_lp``'s
-    rows and bounds, so phase 1 runs once; each start reports its phase-2
-    pivots summed over its steps."""
+def _dca_doc(inst: Instance, starts: int, seed: int, efx_tol: float) -> dict:
+    """The dca document's payload: DCA runs at ``dca_solve``'s defaults but
+    ``efx_tol`` from the greedy encoding (start 0) and ``starts - 1`` random
+    starts in the default box of ``extension.box_radius``, best first by EFX
+    extraction, then the smaller objective.  Every start's LPs share one
+    ``build_lp``'s rows and bounds, so phase 1 runs once; each start reports
+    its phase-2 pivots summed over its steps."""
     lp = dc.build_lp(inst)
     best, core = _multistart(
-        [dc.dca_solve(lp, y0=y0, **options) for y0 in [None, *_random_starts(inst, seed, starts - 1, lp.m_const)]],
+        [dc.dca_solve(lp, y0=y0, efx_tol=efx_tol) for y0 in [None, *_random_starts(inst, seed, starts - 1, lp.m_const)]],
         lambda run: (not run.efx, run.objective),
         lambda run: {
             "objective": run.objective,
@@ -321,7 +318,8 @@ def _dca_doc(inst: Instance, starts: int, seed: int, **options) -> dict:
 
 def cmd_dca(args) -> int:
     inst = load_instance(args.instance)
-    _emit(args, _dca_doc(inst, args.starts, args.seed, delta=args.delta, max_iters=args.max_iters))
+    payload = _dca_doc(inst, args.starts, args.seed, DEFAULT_EFX_TOL)
+    _emit(args, payload, delta=dc.DCA_STEP_TOL, max_iters=dc.DCA_MAX_ITERS)
     return 0
 
 
@@ -337,15 +335,16 @@ def _stuck_rows_doc(rows: list[dict]) -> list[dict]:
     ]
 
 
-def _fixedpoint_doc(inst: Instance, starts: int, seed: int, map_name: str, **options) -> dict:
-    """The fixedpoint document's payload: Picard runs of ``map_name`` with
-    ``options`` from every random start in the default box of
-    ``extension.box_radius``, stepped as one stack, best first by EFX
-    extraction, then convergence, then the smaller constraint slack."""
+def _fixedpoint_doc(inst: Instance, starts: int, seed: int, map_name: str, efx_tol: float) -> dict:
+    """The fixedpoint document's payload: Picard runs of ``map_name`` at
+    ``picard_iterate_many``'s defaults but ``efx_tol`` from every random
+    start in the default box of ``extension.box_radius``, stepped as one
+    stack, best first by EFX extraction, then convergence, then the smaller
+    constraint slack."""
     box = extension.box_radius(inst)
     best, core = _multistart(
         fixedpoint.picard_iterate_many(
-            inst, _random_starts(inst, seed, starts, box), map_name=map_name, m_const=box, **options
+            inst, _random_starts(inst, seed, starts, box), map_name=map_name, m_const=box, efx_tol=efx_tol
         ),
         lambda run: (not run.efx, not run.converged, run.constraint_slack),
         lambda run: {
@@ -369,8 +368,9 @@ def _fixedpoint_doc(inst: Instance, starts: int, seed: int, map_name: str, **opt
 
 def cmd_fixedpoint(args) -> int:
     inst = load_instance(args.instance)
-    payload = _fixedpoint_doc(inst, args.starts, args.seed, args.map, alpha=args.alpha, tol=args.tol, max_iters=args.max_iters)
-    _emit(args, payload)
+    payload = _fixedpoint_doc(inst, args.starts, args.seed, args.map, DEFAULT_EFX_TOL)
+    # config.tol is the residual tolerance here, not an EFX one.
+    _emit(args, payload, alpha=fixedpoint.DEFAULT_ALPHA, tol=fixedpoint.RESIDUAL_TOL, max_iters=fixedpoint.DEFAULT_MAX_ITERS)
     return 0
 
 
@@ -378,14 +378,12 @@ def cmd_fixedpoint(args) -> int:
 # the command defaults, called as (inst, seed, EFX tolerance), which reads
 # the defaults when it runs; and the EFX verdict and objective of its payload.
 HUNTERS = (
-    ("lovasz",
-     lambda inst, seed, tol: _lovasz_doc(inst, ANYTIME_BUDGET, ANYTIME_STEP0, seed, tol),
-     lambda doc: (doc["rounding"]["efx"], doc["objective"])),
+    ("lovasz", _lovasz_doc, lambda doc: (doc["rounding"]["efx"], doc["objective"])),
     ("dca",
-     lambda inst, seed, tol: _dca_doc(inst, DCA_STARTS, seed, efx_tol=tol),
+     lambda inst, seed, tol: _dca_doc(inst, DCA_STARTS, seed, tol),
      lambda doc: (doc["efx"], doc["objective"])),
     (f"fixedpoint-{FIXEDPOINT_MAP}",
-     lambda inst, seed, tol: _fixedpoint_doc(inst, FIXEDPOINT_STARTS, seed, FIXEDPOINT_MAP, efx_tol=tol),
+     lambda inst, seed, tol: _fixedpoint_doc(inst, FIXEDPOINT_STARTS, seed, FIXEDPOINT_MAP, tol),
      lambda doc: (doc["efx"], doc["constraint_slack"])),
 )
 
@@ -454,7 +452,9 @@ def build_parser() -> _Parser:
 
     instance = shared("--instance", required=True)
     seed = shared("--seed", type=_nonnegative_int, default=0)
-    efx_tol = shared("--tol", type=_finite_float, default=DEFAULT_EFX_TOL)
+    efx_tol = shared("--tol", type=_finite_float, default=DEFAULT_EFX_TOL, help=(
+        "EFX tolerance, an absolute amount: an envy gap above it is a violation "
+        "(in the loaded values for check and oracle, in the rescaled instance for compare)"))
     output = shared("--output", default=None)
 
     p = sub.add_parser("gen", help="draw a random instance document", parents=[seed, output])
@@ -469,13 +469,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="exhaustive EFX scan", parents=[instance, efx_tol, output])
-    p.add_argument("--cap", type=_nonnegative_int, default=oracle.WITNESS_CAP, help="witnesses to keep; 0 counts only")
-    p.add_argument("--all", action="store_true", help="keep every witness instead of capping")
+    keep = p.add_mutually_exclusive_group()
+    # No default object, which argparse would let through beside --all.
+    keep.add_argument("--cap", type=_nonnegative_int, help=f"witnesses to keep ({oracle.WITNESS_CAP} if unset); 0 counts only")
+    keep.add_argument("--all", action="store_true", help="keep every witness instead of capping")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("lovasz", help="relaxation descent plus row-wise rounding", parents=[instance, seed, output])
-    p.add_argument("--iters", type=_positive_int, default=ANYTIME_BUDGET, help="subgradient step budget, at least 1")
-    p.add_argument("--step0", type=_positive_float, default=ANYTIME_STEP0)
     p.set_defaults(func=cmd_lovasz)
 
     p = sub.add_parser("extension", help="evaluate the smooth bound")
@@ -487,19 +487,11 @@ def build_parser() -> _Parser:
     q.set_defaults(func=cmd_extension)
 
     p = sub.add_parser("dca", help="LP-based descent on the existence objective", parents=[instance, seed, output])
-    p.add_argument("--delta", type=_nonnegative_float, default=dc.DCA_STEP_TOL)
-    p.add_argument("--max-iters", type=_positive_int, default=dc.DCA_MAX_ITERS, help="LP steps per start, at least 1")
     p.add_argument("--starts", type=_positive_int, default=DCA_STARTS)
     p.set_defaults(func=cmd_dca)
 
     p = sub.add_parser("fixedpoint", help="damped Picard iteration of a clamp map", parents=[instance, seed, output])
     p.add_argument("--map", choices=sorted(fixedpoint.MAPS), default=FIXEDPOINT_MAP)
-    p.add_argument("--alpha", type=_damping, default=fixedpoint.DEFAULT_ALPHA)
-    # A residual tolerance, not the EFX one of check, oracle and compare.
-    p.add_argument("--tol", type=_nonnegative_float, default=fixedpoint.RESIDUAL_TOL)
-    p.add_argument(
-        "--max-iters", type=_positive_int, default=fixedpoint.DEFAULT_MAX_ITERS, help="Picard steps per start, at least 1"
-    )
     p.add_argument("--starts", type=_positive_int, default=FIXEDPOINT_STARTS)
     p.set_defaults(func=cmd_fixedpoint)
 
