@@ -131,8 +131,10 @@ def load_instance(source) -> Instance:
     """Build an Instance from a document.
 
     ``source`` may be a parsed dict or the path to a JSON file.
-    The document must carry exactly the keys ``m``, ``n`` and ``values``,
-    with ``values`` a row-major list of m item rows of n entries each.
+    The document must carry the keys ``m``, ``n`` and ``values``, with
+    ``values`` a row-major list of m item rows of n entries each.  Other
+    keys are ignored, so a ``gen`` document, with its ``schema_version``
+    and ``config``, loads as it is.
     """
     doc = _read_document(source, "instance")
     for key in ("m", "n", "values"):
@@ -152,10 +154,13 @@ def _read_matrix(rows, m: int, n: int, key: str) -> np.ndarray:
     """
     if not isinstance(rows, list) or len(rows) != m:
         raise InstanceFormatError(f"{key} has {len(rows) if isinstance(rows, list) else 'no'} rows, expected m={m}")
-    matrix = np.empty((m, n))
+    # The rows' lengths are checked before the matrix is allocated, so a huge
+    # n beside short rows is an input error, not a failed allocation.
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise InstanceFormatError(f"{key}[{k}] is not a row of n={n} entries")
+    matrix = np.empty((m, n))
+    for k, row in enumerate(rows):
         for i, entry in enumerate(row):
             if not isinstance(entry, (int, float)) or isinstance(entry, bool):
                 raise InstanceFormatError(f"{key}[{k}][{i}] is not a number")

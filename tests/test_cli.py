@@ -645,12 +645,15 @@ def test_input_errors_exit_two(tmp_path, capsys):
     x = _write_doc(tmp_path / "x.json", {"x": [[0.5, 0.5]] * 3})
     ragged = _write_doc(tmp_path / "ragged.json", {"m": 2, "n": 2, "values": [[1.0, 2.0], [3.0]]})
     listed = _write_doc(tmp_path / "listed.json", [[1.0, 2.0], [3.0, 4.0]])
+    # A (2, 10**9) matrix would take 16 GB: the short rows are read first.
+    wide = _write_doc(tmp_path / "wide.json", {"m": 2, "n": 10**9, "values": [[1.0, 2.0], [3.0, 4.0]]})
     for argv, message in (
         (["extension", "eval", "--instance", inst, "--y", x], "y document must be an object with a 'y' key"),
         (["extension", "eval", "--instance", inst, "--x", x, "--lambdas", "1,abc"], "bad temperature list '1,abc'"),
         (["extension", "eval", "--instance", inst, "--x", x, "--lambdas", ","], "temperature list ',' holds no"),
         (["oracle", "--instance", ragged], "values[1] is not a row of n=2 entries"),
         (["oracle", "--instance", listed], "instance document must be a JSON object"),
+        (["oracle", "--instance", wide], "values[0] is not a row of n=1000000000 entries"),
     ):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
