@@ -154,8 +154,7 @@ def _read_matrix(rows, m: int, n: int, key: str) -> np.ndarray:
     """
     if not isinstance(rows, list) or len(rows) != m:
         raise InstanceFormatError(f"{key} has {len(rows) if isinstance(rows, list) else 'no'} rows, expected m={m}")
-    # The rows' lengths are checked before the matrix is allocated, so a huge
-    # n beside short rows is an input error, not a failed allocation.
+    # Every row is measured before the allocation, which a huge n would fail.
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise InstanceFormatError(f"{key}[{k}] is not a row of n={n} entries")
@@ -204,12 +203,13 @@ def _read_document(source, kind: str) -> dict:
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InstanceFormatError(f"cannot read {kind} file {path}: {exc}") from exc
+        # json.loads recurses per nesting level; past the int digit limit it raises ValueError.
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # json.loads recurses once per nesting level
+        except (ValueError, RecursionError) as exc:
             raise InstanceFormatError(f"cannot parse {kind} file {path} as JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise InstanceFormatError(f"{kind} document must be a JSON object")

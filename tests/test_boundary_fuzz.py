@@ -46,7 +46,7 @@ COMMANDS = [
 # goes into the document text as it is.
 LITERALS = [
     "0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e308", "-1e308",
-    "1" * 400, "-" + "1" * 400, "1e400", "NaN", "Infinity", "-Infinity",
+    "1" * 400, "-" + "1" * 400, "1" * 5000, "1e400", "NaN", "Infinity", "-Infinity",
 ]
 WRONG_TYPES = ["true", "false", '"1"', "null", "[1.0]", "{}", "[]"]
 

@@ -693,6 +693,23 @@ def test_a_document_nested_past_the_recursion_limit_is_an_input_error(tmp_path, 
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (b'{"m": 1\xff}', "cannot read instance file"),
+        (b'{"m": ' + b"1" * 5000 + b"}", "cannot parse instance file"),
+    ],
+    ids=["invalid-utf8", "5000-digit-integer"],
+)
+def test_an_unreadable_document_names_its_file(tmp_path, capsys, text, reason):
+    path = tmp_path / "instance.json"
+    path.write_bytes(text)
+    assert cli.main(["oracle", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {reason} {path}")
+
+
 def test_extension_eval_rejects_non_finite_scores(tmp_path, capsys):
     inst = _instance_file(tmp_path, I0_NORM)
     y = _write_doc(tmp_path / "y.json", {"y": [[0.0, float("nan")], [-5.0, 0.0], [-5.0, 0.0]]})
