@@ -470,7 +470,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exhaustive EFX scan", parents=[instance, efx_tol, output])
     keep = p.add_mutually_exclusive_group()
-    # No default object, which argparse would let through beside --all.
+    # Default None: argparse lets --cap pass beside --all when its value is the default object.
     keep.add_argument("--cap", type=_nonnegative_int, help=f"witnesses to keep ({oracle.WITNESS_CAP} if unset); 0 counts only")
     keep.add_argument("--all", action="store_true", help="keep every witness instead of capping")
     p.set_defaults(func=cmd_oracle)
