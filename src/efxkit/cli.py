@@ -341,10 +341,9 @@ def _fixedpoint_doc(inst: Instance, starts: int, seed: int, map_name: str, efx_t
     start in the default box of ``extension.box_radius``, stepped as one
     stack, best first by EFX extraction, then convergence, then the smaller
     constraint slack."""
-    box = extension.box_radius(inst)
     best, core = _multistart(
         fixedpoint.picard_iterate_many(
-            inst, _random_starts(inst, seed, starts, box), map_name=map_name, m_const=box, efx_tol=efx_tol
+            inst, _random_starts(inst, seed, starts, extension.box_radius(inst)), map_name=map_name, efx_tol=efx_tol
         ),
         lambda run: (not run.efx, not run.converged, run.constraint_slack),
         lambda run: {

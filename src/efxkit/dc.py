@@ -7,10 +7,10 @@ one row-max selection per item, and the resulting convex subproblem is a
 small LP: an epigraph variable for the max-term, one auxiliary variable
 per item and agent pair for the shifted row maxima, and box bounds that
 keep every iterate inside the score box [-M, 0] where encoded allocations
-live, its radius picked and checked by ``extension.box_radius``.
-Only the objective depends on the current scores: the LP's feasible
-region depends on the instance and the box alone.  So ``build_lp`` builds
-the dense rows and bounds once per instance and box and runs phase 1 of
+live, its radius that of ``extension.box_radius``, a function of the
+instance.  Only the objective depends on the current scores: the LP's
+feasible region depends on the instance alone.  So ``build_lp`` builds
+the dense rows and bounds once per instance and runs phase 1 of
 the simplex on them (``DescentLP``), every step of every start runs phase
 2 from that feasible tableau with its own objective (``solve_lp``), and a
 step whose selection repeats the previous one reuses its LP solution.
@@ -67,10 +67,8 @@ class DescentLP:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         a_std = np.vstack([self.a, np.eye(self.a.shape[1])])
-        with np.errstate(over="ignore", invalid="ignore"):
-            b_std = np.concatenate([self.b - self.a @ self.lower, self.upper - self.lower])
-        if not np.isfinite(b_std).all():
-            raise ValueError(f"box radius {self.m_const!r} takes the descent LP's bounds beyond the float range")
+        # No overflow check: box_radius keeps M <= 2**53, so b_std is finite for any m that fits in memory.
+        b_std = np.concatenate([self.b - self.a @ self.lower, self.upper - self.lower])
         object.__setattr__(self, "phase_one", simplex.phase_one(a_std, b_std))
 
 
@@ -84,9 +82,9 @@ class LPSolution:
     pivots: int
 
 
-def build_lp(inst: Instance, m_const: float | None = None) -> DescentLP:
-    """Build the descent LP's rows and bounds for the box radius
-    ``box_radius(inst, m_const)``.
+def build_lp(inst: Instance) -> DescentLP:
+    """Build the descent LP's rows and bounds in the box of radius
+    ``box_radius(inst)``.
 
     Rows run over family 1 by (pair, item), pairs in the order of
     ``instance._ordered_pairs``, then over (pair, item) blocks of the other
@@ -94,7 +92,7 @@ def build_lp(inst: Instance, m_const: float | None = None) -> DescentLP:
     envied agent j (family 3), then the bystanders in index order.
     """
     m, n = inst.m, inst.n
-    m_const = box_radius(inst, m_const)
+    radius = box_radius(inst)
     mass = total_mass(inst)
     vmax = float(inst.values.max())
     order = np.vstack(_ordered_pairs(n)[:2]).T
@@ -122,11 +120,11 @@ def build_lp(inst: Instance, m_const: float | None = None) -> DescentLP:
     rhs[..., 1] = -rhs[..., 0]
 
     # The box is symmetric, apart from the scores being nonpositive.
-    upper = np.concatenate([np.full(n_y, m_const), np.full(n_z, m_const + vmax), [(m + 1) * m_const + mass]])
+    upper = np.concatenate([np.full(n_y, radius), np.full(n_z, radius + vmax), [(m + 1) * radius + mass]])
     lower = -upper
     upper[:n_y] = 0.0
     a = np.vstack([epigraph.reshape(-1, n_vars), shifted.reshape(-1, n_vars)])
-    return DescentLP(inst, m_const, a, np.concatenate([np.zeros(n_pairs * m), rhs.ravel()]), lower, upper)
+    return DescentLP(inst, radius, a, np.concatenate([np.zeros(n_pairs * m), rhs.ravel()]), lower, upper)
 
 
 def _magnitude(lp: DescentLP) -> float:
@@ -178,8 +176,6 @@ class DCAResult:
 def dca_solve(
     lp: DescentLP,
     y0: np.ndarray | None = None,
-    delta: float = DCA_STEP_TOL,
-    max_iters: int = DCA_MAX_ITERS,
     efx_tol: float = DEFAULT_EFX_TOL,
 ) -> DCAResult:
     """Iterated linearize-and-solve descent from a score matrix.
@@ -189,24 +185,25 @@ def dca_solve(
     an items-by-agents matrix inside the box; linearizes the
     row-max term through each item's current argmax (ties to the smallest
     agent), solves the LP from ``lp.phase_one``, which descents from many
-    starts may share, and stops once the iterate moves by at most ``delta``
-    in the max norm; a repeated selection reuses the previous solution.  LP
+    starts may share, and stops once the iterate moves by at most
+    ``DCA_STEP_TOL`` in the max norm, or after ``DCA_MAX_ITERS`` steps; a
+    repeated selection reuses the previous solution.  LP
     objective values are checked to be non-increasing, to ``DESCENT_SLACK``
     or 4096 ulps of the LP's largest bound, as ``solve_lp`` rechecks; the extracted
     allocation is the row argmax of the final scores and its EFX verdict is
     checked independently.
     """
-    inst, m_const = lp.inst, lp.m_const
+    inst = lp.inst
     if y0 is None:
-        y0 = encode_allocation(inst, greedy_allocation(inst), m_const)
-    y = np.array(_require_box(inst, y0, m_const))
+        y0 = encode_allocation(inst, greedy_allocation(inst))
+    y = np.array(_require_box(inst, y0, lp.m_const))
 
     trace: list[dict] = []
     previous_objective = np.inf
     descent_slack = simplex._scaled_tol(DESCENT_SLACK, _magnitude(lp))
     status = "max-iters"
     solved = None  # (selection, LPSolution) of the last LP solved
-    for t in range(max_iters):
+    for t in range(DCA_MAX_ITERS):
         selection = np.argmax(y, axis=1)
         if solved is not None and np.array_equal(selection, solved[0]):
             sol, lp_pivots = solved[1], 0
@@ -233,7 +230,7 @@ def dca_solve(
                 "lp_pivots": lp_pivots,
             }
         )
-        if step <= delta:
+        if step <= DCA_STEP_TOL:
             status = "converged"
             break
 

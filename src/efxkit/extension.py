@@ -179,26 +179,23 @@ def dc_objective(inst: Instance, y: np.ndarray) -> float:
     return convex_part(inst, y) - rowmax_sum(y)
 
 
-def box_radius(inst: Instance, m_const: float | None = None) -> float:
+def box_radius(inst: Instance) -> float:
     """Radius M of the score box [-M, 0]^(m x n) of the DC and fixed-point solvers.
 
     Encodings are faithful only when M is finite and strictly above twice
-    the total mass.  Returns ``m_const``, or one more than twice the mass
-    when it is None.  The default obeys the same rule or raises
-    ``ValueError``, as a bad ``m_const`` does; it breaks the rule only by
-    overflowing the float range or by rounding back to twice the mass.
+    the total mass.  Returns one more than twice the mass, which obeys that
+    rule or raises ``ValueError``; it breaks the rule only by overflowing
+    the float range or by rounding back to twice the mass.
     """
     with np.errstate(over="ignore"):
         twice = 2.0 * total_mass(inst)
-    radius = twice + 1.0 if m_const is None else m_const
+    radius = twice + 1.0
     if twice < radius < np.inf:
         return radius
-    if m_const is None:
-        raise ValueError(
-            f"the default box radius, twice the total mass ({twice!r}) plus one, overflows the float range"
-            " or does not exceed twice the mass; rescale the values"
-        )
-    raise ValueError(f"box radius {m_const!r} must be finite and strictly above twice the total mass ({twice!r})")
+    raise ValueError(
+        f"the default box radius, twice the total mass ({twice!r}) plus one, overflows the float range"
+        " or does not exceed twice the mass; rescale the values"
+    )
 
 
 def _require_box(inst: Instance, y: np.ndarray, m_const: float | None, stacked: bool = False) -> np.ndarray:
@@ -217,16 +214,16 @@ def _require_box(inst: Instance, y: np.ndarray, m_const: float | None, stacked: 
     return y
 
 
-def encode_allocation(inst: Instance, alloc: Allocation, m_const: float | None = None) -> np.ndarray:
+def encode_allocation(inst: Instance, alloc: Allocation) -> np.ndarray:
     """Score matrix of an allocation: zero at owner coordinates, -M elsewhere.
 
-    M is ``box_radius(inst, m_const)``, strictly above twice the total mass,
-    so that the objective at the encoding equals the allocation's exact EFX
+    M is ``box_radius(inst)``, strictly above twice the total mass, so
+    that the objective at the encoding equals the allocation's exact EFX
     slack.  Owners outside 0..n-1, or not one per item, raise
     ``InstanceFormatError``.
     """
     _validate_allocation(inst, alloc.owner[None, :])
-    y = np.full((inst.m, inst.n), -box_radius(inst, m_const))
+    y = np.full((inst.m, inst.n), -box_radius(inst))
     y[np.arange(inst.m), alloc.owner] = 0.0
     return y
 

@@ -75,7 +75,7 @@ def _gain(yt: np.ndarray, h: np.ndarray, index: np.ndarray, shift: np.ndarray, r
     return gain.take(rivals, axis=-2).max(axis=-3, out=out)
 
 
-def _clamp_step(inst: Instance, map_name: str, m_const: float | None = None):
+def _clamp_step(inst: Instance, map_name: str, m_const: float | None):
     """The map ``map_name`` as one function of the base, built once.
 
     The function takes scores as an (..., n, m) stack of agents-by-items
@@ -131,13 +131,13 @@ def verify_constraints(inst: Instance, y: np.ndarray):
     return float(slacks.max()), _violations(slacks)
 
 
-def _map_readout(inst: Instance, y: np.ndarray, map_name: str, m_const: float | None = None) -> np.ndarray:
+def _map_readout(inst: Instance, y: np.ndarray, map_name: str) -> np.ndarray:
     """``_clamp_step``'s image of ``y``, a (..., m, n) stack of score
     matrices, laid out like ``y``; the boxed maps check the box of radius
-    ``box_radius(inst, m_const)`` first; every map checks the shape."""
-    m_const = None if map_name == "T" else box_radius(inst, m_const)
-    y = _require_box(inst, y, m_const, stacked=True)
-    return _clamp_step(inst, map_name, m_const)(y.swapaxes(-1, -2)).swapaxes(-1, -2)
+    ``box_radius(inst)`` first; every map checks the shape."""
+    radius = None if map_name == "T" else box_radius(inst)
+    y = _require_box(inst, y, radius, stacked=True)
+    return _clamp_step(inst, map_name, radius)(y.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def clamp_map(inst: Instance, y: np.ndarray) -> np.ndarray:
@@ -150,24 +150,24 @@ def clamp_map(inst: Instance, y: np.ndarray) -> np.ndarray:
     return _map_readout(inst, y, "T")
 
 
-def rowmax_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None) -> np.ndarray:
+def rowmax_clamp_map(inst: Instance, y: np.ndarray) -> np.ndarray:
     """Box variant that raises each row's maximum to zero and clamps by the
     negated transfer gain only on rows whose maximum already sits at zero
-    (exact test).  Maps the box of radius ``box_radius(inst, m_const)``
-    into itself."""
-    return _map_readout(inst, y, "Tprime", m_const)
+    (exact test).  Maps the box of radius ``box_radius(inst)`` into
+    itself."""
+    return _map_readout(inst, y, "Tprime")
 
 
-def smooth_clamp_map(inst: Instance, y: np.ndarray, m_const: float | None = None) -> np.ndarray:
+def smooth_clamp_map(inst: Instance, y: np.ndarray) -> np.ndarray:
     """Smooth box variant weighting the clamp by exp(row maximum).
 
-    Continuous on the box of radius ``box_radius(inst, m_const)`` and
-    mapping it into itself, so a fixed point exists; an image coordinate
-    outside the box is an invariant failure and raises rather than being
-    clamped away.  On a stack the message names the coordinate in the
-    first escaping matrix.
+    Continuous on the box of radius ``box_radius(inst)`` and mapping it
+    into itself, so a fixed point exists; an image coordinate outside the
+    box is an invariant failure and raises rather than being clamped away.
+    On a stack the message names the coordinate in the first escaping
+    matrix.
     """
-    return _map_readout(inst, y, "Ttilde", m_const)
+    return _map_readout(inst, y, "Ttilde")
 
 
 MAPS = {"T": clamp_map, "Tprime": rowmax_clamp_map, "Ttilde": smooth_clamp_map}
@@ -233,12 +233,11 @@ def picard_iterate_many(
     alpha: float = DEFAULT_ALPHA,
     tol: float = RESIDUAL_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    m_const: float | None = None,
     efx_tol: float = DEFAULT_EFX_TOL,
 ) -> list[FixedPointReport]:
     """Damped Picard iteration of one of the clamp maps from every start.
 
-    Works in the box of radius ``box_radius(inst, m_const)``.  Each start
+    Works in the box of radius ``box_radius(inst)``.  Each start
     is an items-by-agents matrix, inside the box for the boxed maps, or
     None for the greedy allocation's encoding.  The starts advance as one
     C-contiguous (L, n, m) stack of agents-by-items rows, each step
@@ -262,12 +261,12 @@ def picard_iterate_many(
         raise ValueError("damping factor must be in (0, 1]")
     if max_iters < 0:
         raise ValueError("iteration cap must be nonnegative")
-    m_const = box_radius(inst, m_const)
-    box = None if map_name == "T" else m_const
-    starts = [encode_allocation(inst, greedy_allocation(inst), m_const) if y0 is None else y0 for y0 in y0s]
+    radius = box_radius(inst)
+    box = None if map_name == "T" else radius
+    starts = [encode_allocation(inst, greedy_allocation(inst)) if y0 is None else y0 for y0 in y0s]
     if not starts:
         return []
-    step = _clamp_step(inst, map_name, m_const)
+    step = _clamp_step(inst, map_name, radius)
     # The base: each start as an (n, m) agents-by-items matrix of one
     # C-contiguous (L, n, m) stack, so every step reduces and gathers whole
     # agent rows.  Map T is unboxed: only the shape of its start is checked.

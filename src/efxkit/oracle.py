@@ -57,10 +57,10 @@ def batch_efx_slack(inst: Instance, owners: np.ndarray) -> np.ndarray:
     return _worst_gap(*_halves(inst, np.asarray(owners, dtype=int)))
 
 
-def _scan(inst: Instance, guard: int):
+def _scan(inst: Instance):
     """Every owner vector in scan order, block by block, as (prefix owner
     rows, suffix owner rows, worst pair gap of each prefix row with each
-    suffix row); raises before scanning past the guard.
+    suffix row); raises before scanning past ``SCAN_GUARD``.
 
     A block pairs consecutive prefix rows with consecutive suffix rows and
     holds about ``_BLOCK`` pair entries; it spans several prefix rows only
@@ -72,9 +72,9 @@ def _scan(inst: Instance, guard: int):
     """
     m, n = inst.m, inst.n
     size = n**m
-    if size > guard:
+    if size > SCAN_GUARD:
         raise OracleGuardError(
-            f"scan of {n}^{m} = {size} owner vectors exceeds the guard of {guard}"
+            f"scan of {n}^{m} = {size} owner vectors exceeds the guard of {SCAN_GUARD}"
         )
     p = _split(m)
     pairs = n * (n - 1)
@@ -113,22 +113,18 @@ def _scan(inst: Instance, guard: int):
             yield owners[0][rows], owners[1][cols], _worst_gap(prefix, suffix)
 
 
-def enumerate_efx(
-    inst: Instance,
-    cap: int = WITNESS_CAP,
-    tol: float = DEFAULT_EFX_TOL,
-    guard: int = SCAN_GUARD,
-) -> OracleResult:
+def enumerate_efx(inst: Instance, cap: int = WITNESS_CAP, tol: float = DEFAULT_EFX_TOL) -> OracleResult:
     """Scan every allocation; report existence, witnesses, exact counts
     and the smallest worst-pair slack.
 
     The witness list is truncated at ``cap`` but ``witness_count`` is always
-    the exact number of EFX allocations over the full scan.
+    the exact number of EFX allocations over the full scan.  An instance
+    with more than ``SCAN_GUARD`` owner vectors raises ``OracleGuardError``.
     """
     witnesses: list[Allocation] = []
     count = 0
     min_slack = np.inf
-    for prefix, suffix, slack in _scan(inst, guard):
+    for prefix, suffix, slack in _scan(inst):
         min_slack = min(min_slack, slack.min())
         if len(witnesses) >= cap:
             count += int(np.count_nonzero(slack <= tol))

@@ -276,7 +276,6 @@ def dca_solve(
     y0: np.ndarray | None = None,
     delta: float = DCA_STEP_TOL,
     max_iters: int = DCA_MAX_ITERS,
-    m_const: float | None = None,
     efx_tol: float = DEFAULT_EFX_TOL,
 ) -> DCAResult:
     """Iterated linearize-and-solve descent from a score matrix.
@@ -288,10 +287,9 @@ def dca_solve(
     be non-increasing; the extracted allocation is the row argmax of the
     final scores and its EFX verdict is checked independently.
     """
-    if m_const is None:
-        m_const = box_radius(inst)
+    m_const = box_radius(inst)
     if y0 is None:
-        y = encode_allocation(inst, greedy_allocation(inst), m_const)
+        y = encode_allocation(inst, greedy_allocation(inst))
     else:
         y = np.array(y0, dtype=float)
         if y.shape != (inst.m, inst.n):

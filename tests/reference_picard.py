@@ -28,12 +28,11 @@ def picard_iterate(
     alpha: float = DEFAULT_ALPHA,
     tol: float = RESIDUAL_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    m_const: float | None = None,
     efx_tol: float = DEFAULT_EFX_TOL,
 ) -> FixedPointReport:
     """Damped Picard iteration of one of the clamp maps.
 
-    Works in the box of radius ``box_radius(inst, m_const)``.  Starts at
+    Works in the box of radius ``box_radius(inst)``.  Starts at
     the greedy allocation's encoding unless ``y0`` is given, which must be
     an items-by-agents matrix, inside the box for the boxed maps.  Stops
     when the undamped residual (max-norm distance between the point and
@@ -46,12 +45,11 @@ def picard_iterate(
         raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAPS)}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("damping factor must be in (0, 1]")
-    m_const = box_radius(inst, m_const)
+    m_const = box_radius(inst)
     if y0 is None:
-        y0 = encode_allocation(inst, greedy_allocation(inst), m_const)
+        y0 = encode_allocation(inst, greedy_allocation(inst))
     boxed = map_name in ("Tprime", "Ttilde")
-    # Map T is unboxed: it takes no radius, and only the shape of its start is checked.
-    radius = (m_const,) if boxed else ()
+    # Map T is unboxed: only the shape of its start is checked.
     y = np.array(_require_box(inst, y0, m_const if boxed else None))
 
     best_residual = np.inf
@@ -59,7 +57,7 @@ def picard_iterate(
     converged = False
     iterations = 0
     for _ in range(max_iters + 1):
-        image = MAPS[map_name](inst, y, *radius)
+        image = MAPS[map_name](inst, y)
         residual = float(np.abs(image - y).max())
         if residual < best_residual:
             best_residual = residual

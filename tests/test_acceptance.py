@@ -285,7 +285,7 @@ def box_sweep():
         one_by_one = np.random.default_rng(5000 + idx)
         assert np.array_equal(y, [one_by_one.uniform(-box, 0.0, size=(m, n)) for _ in range(10**4)])
         gain_violations += int((np.abs(transfer_gain(inst, y)).max(axis=(1, 2)) > mass).sum())
-        image = smooth_clamp_map(inst, y, box)
+        image = smooth_clamp_map(inst, y)
         box_violations += int(((image.max(axis=(1, 2)) > 0.0) | (image.min(axis=(1, 2)) < -box)).sum())
         points += len(y)
     return {

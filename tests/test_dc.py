@@ -91,7 +91,7 @@ def test_both_parts_are_convex():
 
 
 def test_parts_frozen_values(i0_norm):
-    y = encode_allocation(i0_norm, Allocation(np.array([0, 1, 1])), m_const=5.0)
+    y = encode_allocation(i0_norm, Allocation(np.array([0, 1, 1])))
     assert rowmax_sum(y) == 0.0
     assert convex_part(i0_norm, y) == pytest.approx(-0.25)
     assert rowmax_sum(np.full((4, 2), -1.0)) == -4.0

@@ -48,7 +48,7 @@ def test_trace_counts_phase_two_pivots_and_zero_on_a_repeat():
     for n in sorted(ITEMS):
         for inst in _instances(0, n):
             box = box_radius(inst)
-            lp = build_lp(inst, box)
+            lp = build_lp(inst)
             phase1 = lp.phase_one.pivots
             y0 = np.random.default_rng(n).uniform(-box, 0.0, size=(inst.m, n))
             out = dca_solve(lp, y0=y0)
@@ -69,15 +69,14 @@ def test_dense_rows_match_the_sparse_reference_builder():
     zero_value = Instance([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     negative_zeros = 0
     for inst in [zero_value, *(inst for n in sorted(ITEMS) for seed in range(2) for inst in _instances(seed, n))]:
-        for box in (box_radius(inst), 3.5 * box_radius(inst)):
-            lp = build_lp(inst, box)
-            model = ref.build_lp(inst, np.zeros(inst.m, dtype=int), box)
-            a, b = ref._dense_rows(model)
-            assert lp.a.tobytes() == a.tobytes() and lp.a.shape == a.shape
-            assert lp.b.tobytes() == b.tobytes()
-            assert lp.lower.tobytes() == model.lower.tobytes()
-            assert lp.upper.tobytes() == model.upper.tobytes()
-            negative_zeros += int(np.sum((b == 0.0) & np.signbit(b)))
+        lp = build_lp(inst)
+        model = ref.build_lp(inst, np.zeros(inst.m, dtype=int), box_radius(inst))
+        a, b = ref._dense_rows(model)
+        assert lp.a.tobytes() == a.tobytes() and lp.a.shape == a.shape
+        assert lp.b.tobytes() == b.tobytes()
+        assert lp.lower.tobytes() == model.lower.tobytes()
+        assert lp.upper.tobytes() == model.upper.tobytes()
+        negative_zeros += int(np.sum((b == 0.0) & np.signbit(b)))
     # A zero value makes a family-3 right-hand side -0.0, whose sign bit
     # the byte comparison above checks.
     assert negative_zeros > 0

@@ -27,12 +27,12 @@ from efxkit import (
     transfer_gain,
     verify_constraints,
 )
-from efxkit.fixedpoint import MAPS
+from efxkit.fixedpoint import MAPS, _clamp_step
 from test_layout import _agents_major, _tied_stack
 
 
 def _encode_efx(i0_norm):
-    return encode_allocation(i0_norm, Allocation(np.array([0, 1, 1])), m_const=5.0)
+    return encode_allocation(i0_norm, Allocation(np.array([0, 1, 1])))
 
 
 def test_transfer_gain_frozen(i0_norm):
@@ -83,7 +83,7 @@ def test_slack_frozen_at_encodings(i0_norm):
     slack, violations = verify_constraints(i0_norm, _encode_efx(i0_norm))
     assert slack == pytest.approx(-0.25)
     assert violations == []
-    bad = encode_allocation(i0_norm, Allocation(np.array([1, 1, 1])), m_const=5.0)
+    bad = encode_allocation(i0_norm, Allocation(np.array([1, 1, 1])))
     slack, violations = verify_constraints(i0_norm, bad)
     assert slack > 0
     assert violations
@@ -122,43 +122,45 @@ def test_clamp_fixed_iff_feasible_random():
 def test_encodings_of_efx_are_fixed_for_all_maps(i0_norm):
     y = _encode_efx(i0_norm)
     assert np.array_equal(clamp_map(i0_norm, y), y)
-    assert np.array_equal(rowmax_clamp_map(i0_norm, y, 5.0), y)
-    assert np.array_equal(smooth_clamp_map(i0_norm, y, 5.0), y)
+    assert np.array_equal(rowmax_clamp_map(i0_norm, y), y)
+    assert np.array_equal(smooth_clamp_map(i0_norm, y), y)
 
 
 def test_boxed_maps_lower_negative_rowmax(i0_norm):
     y = np.array([[-0.5, -2.0], [0.0, -1.0], [-1.0, 0.0]])
     # rows with strictly negative maxima get shifted up to zero first
     for map_fn in (rowmax_clamp_map, smooth_clamp_map):
-        image = map_fn(i0_norm, y, 5.0)
+        image = map_fn(i0_norm, y)
         assert np.all(image <= 0.0)
         assert image[0].max() <= 0.0
         assert np.all(image[0] >= y[0] - 1e-12)  # the stuck row moves up
 
 
 def test_smooth_map_at_deep_corner(i0_norm):
-    m_const = 5.0
-    y = np.full((3, 2), -m_const)
-    image = smooth_clamp_map(i0_norm, y, m_const)
+    radius = box_radius(i0_norm)
+    y = np.full((3, 2), -radius)
+    image = smooth_clamp_map(i0_norm, y)
     mass = 2.0
     assert np.all(image <= 0.0)
-    assert np.all(image >= -mass * np.exp(-m_const))
+    assert np.all(image >= -mass * np.exp(-radius))
 
 
 def test_zero_values_reach_fixed_point_fast():
     inst = Instance(np.zeros((4, 3)))
     rng = np.random.default_rng(1)
-    y0 = rng.uniform(-5, 0, size=(4, 3))
-    report = picard_iterate_many(inst, [y0], "Ttilde", alpha=1.0, m_const=9.0)[0]
+    # With no mass the box is [-1, 0].
+    y0 = rng.uniform(-box_radius(inst), 0, size=(4, 3))
+    report = picard_iterate_many(inst, [y0], "Ttilde", alpha=1.0)[0]
     assert report.converged
     assert report.iterations <= 2
     assert report.residual <= 1e-12
 
 
 def test_smooth_map_self_map_random():
-    # Every radius the box rule accepts, down to the smallest, keeps T-tilde
-    # in its box: one matrix at a time, on stacks of either layout, and on
-    # rows tied at zeros of either sign or at the box's edge.
+    # T-tilde keeps its box at the default radius and at the smallest the
+    # box rule accepts, where the map's step checks the escape on the
+    # agents-by-items base: one matrix at a time, on stacks of either
+    # layout, and on rows tied at zeros of either sign or at the box's edge.
     for seed in range(6):
         for inst in (
             random_instance(seed, 4, 3),
@@ -167,14 +169,16 @@ def test_smooth_map_self_map_random():
             generate_instance(4, 3, "identical", seed),
         ):
             rng = np.random.default_rng(seed + 7)
-            twice = 2 * total_mass(inst)
-            with pytest.raises(ValueError):
-                box_radius(inst, twice)
-            for box in (box_radius(inst), box_radius(inst, np.nextafter(twice, np.inf))):
+            edge = np.nextafter(2 * total_mass(inst), np.inf)
+            step = _clamp_step(inst, "Ttilde", edge)
+            for box, smooth in (
+                (box_radius(inst), lambda y: smooth_clamp_map(inst, y)),
+                (edge, lambda y: step(np.swapaxes(y, -1, -2))),
+            ):
                 points = rng.uniform(-box, 0, size=(200, 4, 3))
                 tied = _tied_stack(rng, 4, 3) * (box / 4)
                 for y in (*points, points, _agents_major(points), tied, _agents_major(tied)):
-                    image = smooth_clamp_map(inst, y, box)  # raises on any escape
+                    image = smooth(y)  # raises on any escape
                     assert image.min() >= -box and image.max() <= 0.0
 
 
@@ -187,30 +191,20 @@ def test_smooth_map_violation_raised(i0_norm, monkeypatch):
     image = -(transfer_gain(i0_norm, y) + poison)
     poison_gain(monkeypatch, [y], poison)
     with pytest.raises(SelfMapViolation) as caught:
-        smooth_clamp_map(i0_norm, y, m_const=box)
+        smooth_clamp_map(i0_norm, y)
     k, j = np.unravel_index(int(np.argmin(image)), image.shape)
     value = float(image[k, j])
     assert str(caught.value) == f"image coordinate ({k}, {j}) = {value!r} left the box [-{box}, 0]"
     assert repr(value) in str(caught.value) and "np." not in str(caught.value)
 
 
-def test_boxed_maps_apply_the_radius_rule(i0_raw):
-    # Twice the mass of I0 is 24: a radius of 1.0 is no box of the maps,
-    # though the point lies in [-1, 0].
-    y = np.full((3, 2), -0.5)
-    for box_map in (rowmax_clamp_map, smooth_clamp_map):
-        with pytest.raises(ValueError, match="box radius 1.0 must be finite and strictly above"):
-            box_map(i0_raw, y, 1.0)
-        assert box_map(i0_raw, y, np.nextafter(24.0, np.inf)).shape == (3, 2)
-
-
 def test_maps_reject_points_outside_box(i0_norm):
     with pytest.raises(ValueError):
-        rowmax_clamp_map(i0_norm, np.full((3, 2), 0.25), 5.0)
+        rowmax_clamp_map(i0_norm, np.full((3, 2), 0.25))
     with pytest.raises(ValueError):
-        smooth_clamp_map(i0_norm, np.full((3, 2), -99.0), 5.0)
+        smooth_clamp_map(i0_norm, np.full((3, 2), -99.0))
     with pytest.raises(ValueError):
-        smooth_clamp_map(i0_norm, np.full((3, 2), np.nan), 5.0)
+        smooth_clamp_map(i0_norm, np.full((3, 2), np.nan))
 
 
 @pytest.mark.parametrize("map_name", sorted(MAPS))
@@ -272,7 +266,7 @@ def test_finite_difference_slopes_bounded():
                 continue
             for map_fn in (
                 lambda a: clamp_map(inst, a),
-                lambda a: smooth_clamp_map(inst, a, box),
+                lambda a: smooth_clamp_map(inst, a),
             ):
                 ratio = np.abs(map_fn(other) - map_fn(y)).max() / denom
                 assert ratio <= bound + 1e-6

@@ -43,8 +43,8 @@ def _kernels(inst, box):
         "shifted_rowmax": lambda y: _shifted_rowmax(inst, y)[2],
         "transfer_gain": lambda y: transfer_gain(inst, y),
         "clamp_map": lambda y: clamp_map(inst, y),
-        "rowmax_clamp_map": lambda y: rowmax_clamp_map(inst, y, box),
-        "smooth_clamp_map": lambda y: smooth_clamp_map(inst, y, box),
+        "rowmax_clamp_map": lambda y: rowmax_clamp_map(inst, y),
+        "smooth_clamp_map": lambda y: smooth_clamp_map(inst, y),
         "constraint_slacks": lambda y: constraint_slacks(inst, y),
     }
     # The Picard loop's step of each map, on the (..., n, m) base of y.

@@ -51,9 +51,11 @@ def test_two_agents_always_solvable():
 
 
 def test_guard_rejects_oversized_scan():
-    inst = random_instance(0, 4, 3)
-    with pytest.raises(OracleGuardError):
-        enumerate_efx(inst, guard=50)
+    # 3^15 owner vectors lie past the guard of 10^7, which raises before
+    # any table is built.
+    inst = random_instance(0, 15, 3)
+    with pytest.raises(OracleGuardError, match="3\\^15 = 14348907 owner vectors exceeds the guard of 10000000"):
+        enumerate_efx(inst)
 
 
 def test_batch_slack_matches_scalar_exactly():

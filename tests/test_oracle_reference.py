@@ -74,7 +74,7 @@ def test_scan_matches_reference(m, n):
 
 def _scanned(inst):
     """(owner row, worst gap) of every allocation, in scan order."""
-    for prefix, suffix, worst in oracle._scan(inst, oracle.SCAN_GUARD):
+    for prefix, suffix, worst in oracle._scan(inst):
         for a, row in enumerate(prefix):
             for b, rest in enumerate(suffix):
                 yield np.concatenate([row, rest]), worst[a, b]

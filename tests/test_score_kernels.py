@@ -78,8 +78,8 @@ def test_stacked_kernels_match_one_call_per_matrix(n):
                 lambda y: _shifted_rowmax(inst, y)[2],
                 lambda y: transfer_gain(inst, y),
                 lambda y: clamp_map(inst, y),
-                lambda y: rowmax_clamp_map(inst, y, box),
-                lambda y: smooth_clamp_map(inst, y, box),
+                lambda y: rowmax_clamp_map(inst, y),
+                lambda y: smooth_clamp_map(inst, y),
             ]
             for kernel in kernels:
                 expected = np.array([kernel(y) for y in stack])
@@ -123,12 +123,12 @@ def test_stacked_smooth_map_raises_the_first_escape_of_the_stack(monkeypatch):
     messages = []
     for y in points:
         try:
-            smooth_clamp_map(inst, y, radius)
+            smooth_clamp_map(inst, y)
             messages.append(None)
         except SelfMapViolation as exc:
             messages.append(str(exc))
     first = next(k for k, message in enumerate(messages) if message)
     assert first > 0 and len(messages) - messages.count(None) > 1
     with pytest.raises(SelfMapViolation) as caught:
-        smooth_clamp_map(inst, points, radius)
+        smooth_clamp_map(inst, points)
     assert str(caught.value) == messages[first]
