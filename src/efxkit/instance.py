@@ -35,6 +35,7 @@ import numpy as np
 
 COLUMN_SUM_TOL = 1e-12
 DEFAULT_EFX_TOL = 1e-9
+ECHO_DIGITS = 20  # longer integers appear in input errors by their digit count
 
 
 class InstanceFormatError(ValueError):
@@ -146,6 +147,18 @@ def load_instance(source) -> Instance:
     return Instance(_read_matrix(doc["values"], m, n, "values"))
 
 
+def _shown(number: int) -> str:
+    """An integer of a document as an input error prints it: in full up to
+    ``ECHO_DIGITS`` digits, past them by its digit count alone."""
+    size = abs(number)
+    if size < 10**ECHO_DIGITS:
+        return str(number)
+    # log10 of a huge integer can round across a power of ten.
+    power = int(math.log10(size))
+    power += (size >= 10 ** (power + 1)) - (size < 10**power)
+    return f"{'-' if number < 0 else ''}<{power + 1} digits>"
+
+
 def _read_matrix(rows, m: int, n: int, key: str) -> np.ndarray:
     """The (m, n) float matrix a document lists as ``rows`` under ``key``.
 
@@ -153,11 +166,11 @@ def _read_matrix(rows, m: int, n: int, key: str) -> np.ndarray:
     float; errors name the first entry that is not.
     """
     if not isinstance(rows, list) or len(rows) != m:
-        raise InstanceFormatError(f"{key} has {len(rows) if isinstance(rows, list) else 'no'} rows, expected m={m}")
+        raise InstanceFormatError(f"{key} has {len(rows) if isinstance(rows, list) else 'no'} rows, expected m={_shown(m)}")
     # Every row is measured before the allocation, which a huge n would fail.
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
-            raise InstanceFormatError(f"{key}[{k}] is not a row of n={n} entries")
+            raise InstanceFormatError(f"{key}[{k}] is not a row of n={_shown(n)} entries")
     matrix = np.empty((m, n))
     for k, row in enumerate(rows):
         for i, entry in enumerate(row):
@@ -189,7 +202,7 @@ def load_allocation(source, inst: Instance) -> Allocation:
         if not isinstance(agent, int) or isinstance(agent, bool):
             raise InstanceFormatError(f"owner[{k}] is not an integer")
         if not 1 <= agent <= inst.n:
-            raise InstanceFormatError(f"owner[{k}]={agent} is outside 1..{inst.n}")
+            raise InstanceFormatError(f"owner[{k}]={_shown(agent)} is outside 1..{inst.n}")
     return Allocation(np.asarray(owner, dtype=int) - 1)
 
 

@@ -5,7 +5,9 @@ score documents are mutated in five families (structure, types, sizes,
 values and bytes), and every command that reads the mutated document runs
 on it in process through ``cli.main``.  Whatever the input, a run exits 0
 with strict JSON on standard output, or exits 2 with one ``error:`` line on
-standard error and nothing on standard output.  Each family mutates each
+standard error and nothing on standard output; that line, the mutated
+file's path taken out, is at most ``ERROR_LINE_CAP`` characters, however
+long the document's numbers are.  Each family mutates each
 document ``CASES`` times, taking its mutations in turn and drawing their
 choices from one fixed seed, so the cases are the same on every run.
 """
@@ -24,6 +26,7 @@ from efxkit import cli
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 20260
 CASES = 16
+ERROR_LINE_CAP = 250
 # Each kind of document: its golden file and the key its payload sits under.
 DOCUMENTS = {
     "instance": ("gen-6x2.json", "values"),
@@ -248,7 +251,7 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
-def _assert_boundary_holds(argv: list[str]) -> int:
+def _assert_boundary_holds(argv: list[str], path: str) -> int:
     code, out, err = _invocation(argv)
     if code == 0:
         assert err == "", (argv, err)
@@ -258,6 +261,7 @@ def _assert_boundary_holds(argv: list[str]) -> int:
         assert code == 2, (argv, code, err)
         assert out == "", (argv, out)
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert len(err[:-1].replace(path, "")) <= ERROR_LINE_CAP, (argv, err)
     return code
 
 
@@ -279,7 +283,7 @@ def test_every_mutated_document_exits_zero_or_two(tmp_path, family, kind):
             Path(files[kind]).mkdir()
         else:
             Path(files[kind]).write_bytes(data)
-        case_codes = [_assert_boundary_holds([files.get(word, word) for word in argv]) for argv in commands]
+        case_codes = [_assert_boundary_holds([files.get(word, word) for word in argv], files[kind]) for argv in commands]
         if mutation is extra_key:  # the loaders ignore keys they do not read
             assert case_codes == [0] * len(commands)
         codes += case_codes
