@@ -140,16 +140,18 @@ _finite_float = _bounded(float, np.isfinite, "a finite number")
 
 
 def _parse_lambdas(text: str) -> list[float]:
+    """The ``--lambdas`` option type: comma-separated temperatures, positive,
+    finite and strictly increasing."""
     try:
         lams = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise InstanceFormatError(f"bad temperature list {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad temperature list {text!r}") from None
     if not lams:
-        raise InstanceFormatError(f"temperature list {text!r} holds no temperature")
+        raise argparse.ArgumentTypeError(f"temperature list {text!r} holds no temperature")
     if not all(0 < l < np.inf for l in lams):
-        raise InstanceFormatError("temperatures must be positive and finite")
+        raise argparse.ArgumentTypeError("temperatures must be positive and finite")
     if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise InstanceFormatError("temperatures must be strictly increasing")
+        raise argparse.ArgumentTypeError("temperatures must be strictly increasing")
     return lams
 
 
@@ -246,9 +248,7 @@ def cmd_lovasz(args) -> int:
 
 def cmd_extension(args) -> int:
     inst = load_instance(args.instance)
-    lams = _parse_lambdas(args.lambdas)
-    if (args.y is None) == (args.x is None):
-        raise InstanceFormatError("provide exactly one of --y or --x")
+    lams = args.lambdas
     f_value = None
     if args.y is not None:
         y = _load_matrix(args.y, "y", inst)
@@ -269,7 +269,7 @@ def cmd_extension(args) -> int:
         if not np.isfinite([b, g]).all():
             raise InstanceFormatError(f"--lambdas: temperature {lam!r} takes the evaluation beyond the float range")
     payload = {"f": f_value, "g": g_values, "bound": bound}
-    _emit(args, payload, command="extension eval", lambdas=lams)
+    _emit(args, payload, command="extension eval")
     return 0
 
 
@@ -480,9 +480,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extension", help="evaluate the smooth bound")
     ext_sub = p.add_subparsers(dest="mode", required=True)
     q = ext_sub.add_parser("eval", help="bound and objective at a point", parents=[instance, output])
-    q.add_argument("--y", default=None, help="score document {'y': [[..]]}")
-    q.add_argument("--x", default=None, help="fractional document {'x': [[..]]}")
-    q.add_argument("--lambdas", default=",".join(map(repr, EXTENSION_LAMBDAS)))
+    point = q.add_mutually_exclusive_group(required=True)
+    point.add_argument("--y", help="score document {'y': [[..]]}")
+    point.add_argument("--x", help="fractional document {'x': [[..]]}")
+    q.add_argument("--lambdas", type=_parse_lambdas, default=",".join(map(repr, EXTENSION_LAMBDAS)))
     q.set_defaults(func=cmd_extension)
 
     p = sub.add_parser("dca", help="LP-based descent on the existence objective", parents=[instance, seed, output])

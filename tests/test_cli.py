@@ -299,16 +299,32 @@ def test_extension_eval_fractional_point(tmp_path, capsys):
     assert len(doc["g"]) == len(doc["bound"]) == 4
 
 
+def _usage_error(capsys, argv: list[str]) -> str:
+    """The one error line of a run that must exit 1 with a usage message."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
+    assert captured.err.count("usage: ") == 1 and captured.err.count("error: ") == 1
+    return captured.err.splitlines()[-1]
+
+
 def test_extension_eval_argument_errors(tmp_path, capsys):
+    # A point given twice or not at all, and a malformed temperature list,
+    # are usage errors, whatever the documents hold.
     inst = _instance_file(tmp_path, I0_NORM)
     y = _write_doc(tmp_path / "y.json", {"y": [[0.0, -5.0], [-5.0, 0.0], [-5.0, 0.0]]})
     x = _write_doc(tmp_path / "x.json", {"x": [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]})
-    assert cli.main(["extension", "eval", "--instance", inst]) == 2
-    assert cli.main(["extension", "eval", "--instance", inst, "--y", y, "--x", x]) == 2
-    bad = cli.main(["extension", "eval", "--instance", inst, "--y", y, "--lambdas", "10,1"])
-    assert bad == 2
-    assert "strictly increasing" in capsys.readouterr().err
-    assert cli.main(["extension", "eval", "--instance", inst, "--y", y, "--lambdas", "0,1"]) == 2
+    for extra, message in (
+        ([], "one of the arguments --y --x is required"),
+        (["--y", y, "--x", x], "argument --x: not allowed with argument --y"),
+        (["--y", y, "--lambdas", "10,1"], "argument --lambdas: temperatures must be strictly increasing"),
+        (["--y", y, "--lambdas", "0,1"], "argument --lambdas: temperatures must be positive and finite"),
+        (["--x", x, "--lambdas", "1,abc"], "argument --lambdas: bad temperature list '1,abc'"),
+        (["--x", x, "--lambdas", ","], "argument --lambdas: temperature list ',' holds no temperature"),
+    ):
+        assert _usage_error(capsys, ["extension", "eval", "--instance", inst, *extra]).endswith(f"error: {message}")
 
 
 def test_extension_eval_rejects_off_polytope_point(tmp_path, capsys):
@@ -649,8 +665,6 @@ def test_input_errors_exit_two(tmp_path, capsys):
     wide = _write_doc(tmp_path / "wide.json", {"m": 2, "n": 10**9, "values": [[1.0, 2.0], [3.0, 4.0]]})
     for argv, message in (
         (["extension", "eval", "--instance", inst, "--y", x], "y document must be an object with a 'y' key"),
-        (["extension", "eval", "--instance", inst, "--x", x, "--lambdas", "1,abc"], "bad temperature list '1,abc'"),
-        (["extension", "eval", "--instance", inst, "--x", x, "--lambdas", ","], "temperature list ',' holds no"),
         (["oracle", "--instance", ragged], "values[1] is not a row of n=2 entries"),
         (["oracle", "--instance", listed], "instance document must be a JSON object"),
         (["oracle", "--instance", wide], "values[0] is not a row of n=1000000000 entries"),
@@ -955,12 +969,11 @@ def test_non_finite_float_option_is_a_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("lambdas", ["nan", "1,inf", "inf"])
-def test_non_finite_temperature_is_an_input_error(tmp_path, capsys, lambdas):
+def test_non_finite_temperature_is_a_usage_error(tmp_path, capsys, lambdas):
     inst = _instance_file(tmp_path, I0_NORM)
     x = _write_doc(tmp_path / "x.json", {"x": [[0.5, 0.5]] * 3})
-    code = cli.main(["extension", "eval", "--instance", inst, "--x", x, "--lambdas", lambdas])
-    assert code == 2
-    assert "positive and finite" in capsys.readouterr().err
+    line = _usage_error(capsys, ["extension", "eval", "--instance", inst, "--x", x, "--lambdas", lambdas])
+    assert line.endswith("error: argument --lambdas: temperatures must be positive and finite")
 
 
 @pytest.mark.parametrize("point", ["x", "y"])
