@@ -368,8 +368,7 @@ def _fixedpoint_doc(inst: Instance, starts: int, seed: int, map_name: str, efx_t
 def cmd_fixedpoint(args) -> int:
     inst = load_instance(args.instance)
     payload = _fixedpoint_doc(inst, args.starts, args.seed, args.map, DEFAULT_EFX_TOL)
-    # config.tol is the residual tolerance here, not an EFX one.
-    _emit(args, payload, alpha=fixedpoint.DEFAULT_ALPHA, tol=fixedpoint.RESIDUAL_TOL, max_iters=fixedpoint.DEFAULT_MAX_ITERS)
+    _emit(args, payload, alpha=fixedpoint.DEFAULT_ALPHA, residual_tol=fixedpoint.RESIDUAL_TOL, max_iters=fixedpoint.DEFAULT_MAX_ITERS)
     return 0
 
 
