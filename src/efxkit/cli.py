@@ -294,9 +294,9 @@ def _multistart(runs: list, rank, summary) -> tuple:
 
 
 def _dca_doc(inst: Instance, starts: int, seed: int, efx_tol: float) -> dict:
-    """The dca document's payload: DCA runs at ``dca_solve``'s defaults but
-    ``efx_tol`` from the greedy encoding (start 0) and ``starts - 1`` random
-    starts in the default box of ``extension.box_radius``, best first by EFX
+    """The dca document's payload: DCA runs with ``efx_tol`` from the
+    greedy encoding (start 0) and ``starts - 1`` random starts in the box
+    of ``extension.box_radius``, best first by EFX
     extraction, then the smaller objective.  Every start's LPs share one
     ``build_lp``'s rows and bounds, so phase 1 runs once; each start reports
     its phase-2 pivots summed over its steps."""
@@ -338,7 +338,7 @@ def _stuck_rows_doc(rows: list[dict]) -> list[dict]:
 def _fixedpoint_doc(inst: Instance, starts: int, seed: int, map_name: str, efx_tol: float) -> dict:
     """The fixedpoint document's payload: Picard runs of ``map_name`` at
     ``picard_iterate_many``'s defaults but ``efx_tol`` from every random
-    start in the default box of ``extension.box_radius``, stepped as one
+    start in the box of ``extension.box_radius``, stepped as one
     stack, best first by EFX extraction, then convergence, then the smaller
     constraint slack."""
     best, core = _multistart(

@@ -173,11 +173,7 @@ class DCAResult:
     efx: bool = False
 
 
-def dca_solve(
-    lp: DescentLP,
-    y0: np.ndarray | None = None,
-    efx_tol: float = DEFAULT_EFX_TOL,
-) -> DCAResult:
+def dca_solve(lp: DescentLP, y0: np.ndarray | None = None, efx_tol: float = DEFAULT_EFX_TOL) -> DCAResult:
     """Iterated linearize-and-solve descent from a score matrix.
 
     Works on ``lp.inst`` in the box of ``lp.m_const``.  Starts at the

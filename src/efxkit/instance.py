@@ -35,7 +35,6 @@ import numpy as np
 
 COLUMN_SUM_TOL = 1e-12
 DEFAULT_EFX_TOL = 1e-9
-ECHO_DIGITS = 20  # longer integers appear in input errors by their digit count
 
 
 class InstanceFormatError(ValueError):
@@ -148,15 +147,13 @@ def load_instance(source) -> Instance:
 
 
 def _shown(number: int) -> str:
-    """An integer of a document as an input error prints it: in full up to
-    ``ECHO_DIGITS`` digits, past them by its digit count alone."""
+    """A document's integer as input errors print it: in full up to 20 digits, else by its digit count."""
     size = abs(number)
-    if size < 10**ECHO_DIGITS:
+    if size < 10**20:
         return str(number)
-    # log10 of a huge integer can round across a power of ten.
-    power = int(math.log10(size))
+    power = int(math.log10(size))  # which can round across a power of ten
     power += (size >= 10 ** (power + 1)) - (size < 10**power)
-    return f"{'-' if number < 0 else ''}<{power + 1} digits>"
+    return f"{'-' * (number < 0)}<{power + 1} digits>"
 
 
 def _read_matrix(rows, m: int, n: int, key: str) -> np.ndarray:
