@@ -72,7 +72,6 @@ def test_stacked_kernels_match_one_call_per_matrix(n):
     rng = np.random.default_rng(n + 100)
     for seed in range(4):
         for inst in _instances(seed, n):
-            box = box_radius(inst) + 4.0
             stack = np.array([*_score_matrices(inst, rng), *_score_matrices(inst, rng)])
             kernels = [
                 lambda y: _shifted_rowmax(inst, y)[2],
