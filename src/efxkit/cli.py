@@ -302,7 +302,7 @@ def _dca_doc(inst: Instance, starts: int, seed: int, efx_tol: float) -> dict:
     its phase-2 pivots summed over its steps."""
     lp = dc.build_lp(inst)
     best, core = _multistart(
-        [dc.dca_solve(lp, y0=y0, efx_tol=efx_tol) for y0 in [None, *_random_starts(inst, seed, starts - 1, lp.m_const)]],
+        [dc.dca_solve(lp, y0=y0, efx_tol=efx_tol) for y0 in [None, *_random_starts(inst, seed, starts - 1, extension.box_radius(inst))]],
         lambda run: (not run.efx, run.objective),
         lambda run: {
             "objective": run.objective,

@@ -39,8 +39,8 @@ RECHECK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DescentLP:
-    """The rows and box bounds of every descent step's LP on one instance
-    and box radius ``m_const``, with phase 1 of the simplex run on them.
+    """The rows and box bounds of every descent step's LP on one instance,
+    in the box of ``box_radius(inst)``, with phase 1 of the simplex run on them.
 
     Variables are ordered: m*n scores, then one auxiliary per (item, pair),
     then the epigraph variable.  Rows, ``a @ x <= b``, come in four
@@ -54,7 +54,6 @@ class DescentLP:
     """
 
     inst: Instance
-    m_const: float
     a: np.ndarray
     b: np.ndarray
     lower: np.ndarray
@@ -84,7 +83,8 @@ class LPSolution:
 
 def build_lp(inst: Instance) -> DescentLP:
     """Build the descent LP's rows and bounds in the box of radius
-    ``box_radius(inst)``.
+    ``box_radius(inst)``, which the bounds hold and ``DescentLP`` does not
+    store.
 
     Rows run over family 1 by (pair, item), pairs in the order of
     ``instance._ordered_pairs``, then over (pair, item) blocks of the other
@@ -124,7 +124,7 @@ def build_lp(inst: Instance) -> DescentLP:
     lower = -upper
     upper[:n_y] = 0.0
     a = np.vstack([epigraph.reshape(-1, n_vars), shifted.reshape(-1, n_vars)])
-    return DescentLP(inst, radius, a, np.concatenate([np.zeros(n_pairs * m), rhs.ravel()]), lower, upper)
+    return DescentLP(inst, a, np.concatenate([np.zeros(n_pairs * m), rhs.ravel()]), lower, upper)
 
 
 def _magnitude(lp: DescentLP) -> float:
@@ -176,9 +176,9 @@ class DCAResult:
 def dca_solve(lp: DescentLP, y0: np.ndarray | None = None, efx_tol: float = DEFAULT_EFX_TOL) -> DCAResult:
     """Iterated linearize-and-solve descent from a score matrix.
 
-    Works on ``lp.inst`` in the box of ``lp.m_const``.  Starts at the
-    encoding of the greedy allocation unless ``y0`` is given, which must be
-    an items-by-agents matrix inside the box; linearizes the
+    Works on ``lp.inst`` in the box of radius ``box_radius(lp.inst)``.
+    Starts at the encoding of the greedy allocation unless ``y0`` is given,
+    which must be an items-by-agents matrix inside that box; linearizes the
     row-max term through each item's current argmax (ties to the smallest
     agent), solves the LP from ``lp.phase_one``, which descents from many
     starts may share, and stops once the iterate moves by at most
@@ -192,7 +192,7 @@ def dca_solve(lp: DescentLP, y0: np.ndarray | None = None, efx_tol: float = DEFA
     inst = lp.inst
     if y0 is None:
         y0 = encode_allocation(inst, greedy_allocation(inst))
-    y = np.array(_require_box(inst, y0, lp.m_const))
+    y = np.array(_require_box(inst, y0, box_radius(inst)))
 
     trace: list[dict] = []
     previous_objective = np.inf

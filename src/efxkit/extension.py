@@ -193,7 +193,7 @@ def box_radius(inst: Instance) -> float:
     if twice < radius < np.inf:
         return radius
     raise ValueError(
-        f"the default box radius, twice the total mass ({twice!r}) plus one, overflows the float range"
+        f"the box radius, twice the total mass ({twice!r}) plus one, overflows the float range"
         " or does not exceed twice the mass; rescale the values"
     )
 

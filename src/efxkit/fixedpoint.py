@@ -261,12 +261,11 @@ def picard_iterate_many(
         raise ValueError("damping factor must be in (0, 1]")
     if max_iters < 0:
         raise ValueError("iteration cap must be nonnegative")
-    radius = box_radius(inst)
-    box = None if map_name == "T" else radius
+    box = None if map_name == "T" else box_radius(inst)
     starts = [encode_allocation(inst, greedy_allocation(inst)) if y0 is None else y0 for y0 in y0s]
     if not starts:
         return []
-    step = _clamp_step(inst, map_name, radius)
+    step = _clamp_step(inst, map_name, box)
     # The base: each start as an (n, m) agents-by-items matrix of one
     # C-contiguous (L, n, m) stack, so every step reduces and gathers whole
     # agent rows.  Map T is unboxed: only the shape of its start is checked.

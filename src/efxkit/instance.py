@@ -57,12 +57,11 @@ class ZeroColumnError(ValueError):
 class Instance:
     """A valuation matrix with shape (items, agents).
 
-    ``normalized`` records that every column sums to one; it is verified at
-    construction time so downstream code can trust the flag.
+    ``normalized`` is read off the values: every column sums to one within
+    ``COLUMN_SUM_TOL``.
     """
 
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float, order="C")  # the solvers' sums follow the layout
@@ -85,12 +84,10 @@ class Instance:
         if not np.all(np.isfinite(sums)):
             bad = int(np.flatnonzero(~np.isfinite(sums))[0])
             raise InstanceFormatError(f"column {bad} sums to {float(sums[bad])}, beyond the float range")
-        if self.normalized:
-            if np.any(np.abs(sums - 1.0) > COLUMN_SUM_TOL):
-                bad = int(np.argmax(np.abs(sums - 1.0)))
-                raise InstanceFormatError(
-                    f"normalized flag set but column {bad} sums to {sums[bad]!r}"
-                )
+
+    @property
+    def normalized(self) -> bool:
+        return bool(np.all(np.abs(self.values.sum(axis=0) - 1.0) <= COLUMN_SUM_TOL))
 
     @property
     def m(self) -> int:
@@ -243,7 +240,7 @@ def normalize(inst: Instance) -> Instance:
     zero = np.flatnonzero(sums == 0.0)
     if zero.size:
         raise ZeroColumnError(zero.tolist())
-    return Instance(inst.values / sums, normalized=True)
+    return Instance(inst.values / sums)
 
 
 def _validate_allocation(inst: Instance, owners: np.ndarray) -> None:

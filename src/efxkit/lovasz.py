@@ -113,14 +113,14 @@ def relaxation_objective(inst: Instance, x: np.ndarray) -> float:
     return _relaxation(inst)[1](_require_box(inst, x, None))[0]
 
 
-def in_partition_polytope(x: np.ndarray, atol: float = ROW_SUM_TOL) -> bool:
-    """True when x is entrywise in [0, 1 + atol] and every item row sums to one within ``atol``."""
+def in_partition_polytope(x: np.ndarray) -> bool:
+    """True when x is entrywise in [0, 1 + ROW_SUM_TOL] and every item row sums to one within ``ROW_SUM_TOL``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         return False
-    if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) > 1.0 + atol:
+    if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) > 1.0 + ROW_SUM_TOL:
         return False
-    return bool(np.all(np.abs(x.sum(axis=1) - 1.0) <= atol))
+    return bool(np.all(np.abs(x.sum(axis=1) - 1.0) <= ROW_SUM_TOL))
 
 
 def uniform_point(inst: Instance) -> np.ndarray:

@@ -45,12 +45,12 @@ def picard_iterate(
         raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAPS)}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("damping factor must be in (0, 1]")
-    m_const = box_radius(inst)
     if y0 is None:
         y0 = encode_allocation(inst, greedy_allocation(inst))
     boxed = map_name in ("Tprime", "Ttilde")
+    m_const = box_radius(inst) if boxed else None
     # Map T is unboxed: only the shape of its start is checked.
-    y = np.array(_require_box(inst, y0, m_const if boxed else None))
+    y = np.array(_require_box(inst, y0, m_const))
 
     best_residual = np.inf
     best_y = y.copy()

@@ -848,7 +848,7 @@ def test_default_radius_that_rounds_back_to_twice_the_mass_is_an_input_error(tmp
         assert cli.main([command, "--instance", inst]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: the default box radius" in captured.err
+        assert "error: the box radius, twice the total mass" in captured.err
         assert "rescale the values" in captured.err
 
 

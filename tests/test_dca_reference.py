@@ -39,7 +39,7 @@ def test_dca_matches_per_step_reference_exactly(n):
     for seed in range(2):
         for inst in _instances(seed, n):
             lp = build_lp(inst)
-            for y0 in [None, np.random.default_rng(seed).uniform(-lp.m_const, 0.0, size=(inst.m, n))]:
+            for y0 in [None, np.random.default_rng(seed).uniform(-box_radius(inst), 0.0, size=(inst.m, n))]:
                 assert _fingerprint(dca_solve(lp, y0=y0)) == _fingerprint(ref.dca_solve(inst, y0=y0))
 
 

@@ -60,9 +60,9 @@ def test_value_validation_reports_location():
 
 
 def test_normalized_flag_is_checked():
-    with pytest.raises(InstanceFormatError):
-        Instance(np.array([[0.5, 0.2], [0.4, 0.2]]), normalized=True)
-    Instance(np.array([[0.5, 0.2], [0.5, 0.8]]), normalized=True)
+    # normalized is read off the column sums, never set.
+    assert not Instance(np.array([[0.5, 0.2], [0.4, 0.2]])).normalized
+    assert Instance(np.array([[0.5, 0.2], [0.5, 0.8]])).normalized
 
 
 def test_load_instance_roundtrip(tmp_path, i0_raw):

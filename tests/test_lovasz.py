@@ -167,6 +167,19 @@ def test_relaxation_requires_normalized(i0_raw):
             next(lovasz.descend(inst, 0.5))
 
 
+def test_relaxation_reads_normalization_off_the_values(i0_raw):
+    # Columns that already sum to one are normalized, however the instance was built.
+    inst = Instance([[0.5, 0.2], [0.5, 0.8]])
+    want = normalize(inst)
+    x = uniform_point(inst)
+    assert relaxation_objective(inst, x) == relaxation_objective(want, x)
+    assert next(lovasz.descend(inst, 0.5))[1] == next(lovasz.descend(want, 0.5))[1]
+    with pytest.raises(ValueError, match="requires a normalized instance"):
+        relaxation_objective(i0_raw, uniform_point(i0_raw))
+    with pytest.raises(ValueError, match="requires a normalized instance"):
+        next(lovasz.descend(i0_raw, 0.5))
+
+
 def test_relaxation_not_convex_inside_polytope(capsys):
     # Frozen counterexample: the reduced value is not submodular at the
     # empty set, so the extension need not be convex.  On this 2x2 instance
@@ -211,7 +224,7 @@ def test_projection_kkt_certificate():
         before = x.tobytes()
         p = project_rows_to_simplex(x)
         assert x.tobytes() == before  # the projection is a copy
-        assert in_partition_polytope(p, atol=1e-9)
+        assert in_partition_polytope(p)
         shift = x - p
         for row in range(5):
             active = p[row] > 0
@@ -233,7 +246,7 @@ def test_minimize_descends_and_stays_feasible(i0_norm):
     assert best <= trace[0]
     assert best == pytest.approx(min(trace))
     assert best <= 0.875 + 1e-6
-    assert in_partition_polytope(best_x, atol=1e-9)
+    assert in_partition_polytope(best_x)
     assert relaxation_objective(i0_norm, best_x) == pytest.approx(best)
 
 

@@ -9,6 +9,7 @@ import reference_picard as ref
 from conftest import poison_gain, random_instance
 from efxkit import (
     Allocation,
+    Instance,
     SelfMapViolation,
     box_radius,
     encode_allocation,
@@ -87,6 +88,21 @@ def test_stacked_picard_matches_one_start_reference_exactly(map_name):
     assert 0 in ends and "cap" in ends
     assert len(ends - {0, "cap"}) >= 2
     assert picard_iterate_many(inst, [], map_name) == []
+
+
+def test_map_t_needs_no_box_radius():
+    # Twice this mass is above 2**53, where adding one rounds back to it, so
+    # the instance has no box; map T is unboxed and iterates all the same.
+    inst = Instance([[1e16, 1.0], [2.0, 1.0], [2.0, 2.0]])
+    start = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="box radius"):
+        box_radius(inst)
+    for max_iters in (12, 300):
+        (report,) = picard_iterate_many(inst, [start], "T", max_iters=max_iters)
+        assert _fingerprint(report) == _fingerprint(ref.picard_iterate(inst, "T", y0=start, max_iters=max_iters))
+    for map_name in ("Tprime", "Ttilde"):
+        with pytest.raises(ValueError, match="box radius"):
+            picard_iterate_many(inst, [start], map_name)
 
 
 def _iterates(monkeypatch, inst, y0, steps: int) -> list[bytes]:

@@ -21,7 +21,7 @@ from efxkit import (
 from efxkit.extension import _pair_gather, _shifted_rows, convex_part
 from efxkit.instance import _ordered_pairs
 
-AGENT_COUNTS = (2, 3, 4, 6, 7)
+AGENT_COUNTS = (2, 3, 4, 5, 6, 7)
 
 
 def _shifted_rowmax(inst, y):
